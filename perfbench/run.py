@@ -1,18 +1,20 @@
 """Benchmark entry point: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload fig8g-waypoint --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fig8g-waypoint --seed 1 --seconds 30 --trace 0
 
 Run from the repository root.  The workload runs in its own process
-(``workload.py``) with ``PYTHONHASHSEED`` derived from the workload and
-seed, because the hash seed sets the literal order of the SAT encoding and
-so the solver's work.  With ``--trace 0`` the run prints the end-to-end
-metrics; with ``--trace 1`` it prints the per-layer metrics of a traced
-run.  The last line of standard output is one JSON object::
+(``workload.py``) with ``PYTHONHASHSEED`` derived from the workload name
+alone, because the hash seed sets the literal order of the SAT encoding and
+so the solver's work: runs with different seeds then differ only in the
+order their problems are sent.  With ``--trace 0`` the run prints the
+end-to-end metrics; with ``--trace 1`` it prints the per-layer metrics of a
+traced run.  The last line of standard output is one JSON object::
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
-The line before it is run metadata (hash seed, tail percentile and job
-count, a host-noise probe) that is reported but not gated.
+The line before it is run metadata (hash seed, the median and tail
+latency in ms with the tail percentile and job count, the raw set-up
+times, a host-noise probe) that is reported but not gated.
 """
 
 from __future__ import annotations
@@ -29,19 +31,21 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from reference import NOMINAL_S, reference
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 
-#: set-up is measured in this many extra processes plus the workload's own
-SETUP_PROBES = 8
+#: set-up is measured in this many extra processes before the workload's
+#: own and as many after it, so the median spans the run's host speeds
+SETUP_PROBES = 4
 #: the whole run must end well inside three minutes
 RUN_BUDGET_S = 170.0
 
 END_TO_END_UNITS = {
-    "job_p50_ms": "ms",
-    "job_tail_ms": "ms",
-    "jobs_per_s": "jobs/s",
+    "job_p50_refs": "refs",
+    "job_tail_refs": "refs",
     "peak_rss_mb": "MB",
 }
 
@@ -50,8 +54,8 @@ class BenchError(Exception):
     pass
 
 
-def hash_seed(workload: str, seed: int) -> str:
-    return str(zlib.crc32(f"{workload}/{seed}".encode()))
+def hash_seed(workload: str) -> str:
+    return str(zlib.crc32(workload.encode()))
 
 
 def spin() -> float:
@@ -63,10 +67,13 @@ def spin() -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def run_child(args: argparse.Namespace, extra: List[str], deadline: float) -> Tuple[dict, float]:
-    """Run ``workload.py`` once; returns its result and its set-up seconds
-    (process start to the first timed job, minus input generation)."""
-    pinned = hash_seed(args.workload, args.seed)
+def run_child(
+    args: argparse.Namespace, extra: List[str], deadline: float
+) -> Tuple[dict, float, float]:
+    """Run ``workload.py`` once; returns its result, its set-up seconds
+    (process start to the first timed job, minus input generation) and the
+    mean reference-loop time just before the start and at the first job."""
+    pinned = hash_seed(args.workload)
     command = [
         sys.executable,
         str(BENCH / "workload.py"),
@@ -78,6 +85,7 @@ def run_child(args: argparse.Namespace, extra: List[str], deadline: float) -> Tu
         *extra,
     ]
     env = dict(os.environ, PYTHONHASHSEED=pinned, PYTHONPATH=str(SRC))
+    before = reference()
     spawned = time.time()
     try:
         proc = subprocess.run(
@@ -95,7 +103,8 @@ def run_child(args: argparse.Namespace, extra: List[str], deadline: float) -> Tu
         raise BenchError(f"workload process exited {proc.returncode}: {' '.join(command)}")
     result = json.loads(lines[-1])
     ready = result.get("setup", result)
-    return result, ready["ready_wall"] - spawned - ready["gen_s"]
+    setup = ready["ready_wall"] - spawned - ready["gen_s"]
+    return result, setup, (before + ready["ready_ref"]) / 2
 
 
 def metric(value: float, unit: str) -> Dict[str, object]:
@@ -119,6 +128,11 @@ def main(argv: List[str] = None) -> int:
         print(f"perfbench: no repro package under {SRC}", file=sys.stderr)
         return 2
     deadline = time.monotonic() + RUN_BUDGET_S
+    # one CPU for this process and the workload processes it starts: the
+    # client and the service's scheduler thread take turns on it, and the
+    # reference loop runs where the job ran (the vCPUs of a shared VM change
+    # speed independently)
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     # compile once up front so no measured process pays for .pyc writes
     for directory in (SRC, BENCH):
         if not compileall.compile_dir(str(directory), quiet=1):
@@ -126,22 +140,23 @@ def main(argv: List[str] = None) -> int:
             return 2
 
     noise_start = spin()
+    probes = SETUP_PROBES if args.trace == 0 else 0
     try:
-        setups = [
-            run_child(args, ["--setup-only"], deadline)[1]
-            for _ in range(SETUP_PROBES if args.trace == 0 else 0)
-        ]
-        result, setup = run_child(args, [], deadline)
+        runs = [run_child(args, ["--setup-only"], deadline) for _ in range(probes)]
+        runs.append(run_child(args, [], deadline))
+        result = runs[-1][0]
+        runs += [run_child(args, ["--setup-only"], deadline) for _ in range(probes)]
     except BenchError as err:
         print(f"perfbench: {err}", file=sys.stderr)
         return 1
-    setups.append(setup)
     noise_end = spin()
 
     if args.trace:
         metrics = {name: metric(value, layer_unit(name)) for name, value in result["layers"].items()}
     else:
-        metrics = {"setup_s": metric(statistics.median(setups), "s")}
+        # set-up seconds on a host that runs the reference loop in NOMINAL_S
+        scaled = statistics.median(setup / ref for _, setup, ref in runs) * NOMINAL_S
+        metrics = {"setup_s": metric(scaled, "s")}
         metrics.update({name: metric(result[name], unit) for name, unit in END_TO_END_UNITS.items()})
     attempted, failed = result["attempted"], result["failed"]
     meta = {
@@ -149,17 +164,25 @@ def main(argv: List[str] = None) -> int:
         "seed": args.seed,
         "hash_seed": result["hash_seed"],
         "failed_share": failed / attempted,
-        "infeasible_reasons": result["infeasible_reasons"],
         "noise_probe_ms": {"start": noise_start, "end": noise_end},
     }
     if args.trace:
         meta["unpatched"] = result["unpatched"]
     else:
         meta.update(
-            jobs=result["jobs"],
-            tail_percentile=result["tail_percentile"],
-            waits_kept=result["waits_kept"],
-            setup_samples_s=setups,
+            {
+                name: result[name]
+                for name in (
+                    "tail_percentile",
+                    "ref_p50_ms",
+                    "job_p50_ms",
+                    "job_tail_ms",
+                    "jobs",
+                    "jobs_per_s",
+                    "waits_kept",
+                )
+            },
+            setup_samples_s=[setup for _, setup, _ in runs],
         )
     for name, entry in metrics.items():
         print(f"{name:32} {entry['value']:14.4f} {entry['unit']}")

@@ -1,7 +1,7 @@
-"""Seeded job generators for the four benchmark workloads.
+"""Seeded job generators for the three benchmark workloads.
 
 A workload yields *traces*: lists of :class:`Step` documents that one
-closed-loop client sends in order.  Three workloads send one full
+closed-loop client sends in order.  Two workloads send one full
 ``repro-api/1`` request per trace; ``churn-deltas`` sends a base request
 followed by chained ``SynthesisDelta`` documents.
 
@@ -10,7 +10,8 @@ key fixes the problem.  ``digests.json`` records the expected verdict or
 normalized-plan digest of every key, so the benchmark can check its outputs
 against the plans this commit produced.  Every trace is sent to a fresh
 service, so no job is served from another trace's plan-cache entry or memo
-scope.
+scope.  The pools are small, so every run of a given length sends nearly
+the same mix of problems.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.ltl.parser import parse
 from repro.net.serialize import Problem, problem_to_dict
 from repro.scenarios.churn import onboarding_fan_problems, patch_between
 from repro.scenarios.templates import reachability_text, waypoint_text
-from repro.topo.diamond import DiamondScenario, chained_diamond, double_diamond, ring_diamond
+from repro.topo.diamond import DiamondScenario, chained_diamond, ring_diamond
 
 
 @dataclass
@@ -86,24 +87,10 @@ def _waypoint(key: str) -> List[Step]:
 
 
 # ----------------------------------------------------------------------
-# fig8h-infeasible: Fig 8(h) double diamonds
-# ----------------------------------------------------------------------
-#: below OrderingConstraints.MAX_TRANSITIVE_UNITS, so SAT proves infeasibility
-DOUBLE_SWITCHES = 40
-
-
-def _double(key: str) -> List[Step]:
-    scenario = double_diamond(16 if key == "warm" else int(key[1:]))
-    ab, ba = scenario.classes
-    text = f"({reachability_text(ab, 'Hb')}) & ({reachability_text(ba, 'Ha')})"
-    return _single(key, _problem(scenario, text), "infeasible")
-
-
-# ----------------------------------------------------------------------
 # fig8g-ring: Fig 8(g) ring-diamond reachability with seeded rewiring
 # ----------------------------------------------------------------------
 RING_SWITCHES = 640
-RING_REWIRINGS = 8
+RING_REWIRINGS = 4
 
 
 def _ring(key: str) -> List[Step]:
@@ -121,8 +108,8 @@ def _ring(key: str) -> List[Step]:
 #: the narrow band trace shapes are drawn from: waves, flips per wave,
 #: enabler-chain length, and whether an unused stub link flaps every step
 CHURN_GROUPS = (3, 4)
-CHURN_FLIPS = (3, 4, 5)
-CHURN_ENABLERS = (5, 6, 7)
+CHURN_FLIPS = (3, 5)
+CHURN_ENABLERS = (6,)
 CHURN_FLAP = (False, True)
 
 
@@ -155,15 +142,14 @@ WORKLOADS: Dict[str, Workload] = {
             [f"w{k}" for k in range(1, WAYPOINT_SEGMENTS)],
             _waypoint,
             "warm",
-            trace_s=1.5,
+            trace_s=1.0,
         ),
-        Workload("fig8h-infeasible", [f"n{DOUBLE_SWITCHES}"], _double, "warm", trace_s=1.1),
         Workload(
             "fig8g-ring",
             [f"r{seed}" for seed in range(RING_REWIRINGS)],
             _ring,
             "warm",
-            trace_s=1.3,
+            trace_s=0.8,
         ),
         Workload(
             "churn-deltas",
@@ -176,7 +162,7 @@ WORKLOADS: Dict[str, Workload] = {
             ],
             _churn,
             "g2f2e2",
-            trace_s=0.3,
+            trace_s=0.1,
         ),
     )
 }
@@ -185,10 +171,13 @@ WORKLOADS: Dict[str, Workload] = {
 def traces(workload: Workload, seed: int) -> Iterator[List[Step]]:
     """The workload's endless trace stream for ``seed``: rounds of the
     whole key pool, each round in a seeded order, so every run of a given
-    length draws nearly the same mix of keys."""
+    length draws nearly the same mix of keys.  Every key's trace is built
+    before the first one is yielded and is sent again in later rounds, so
+    the heap holds the same inputs from the first timed job to the last."""
     rng = random.Random(f"{workload.name}/{seed}")
+    built = {key: workload.build(key) for key in workload.keys}
     while True:
         keys = list(workload.keys)
         rng.shuffle(keys)
         for key in keys:
-            yield workload.build(key)
+            yield built[key]

@@ -23,14 +23,6 @@ JSON-safe dicts:
   the CLI exit-code taxonomy in :mod:`repro.errors` (2 infeasible,
   3 timeout, 4 parse), so a thin client can reconstruct the same exit
   status a local run would have produced;
-* the **fleet documents** (:class:`LeaseRequest`, :class:`LeaseGrant`,
-  :class:`LeaseCompletion`, :class:`HeartbeatRequest`) — the work-pull
-  protocol between a coordinator (``repro serve --fleet``) and its
-  runners (``repro worker``).  Verdict-memo snapshots ride inside them as
-  base64-wrapped pickles (:func:`memo_snapshot_to_wire`): memo keys hold
-  Kripke states and rule tables, which have no JSON form, and the fleet
-  trusts its runners exactly as far as the process pool already trusts
-  its workers (same pickle channel, same deployment boundary).
 
 Documents carry ``"api": "repro-api/1"``; parsers accept a missing marker
 (hand-written requests) but refuse a mismatched one with
@@ -40,11 +32,8 @@ rejecting v1 clients loudly instead of mis-parsing them.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.errors import ParseError, ReproError, error_code, exit_code_for
 from repro.mc.interface import CHECKER_NAMES
@@ -54,11 +43,8 @@ from repro.net.serialize import (
     plan_from_dict,
     problem_from_dict,
     problem_to_dict,
-    unit_order_from_wire,
-    unit_order_to_wire,
 )
 from repro.net.fields import TrafficClass
-from repro.perf.memo import MemoSnapshot
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.synthesis.plan import UpdatePlan
 
@@ -76,6 +62,21 @@ def check_api_version(data: Mapping[str, Any], *, where: str = "document") -> No
             f"{where}: unsupported api version {version!r} "
             f"(this build speaks {API_VERSION})"
         )
+
+
+def _require_str(data: Mapping[str, Any], key: str, *, where: str) -> str:
+    value = data.get(key)
+    if not isinstance(value, str) or not value:
+        raise ParseError(f"{where}: missing or empty {key!r}")
+    return value
+
+
+def _optional_id(data: Mapping[str, Any], *, where: str) -> Optional[str]:
+    """The caller-chosen job id, if any; only a JSON string names a job."""
+    job_id = data.get("id")
+    if job_id is not None and not isinstance(job_id, str):
+        raise ParseError(f"{where}: 'id' must be a string, got {job_id!r}")
+    return job_id
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +242,7 @@ class SynthesisRequest:
             if "options" in data
             else None
         )
-        job_id = data.get("id")
-        if job_id is not None:
-            job_id = str(job_id)
+        job_id = _optional_id(data, where="request")
         return cls(problem=problem, options=options, job_id=job_id)
 
 
@@ -323,9 +322,7 @@ class SynthesisDelta:
             if "options" in data
             else None
         )
-        job_id = data.get("id")
-        if job_id is not None:
-            job_id = str(job_id)
+        job_id = _optional_id(data, where="delta")
         return cls(base=base, patch=patch, options=options, job_id=job_id)
 
 
@@ -529,326 +526,3 @@ class ErrorEnvelope:
         if self.code == "not_found":
             raise KeyError(self.message)
         raise ReproError(self.message)
-
-
-# ----------------------------------------------------------------------
-# fleet: memo snapshots on the wire
-# ----------------------------------------------------------------------
-def memo_snapshot_to_wire(snapshot: MemoSnapshot) -> str:
-    """Encode a :class:`~repro.perf.memo.MemoSnapshot` for a JSON document.
-
-    Memo entries key on Kripke states and rule tables — picklable value
-    types with no JSON form — so the wire carries the same pickle the
-    process pool already ships, base64-wrapped to survive JSON transport.
-    This is a *trusted-deployment* channel: a coordinator and its runners
-    are one installation, exactly like a service and its pool workers.
-    """
-    return base64.b64encode(
-        pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def memo_snapshot_from_wire(text: str) -> MemoSnapshot:
-    """Inverse of :func:`memo_snapshot_to_wire`.
-
-    Raises :class:`~repro.errors.ParseError` on anything that is not a
-    base64-wrapped pickled :class:`~repro.perf.memo.MemoSnapshot` —
-    truncated transfers and hand-mangled documents fail loudly instead of
-    poisoning a memo pool.
-    """
-    if not isinstance(text, str):
-        raise ParseError(f"memo snapshot: expected a string, got {text!r}")
-    try:
-        snapshot = pickle.loads(base64.b64decode(text.encode("ascii"), validate=True))
-    except (binascii.Error, UnicodeEncodeError, pickle.UnpicklingError, EOFError,
-            AttributeError, ImportError, IndexError, TypeError, ValueError) as err:
-        raise ParseError(f"memo snapshot: undecodable: {err!r}") from err
-    if not isinstance(snapshot, MemoSnapshot):
-        raise ParseError(
-            f"memo snapshot: decoded to {type(snapshot).__name__}, "
-            "expected MemoSnapshot"
-        )
-    return snapshot
-
-
-# ----------------------------------------------------------------------
-# fleet: the work-pull protocol
-# ----------------------------------------------------------------------
-#: Statuses a runner may report for an executed group — the runner-contract
-#: payload statuses of :meth:`repro.service.engine.SynthesisService`.
-#: ``queued``/``running``/``cancelled`` are coordinator-side lifecycle
-#: states; a completion claiming one is malformed.
-PAYLOAD_STATUSES = frozenset(
-    (
-        JobStatus.DONE.value,
-        JobStatus.INFEASIBLE.value,
-        JobStatus.TIMEOUT.value,
-        JobStatus.ERROR.value,
-    )
-)
-
-
-def _require_str(data: Mapping[str, Any], key: str, *, where: str) -> str:
-    value = data.get(key)
-    if not isinstance(value, str) or not value:
-        raise ParseError(f"{where}: missing or empty {key!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class LeaseRequest:
-    """A runner asking the coordinator for work (``POST /v1/fleet/lease``).
-
-    ``worker_id`` is the runner's self-chosen stable identity — it drives
-    rendezvous routing, so a restarted runner that keeps its id inherits
-    its old scope affinity.  ``max_groups`` bounds how many job groups one
-    lease call may return; ``wait`` long-polls the coordinator for up to
-    that many seconds when no eligible work is queued.
-    """
-
-    worker_id: str
-    max_groups: int = 1
-    wait: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "api": API_VERSION,
-            "worker": self.worker_id,
-            "max_groups": self.max_groups,
-            "wait": self.wait,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LeaseRequest":
-        if not isinstance(data, Mapping):
-            raise ParseError(f"lease request: expected an object, got {data!r}")
-        check_api_version(data, where="lease request")
-        worker_id = _require_str(data, "worker", where="lease request")
-        max_groups = data.get("max_groups", 1)
-        if (
-            isinstance(max_groups, bool)
-            or not isinstance(max_groups, int)
-            or max_groups < 1
-        ):
-            raise ParseError(
-                f"lease request: max_groups must be an integer >= 1, "
-                f"got {max_groups!r}"
-            )
-        wait = data.get("wait", 0.0)
-        if (
-            isinstance(wait, bool)
-            or not isinstance(wait, (int, float))
-            or wait != wait  # NaN
-            or wait < 0
-        ):
-            raise ParseError(
-                f"lease request: wait must be a non-negative number, got {wait!r}"
-            )
-        return cls(worker_id=worker_id, max_groups=max_groups, wait=float(wait))
-
-
-@dataclass(frozen=True)
-class LeaseGrant:
-    """One leased job group, coordinator → runner.
-
-    Carries everything a runner needs to execute the group with the
-    in-process engine: the problem document, the *full* resolved options
-    (portfolio, shards, timeout — the runner re-creates the exact
-    execution the coordinator would have run locally), the memo scope and
-    a wire-encoded snapshot of it (``memo``), and the lease terms —
-    ``deadline_seconds`` before an unheartbeated lease is re-enqueued,
-    and ``attempt`` (1-based) for observability.
-
-    ``warm_order`` is the delta path's base-plan hint: when the leased
-    group came from a delta submission, the coordinator forwards the base
-    plan's unit order so the runner warm-starts its search exactly like a
-    local execution would (:func:`~repro.net.serialize.unit_order_to_wire`
-    on the wire).
-    """
-
-    lease_id: str
-    fingerprint: str
-    problem: Problem
-    options: SynthesisOptions
-    scope: Optional[str] = None
-    memo: Optional[str] = None
-    deadline_seconds: float = 30.0
-    attempt: int = 1
-    warm_order: Optional[Tuple[Any, ...]] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "api": API_VERSION,
-            "lease": self.lease_id,
-            "fingerprint": self.fingerprint,
-            "problem": problem_to_dict(self.problem),
-            "options": options_to_dict(self.options),
-            "deadline_seconds": self.deadline_seconds,
-            "attempt": self.attempt,
-        }
-        if self.scope is not None:
-            out["scope"] = self.scope
-        if self.memo is not None:
-            out["memo"] = self.memo
-        if self.warm_order is not None:
-            out["warm_order"] = unit_order_to_wire(self.warm_order)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LeaseGrant":
-        if not isinstance(data, Mapping):
-            raise ParseError(f"lease grant: expected an object, got {data!r}")
-        check_api_version(data, where="lease grant")
-        lease_id = _require_str(data, "lease", where="lease grant")
-        problem_data = data.get("problem")
-        if not isinstance(problem_data, Mapping):
-            raise ParseError("lease grant: missing 'problem' object")
-        try:
-            problem = problem_from_dict(problem_data)
-        except ParseError:
-            raise
-        except (ReproError, KeyError, TypeError, ValueError, AttributeError) as err:
-            raise ParseError(f"lease grant: bad problem: {err!r}") from err
-        options_data = data.get("options")
-        if not isinstance(options_data, Mapping):
-            raise ParseError("lease grant: missing 'options' object")
-        options = options_from_dict(options_data)
-        deadline = data.get("deadline_seconds", 30.0)
-        if (
-            isinstance(deadline, bool)
-            or not isinstance(deadline, (int, float))
-            or deadline <= 0
-        ):
-            raise ParseError(
-                f"lease grant: deadline_seconds must be a positive number, "
-                f"got {deadline!r}"
-            )
-        attempt = data.get("attempt", 1)
-        if isinstance(attempt, bool) or not isinstance(attempt, int) or attempt < 1:
-            raise ParseError(
-                f"lease grant: attempt must be an integer >= 1, got {attempt!r}"
-            )
-        scope = data.get("scope")
-        if scope is not None:
-            scope = str(scope)
-        memo = data.get("memo")
-        if memo is not None and not isinstance(memo, str):
-            raise ParseError(f"lease grant: memo must be a string, got {memo!r}")
-        warm_order = data.get("warm_order")
-        if warm_order is not None:
-            if not isinstance(warm_order, (list, tuple)):
-                raise ParseError(
-                    f"lease grant: warm_order must be a list, got {warm_order!r}"
-                )
-            warm_order = tuple(unit_order_from_wire(warm_order))
-        return cls(
-            lease_id=lease_id,
-            fingerprint=str(data.get("fingerprint", "")),
-            problem=problem,
-            options=options,
-            scope=scope,
-            memo=memo,
-            deadline_seconds=float(deadline),
-            attempt=attempt,
-            warm_order=warm_order,
-        )
-
-
-@dataclass(frozen=True)
-class LeaseCompletion:
-    """A runner returning an executed group (``POST /v1/fleet/complete``).
-
-    ``payload`` is the engine's runner-contract result dict — ``status``
-    (one of :data:`PAYLOAD_STATUSES`), ``plan`` (a plan document, for
-    ``done``), ``seconds``, ``backend``, ``message`` — exactly what a
-    local ``_execute_*`` runner would have yielded, so the coordinator
-    settles fleet results through the same code path.  ``memo`` carries
-    the runner's drained verdict-memo deltas (wire-encoded), merged
-    conflict-checked like any pool worker's.
-    """
-
-    lease_id: str
-    worker_id: str
-    payload: Dict[str, Any]
-    memo: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "api": API_VERSION,
-            "lease": self.lease_id,
-            "worker": self.worker_id,
-            "payload": dict(self.payload),
-        }
-        if self.memo is not None:
-            out["memo"] = self.memo
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LeaseCompletion":
-        if not isinstance(data, Mapping):
-            raise ParseError(f"lease completion: expected an object, got {data!r}")
-        check_api_version(data, where="lease completion")
-        lease_id = _require_str(data, "lease", where="lease completion")
-        worker_id = _require_str(data, "worker", where="lease completion")
-        payload = data.get("payload")
-        if not isinstance(payload, Mapping):
-            raise ParseError("lease completion: missing 'payload' object")
-        status = payload.get("status")
-        if status not in PAYLOAD_STATUSES:
-            raise ParseError(
-                f"lease completion: payload status must be one of "
-                f"{sorted(PAYLOAD_STATUSES)}, got {status!r}"
-            )
-        plan = payload.get("plan")
-        if status == JobStatus.DONE.value and not isinstance(plan, Mapping):
-            raise ParseError("lease completion: 'done' payload without a plan")
-        if plan is not None and not isinstance(plan, Mapping):
-            raise ParseError(f"lease completion: bad plan {plan!r}")
-        seconds = payload.get("seconds", 0.0)
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-            raise ParseError(f"lease completion: bad seconds {seconds!r}")
-        memo = data.get("memo")
-        if memo is not None and not isinstance(memo, str):
-            raise ParseError(
-                f"lease completion: memo must be a string, got {memo!r}"
-            )
-        return cls(
-            lease_id=lease_id,
-            worker_id=worker_id,
-            payload=dict(payload),
-            memo=memo,
-        )
-
-
-@dataclass(frozen=True)
-class HeartbeatRequest:
-    """A runner proving liveness (``POST /v1/fleet/heartbeat``).
-
-    Extends the deadline of every listed lease; the reply names leases the
-    coordinator no longer recognizes (already expired and re-enqueued, or
-    settled by a sibling) so the runner can abandon them mid-flight.
-    """
-
-    worker_id: str
-    lease_ids: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "api": API_VERSION,
-            "worker": self.worker_id,
-            "leases": list(self.lease_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HeartbeatRequest":
-        if not isinstance(data, Mapping):
-            raise ParseError(f"heartbeat: expected an object, got {data!r}")
-        check_api_version(data, where="heartbeat")
-        worker_id = _require_str(data, "worker", where="heartbeat")
-        leases = data.get("leases", [])
-        if not isinstance(leases, (list, tuple)):
-            raise ParseError(f"heartbeat: leases must be a list, got {leases!r}")
-        return cls(
-            worker_id=worker_id,
-            lease_ids=tuple(str(lease) for lease in leases),
-        )

@@ -13,20 +13,12 @@ Subcommands:
   scheduler core behind the ``repro-api/1`` HTTP JSON API
   (:mod:`repro.service.server`).  ``POST /v1/jobs`` accepts single and
   batch submissions; jobs from independent clients share the plan cache,
-  the verdict-memo pool, and fingerprint coalescing.  ``--fleet`` turns
-  the server into a fleet *coordinator*: cache-miss groups are leased to
-  ``repro worker`` runner processes over ``/v1/fleet/*`` instead of the
-  local pool (:mod:`repro.fleet`).
-* ``worker --server URL`` — run one fleet runner: lease job groups from a
-  ``repro serve --fleet`` coordinator, execute them with the in-process
-  engine, and ship verdict-memo deltas back.  Runs until interrupted
-  (SIGINT/SIGTERM drain the in-flight lease first).
+  the verdict-memo pool, and fingerprint coalescing.
 * ``loadtest --suite NAME`` — replay a scenario corpus against a server
   from N concurrent clients for several rounds and write a
   ``repro-loadtest/1`` JSON report (p50/p99 latency, throughput, memo and
-  plan-cache hit rates per round, per-worker fleet utilization).  Without
-  ``--server`` it self-hosts a coordinator plus ``--fleet-workers``
-  in-process runners.
+  plan-cache hit rates per round).  Without ``--server`` it self-hosts
+  one.
 * ``submit PROBLEM.json --server URL`` — submit one problem to a running
   server and (by default) wait for the verdict; exit codes match
   ``synthesize`` exactly (0 plan, 2 infeasible, 3 timeout, 4 parse).
@@ -102,9 +94,7 @@ Subcommands:
   phases (labeling, SAT ordering, wait removal, memo probes).
 * ``cache-stats DIR`` — summarize an on-disk plan cache directory
   (entry count, bytes, cumulative hit/miss counters).  With
-  ``--server URL`` it asks a running server instead, and in fleet mode
-  the reply includes the live fleet gauges (workers connected, leases
-  outstanding, per-worker heartbeat age).
+  ``--server URL`` it asks a running server instead.
 
 Exit status codes (the shared taxonomy lives in :mod:`repro.errors` —
 :func:`repro.errors.exit_code_for` — and is also what the server's error
@@ -777,19 +767,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memoize=not args.no_memo,
         shards=args.shards,
     )
-    fleet_options = {}
-    if args.lease_ttl is not None:
-        fleet_options["lease_ttl"] = args.lease_ttl
-    if args.worker_ttl is not None:
-        fleet_options["worker_ttl"] = args.worker_ttl
-    if args.steal_after is not None:
-        fleet_options["steal_after"] = args.steal_after
-    if args.max_attempts is not None:
-        fleet_options["max_attempts"] = args.max_attempts
-    if fleet_options and not args.fleet:
-        raise ReproError(
-            "--lease-ttl/--worker-ttl/--steal-after/--max-attempts need --fleet"
-        )
     server = ReproServer(
         host=args.host,
         port=args.port,
@@ -797,16 +774,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         default_options=options,
         verbose=args.verbose,
-        fleet=args.fleet,
-        fleet_options=fleet_options or None,
     )
 
     def _sigterm(signum, frame):  # noqa: ARG001 — signal handler signature
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _sigterm)
-    mode = "fleet coordinator" if args.fleet else f"workers: {server.service.workers}"
-    print(f"repro-api/1 serving on {server.url} ({mode})", flush=True)
+    print(
+        f"repro-api/1 serving on {server.url} "
+        f"(workers: {server.service.workers})",
+        flush=True,
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -818,47 +796,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.fleet import FleetWorker
-
-    worker = FleetWorker(
-        args.server,
-        worker_id=args.id,
-        workers=0 if args.serial else (args.workers or 1),
-        lease_wait=args.lease_wait,
-        max_groups=args.max_groups,
-    )
-
-    def _sigterm(signum, frame):  # noqa: ARG001 — signal handler signature
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _sigterm)
-    print(
-        f"fleet runner {worker.worker_id} leasing from {args.server}",
-        flush=True,
-    )
-    try:
-        completed = worker.run(max_leases=args.max_leases)
-    except KeyboardInterrupt:
-        worker.stop()
-        completed = worker.leases_completed
-    finally:
-        worker.close()
-    print(f"runner {worker.worker_id} done: {completed} leases", flush=True)
-    return EXIT_OK
-
-
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.fleet import run_loadtest
+    from repro.service.loadtest import run_loadtest
 
     report = run_loadtest(
         suite=args.suite,
         clients=args.clients,
         rounds=args.rounds,
         server_url=args.server,
-        fleet_workers=args.fleet_workers,
         use_plan_cache=args.use_plan_cache,
         quick=not args.full,
         job_timeout=args.job_timeout,
@@ -1204,13 +1149,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         from repro.service import ReproClient
 
         client = ReproClient(args.server)
-        document = client.cache_stats()
-        # a fleet coordinator also reports its live fleet gauges here, so
-        # one call answers "how are my caches AND my runners doing"
-        fleet = (client.metrics_dict().get("gauges") or {}).get("fleet")
-        if fleet is not None:
-            document["fleet"] = fleet
-        json.dump(document, sys.stdout, indent=2)
+        json.dump(client.cache_stats(), sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_OK
     if not args.directory:
@@ -1280,45 +1219,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persist the plan cache to this directory")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log each HTTP request to stderr")
-    p_serve.add_argument("--fleet", action="store_true",
-                         help="coordinator mode: lease cache-miss job groups "
-                              "to `repro worker` runners over /v1/fleet/* "
-                              "instead of the local worker pool")
-    p_serve.add_argument("--lease-ttl", type=float, default=None, metavar="S",
-                         help="fleet: seconds before an unheartbeated lease "
-                              "is re-enqueued (default 30)")
-    p_serve.add_argument("--worker-ttl", type=float, default=None, metavar="S",
-                         help="fleet: seconds of silence before a runner is "
-                              "dropped from the connected set (default 60)")
-    p_serve.add_argument("--steal-after", type=float, default=None, metavar="S",
-                         help="fleet: seconds a scope-routed group waits for "
-                              "its preferred runner before any runner may "
-                              "take it (default 5)")
-    p_serve.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                         help="fleet: lease attempts per group before it "
-                              "settles as an error (default 3)")
     p_serve.set_defaults(fn=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker", help="run one fleet runner against a repro serve --fleet"
-    )
-    p_worker.add_argument("--server", required=True, metavar="URL",
-                          help="base URL of the fleet coordinator")
-    p_worker.add_argument("--id", default=None,
-                          help="stable worker id (rendezvous routing key; "
-                               "default: worker-<pid>-<nonce>)")
-    p_worker.add_argument("--workers", type=int, default=None,
-                          help="embedded engine pool size (default 1)")
-    p_worker.add_argument("--serial", action="store_true",
-                          help="execute leased groups in-process")
-    p_worker.add_argument("--lease-wait", type=float, default=5.0, metavar="S",
-                          help="seconds each lease call long-polls (default 5)")
-    p_worker.add_argument("--max-groups", type=int, default=1,
-                          help="groups requested per lease call (default 1)")
-    p_worker.add_argument("--max-leases", type=int, default=None, metavar="N",
-                          help="exit after completing N leases (default: "
-                               "run until interrupted)")
-    p_worker.set_defaults(fn=_cmd_worker)
 
     p_loadtest = sub.add_parser(
         "loadtest",
@@ -1335,10 +1236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadtest.add_argument("--server", default=None, metavar="URL",
                             help="target a running server (default: self-host "
                                  "one for the duration of the run)")
-    p_loadtest.add_argument("--fleet-workers", type=int, default=0, metavar="N",
-                            help="self-hosted only: run the load against a "
-                                 "fleet of N in-process runners (default 0: "
-                                 "plain server)")
     p_loadtest.add_argument("--use-plan-cache", action="store_true",
                             help="let repeat rounds hit the plan cache "
                                  "(default: bypass it so every round "
@@ -1628,8 +1525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("directory", nargs="?", default=None,
                          help="cache directory (see batch --cache-dir)")
     p_cache.add_argument("--server", default=None, metavar="URL",
-                         help="ask a running `repro serve` instead; fleet "
-                              "coordinators include their fleet gauges")
+                         help="ask a running `repro serve` instead")
     p_cache.set_defaults(fn=_cmd_cache_stats)
 
     p_demo = sub.add_parser("demo", help="emit a ready-made problem file")

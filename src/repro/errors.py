@@ -61,16 +61,6 @@ class MemoMergeError(ReproError):
     """
 
 
-class FleetError(ReproError):
-    """Raised for worker-fleet protocol failures.
-
-    Examples: a :class:`~repro.fleet.worker.FleetWorker` pointed at a server
-    that was not started with ``--fleet`` (no coordinator to lease from), or
-    a job group that exhausted its re-lease attempts because every runner
-    that leased it died before completing.
-    """
-
-
 class SynthesisTimeout(ReproError):
     """Raised when synthesis exceeds its time budget."""
 

@@ -20,7 +20,7 @@ against a retained base :class:`~repro.net.serialize.Problem`
 * ingress and spec edits replace only the named pieces.
 
 The resulting problem is an ordinary full problem — downstream layers
-(fingerprinting, scheduling, the fleet) need no special cases — while the
+(fingerprinting, scheduling) need no special cases — while the
 engine pairs it with the base plan's unit order to warm-start the search
 (:func:`repro.synthesis.search.order_update` ``warm_order=``).
 

@@ -178,9 +178,8 @@ class VerdictMemo:
         self._refuted_recorded = 0
         self.stats = MemoStats()
         # with track_delta, record() journals what this process learned so
-        # drain_delta can report it (worker-side pools only; seeded entries
-        # never join the journal, absorbed ones do unless the merge opts
-        # out).  Bounded like snapshots:
+        # drain_delta can report it (worker-side pools only; seeded and
+        # absorbed entries never join the journal).  Bounded like snapshots:
         # deltas are pickled back through the result channel, so a hard job
         # must not ship an arbitrarily large journal — the oldest entries
         # are dropped first, mirroring the snapshot cap
@@ -285,7 +284,7 @@ class VerdictMemo:
         self.stats = MemoStats()
         return delta
 
-    def absorb_delta(self, delta: MemoDelta, *, journal: bool = True) -> int:
+    def absorb_delta(self, delta: MemoDelta) -> int:
         """Merge ``delta`` into this memo; returns how many entries were new.
 
         Idempotent — re-absorbing a delta (or overlapping deltas from racing
@@ -296,16 +295,8 @@ class VerdictMemo:
         key, so a conflict means a collision or a checker bug — none of
         that worker's entries can be trusted).  Absorbed entries bypass the
         ``inserts`` counter: they represent a *sibling's* work, counted
-        under ``merged``.
-
-        On a ``track_delta`` memo, absorbed entries join the journal by
-        default, so a pool that relays learning *upstream* (a fleet
-        runner's resident memo forwarding its subprocess workers' deltas to
-        the coordinator) does not silently drop merged entries from its
-        next drain.  ``journal=False`` suppresses that for merges that are
-        *seed context* rather than local learning (snapshot seeding, a
-        coordinator's lease snapshots) — echoing the sender's own entries
-        back at it would be pure wire noise.
+        under ``merged``, and never join the delta journal: a drain reports
+        only what this process recorded itself.
         """
         self.check_delta(delta)
         added = 0
@@ -314,8 +305,6 @@ class VerdictMemo:
                 continue
             self._verdicts[key] = verdict
             self._verdicts.move_to_end(key)
-            if journal and self._journal is not None:
-                self._journal.append((key, verdict))
             if not verdict.ok:
                 self._refuted_recorded += 1
                 if verdict.trace:
@@ -464,7 +453,7 @@ class SharedVerdictMemo:
         pool = cls(track_deltas=track_deltas)
         for delta in snapshot.deltas:
             memo = pool._scope_memo(delta.scope)
-            memo.absorb_delta(delta, journal=False)
+            memo.absorb_delta(delta)
             # the seed is context, not learning: don't let it inflate the
             # counters this pool reports back
             memo.stats = MemoStats()
@@ -479,7 +468,7 @@ class SharedVerdictMemo:
                 deltas.append(delta)
         return MemoSnapshot(deltas=tuple(deltas))
 
-    def merge(self, snapshot: MemoSnapshot, *, journal: bool = True) -> int:
+    def merge(self, snapshot: MemoSnapshot) -> int:
         """Fold a worker's learned deltas in; returns new-entry count.
 
         Idempotent across overlapping deltas from racing workers, and
@@ -488,19 +477,13 @@ class SharedVerdictMemo:
         refuses the whole snapshot — the producing worker's verdicts are
         suspect as a group.  Each delta's ``stats`` are absorbed so
         pool-level counters reflect worker-side probes and hits.
-
-        On a ``track_deltas`` pool, merged entries join the journal by
-        default so the next :meth:`drain_deltas` relays them upstream (a
-        fleet runner forwarding its subprocess pool's learning to the
-        coordinator); pass ``journal=False`` when the snapshot is seed
-        context the upstream side already has.
         """
         for delta in snapshot.deltas:
             self._scope_memo(delta.scope).check_delta(delta)
         added = 0
         for delta in snapshot.deltas:
             memo = self._scope_memo(delta.scope)
-            added += memo.absorb_delta(delta, journal=journal)
+            added += memo.absorb_delta(delta)
             if delta.stats is not None:
                 memo.stats.absorb(delta.stats)
         return added

@@ -18,9 +18,7 @@ keeps the CLI exit codes identical with and without ``--server``.
 
 Idempotent GETs transparently retry transient transport failures with
 bounded exponential backoff and jitter (``max_retries`` /
-``retry_backoff``); the client also speaks the fleet work-pull surface
-(:meth:`~ReproClient.fleet_lease` / ``fleet_complete`` /
-``fleet_heartbeat``) on behalf of :class:`~repro.fleet.worker.FleetWorker`.
+``retry_backoff``).
 """
 
 from __future__ import annotations
@@ -35,16 +33,12 @@ from urllib.parse import quote
 
 from repro.api import (
     ErrorEnvelope,
-    HeartbeatRequest,
     JobView,
-    LeaseCompletion,
-    LeaseGrant,
-    LeaseRequest,
     SynthesisDelta,
     SynthesisRequest,
     SynthesisResponse,
 )
-from repro.errors import FleetError, ParseError, ReproError
+from repro.errors import ParseError, ReproError
 from repro.net.delta import ProblemPatch
 from repro.net.fields import TrafficClass
 from repro.net.serialize import Problem
@@ -71,8 +65,8 @@ class ReproClient:
             not the batch.  POSTs never retry: a resubmitted job is a
             duplicate, not a repeat.  ``0`` disables.
         retry_backoff: base seconds of the bounded exponential backoff
-            between retries; each attempt doubles it and adds jitter so a
-            fleet of clients does not reconnect in lockstep.
+            between retries; each attempt doubles it and adds jitter so
+            many clients do not reconnect in lockstep.
     """
 
     def __init__(
@@ -457,48 +451,3 @@ class ReproClient:
 
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/healthz")
-
-    # ------------------------------------------------------------------
-    # fleet surface (used by repro.fleet.worker; 404 off fleet mode)
-    # ------------------------------------------------------------------
-    def _fleet_request(
-        self, path: str, body: Dict[str, Any], *, timeout: Optional[float] = None
-    ) -> Dict[str, Any]:
-        try:
-            return self._request("POST", path, body=body, timeout=timeout)
-        except KeyError as err:
-            # the server's not_found envelope surfaces as KeyError; for
-            # fleet endpoints that means "no coordinator here"
-            raise FleetError(
-                f"{self.base_url} is not a fleet coordinator "
-                f"(start the server with `repro serve --fleet`): {err.args[0]}"
-            ) from err
-
-    def fleet_lease(
-        self, worker_id: str, *, max_groups: int = 1, wait: float = 0.0
-    ) -> List[LeaseGrant]:
-        """Ask the coordinator for work; empty list when none is eligible.
-
-        ``wait`` long-polls server-side, so the socket timeout stretches
-        to cover it (like :meth:`result`'s ``?wait=`` handling).
-        """
-        request = LeaseRequest(worker_id=worker_id, max_groups=max_groups, wait=wait)
-        document = self._fleet_request(
-            "/v1/fleet/lease",
-            request.to_dict(),
-            timeout=self.request_timeout + max(0.0, wait),
-        )
-        return [
-            LeaseGrant.from_dict(entry) for entry in document.get("leases", [])
-        ]
-
-    def fleet_complete(self, completion: LeaseCompletion) -> Dict[str, Any]:
-        """Report an executed group; ``{"accepted": ..., "known": ...}``."""
-        return self._fleet_request("/v1/fleet/complete", completion.to_dict())
-
-    def fleet_heartbeat(
-        self, worker_id: str, lease_ids: Sequence[str] = ()
-    ) -> Dict[str, Any]:
-        """Extend ``lease_ids``; the reply names leases no longer held."""
-        request = HeartbeatRequest(worker_id=worker_id, lease_ids=tuple(lease_ids))
-        return self._fleet_request("/v1/fleet/heartbeat", request.to_dict())

@@ -294,10 +294,6 @@ class SynthesisService:
             create one (``cache_dir``/``cache_capacity`` configure it).
         default_options: :class:`SynthesisOptions` applied to ``submit``
             calls that don't bring their own.
-        verdict_memo: a :class:`~repro.perf.memo.SharedVerdictMemo` to use
-            instead of creating one — how a fleet runner injects its
-            *resident* delta-tracking memo so entries learned across
-            leases accumulate and gossip upstream.
 
     All public methods are thread-safe; the HTTP front-end
     (:mod:`repro.service.server`) calls them from handler threads while the
@@ -314,7 +310,6 @@ class SynthesisService:
         cache_capacity: int = 1024,
         default_options: Optional[SynthesisOptions] = None,
         metrics: Optional[ServiceMetrics] = None,
-        verdict_memo: Optional[SharedVerdictMemo] = None,
     ):
         self.workers = default_worker_count() if workers is None else max(0, workers)
         self.cache = cache or PlanCache(cache_capacity, cache_dir)
@@ -324,16 +319,7 @@ class SynthesisService:
         # share refuted traces and verdicts.  The serial path probes it
         # live; pool dispatches snapshot it per payload and merge the
         # workers' learned deltas back (see the module docstring).
-        self.verdict_memo = (
-            verdict_memo if verdict_memo is not None else SharedVerdictMemo()
-        )
-        # fleet mode: a FleetCoordinator installed via set_group_runner
-        # replaces the local executors — cache-miss groups are leased to
-        # remote runners instead of the process pool.  Duck-typed (any
-        # object with a runner-contract __call__, close(), gauges_dict())
-        # so the engine never imports repro.fleet.
-        self.fleet: Optional[Any] = None
-        self._group_runner: Optional[Any] = None
+        self.verdict_memo = SharedVerdictMemo()
         self._memo_conflict_warned = False
         self._ids = itertools.count(1)
         # scheduler state, all guarded by the condition's lock.  The cv is
@@ -395,29 +381,11 @@ class SynthesisService:
                 self._thread.start()
         return self
 
-    def set_group_runner(self, runner: Optional[Any], *, fleet: Optional[Any] = None) -> None:
-        """Replace the local executors with a custom group runner.
-
-        ``runner`` follows the executor contract of :meth:`_execute_serial`
-        / :meth:`_execute_pool`: called with a dict of cache-miss groups
-        (``{(fingerprint, timeout): [jobs]}``, every job already marked
-        ``running``), it yields ``(key, payload)`` pairs where ``payload``
-        is a runner-contract result dict; every group must eventually be
-        yielded.  ``fleet`` optionally names the coordinator behind the
-        runner so :meth:`metrics_dict` and :meth:`close` can reach it.
-        Pass ``None`` to restore the local executors.
-        """
-        self._group_runner = runner
-        self.fleet = fleet
-
     def close(self, *, timeout: Optional[float] = 30.0) -> None:
         """Stop the scheduler: cancel queued jobs, finish in-flight work.
 
         Jobs still queued settle as ``cancelled``; the micro-batch being
         executed (if any) runs to completion so no job is left ``running``.
-        In fleet mode the coordinator is closed first — a scheduler thread
-        blocked waiting on remote completions settles its remaining groups
-        as errors instead of waiting on runners that will never return.
         Idempotent.
         """
         with self._cv:
@@ -430,8 +398,6 @@ class SynthesisService:
                     self._settle_cancelled_locked(job, "cancelled: service closing")
                 thread = self._thread
                 self._cv.notify_all()
-        if self.fleet is not None:
-            self.fleet.close()
         if thread is not None and thread.is_alive():
             thread.join(timeout=timeout)
 
@@ -771,12 +737,10 @@ class SynthesisService:
                 for job in self._jobs.values()
                 if job.status is JobStatus.RUNNING
             )
-        fleet = self.fleet.gauges_dict() if self.fleet is not None else None
         out["gauges"] = self.metrics.gauges_dict(
             queue_depth=queue_depth,
             in_flight=in_flight,
             memo_scopes=len(self.verdict_memo),
-            fleet=fleet,
         )
         return out
 
@@ -962,23 +926,15 @@ class SynthesisService:
         spinning the pool up for (that is the point of shards).
         """
         with self.metrics.time_batch():
-            if self._group_runner is not None:
-                # fleet (or test-injected) runner: it sees only job groups,
-                # so the lifecycle transition happens here
-                for group in groups.values():
-                    for job in group:
-                        job.status = JobStatus.RUNNING
-                runner = self._group_runner
-            else:
-                tasks = sum(
-                    len(group[0].options.backends()) * max(1, group[0].options.shards)
-                    for group in groups.values()
-                )
-                runner = (
-                    self._execute_serial
-                    if self.workers <= 1 or tasks == 1
-                    else self._execute_pool
-                )
+            tasks = sum(
+                len(group[0].options.backends()) * max(1, group[0].options.shards)
+                for group in groups.values()
+            )
+            runner = (
+                self._execute_serial
+                if self.workers <= 1 or tasks == 1
+                else self._execute_pool
+            )
             for key, payload in runner(groups):
                 with self._cv:
                     # snapshot-and-retire the group: submissions from here

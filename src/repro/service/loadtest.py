@@ -5,27 +5,24 @@ one) from ``clients`` concurrent thin clients, for ``rounds`` passes over
 the same problems, and reports a ``repro-loadtest/1`` JSON document: per
 round, client-observed p50/p99 latency, throughput, and the *server-side*
 verdict-memo and plan-cache hit rates (measured as counter deltas on
-``/v1/metrics``, so they include work done by fleet runners); plus
-per-worker utilization from the fleet gauges when a fleet is attached.
+``/v1/metrics``).
 
 This is the throughput counterpart of the bench runner's
 ``BENCH_<suite>.json``: the bench measures one synthesis at a time, the
 loadtest measures the serving stack — coalescing, cache temperature, and
-memo gossip under concurrent load.
+the shared verdict memo under concurrent load.
 
 By default the *plan cache is bypassed* (``use_plan_cache=False`` rides
 in every request): a load generator that lets round two answer entirely
 from the plan cache would measure dictionary lookups, not synthesis.
 With the cache bypassed, repeated rounds still re-run the search — but
-against a warm verdict memo, which is exactly the gossip effect the
-report's per-round memo hit rates make visible.
+against a warm verdict memo, which the report's per-round memo hit
+rates make visible.
 
 Without ``--server`` the harness self-hosts: it starts an in-process
-:class:`~repro.service.server.ReproServer` (fleet mode when
-``fleet_workers > 0``) plus that many in-thread
-:class:`~repro.fleet.worker.FleetWorker` runners, runs the load, and
-tears everything down — ``repro loadtest --suite smoke --clients 8``
-works on a laptop with nothing else running.
+:class:`~repro.service.server.ReproServer`, runs the load, and tears it
+down — ``repro loadtest --suite smoke --clients 8`` works on a laptop
+with nothing else running.
 """
 
 from __future__ import annotations
@@ -35,10 +32,10 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.fleet.worker import FleetWorker
 from repro.scenarios.corpus import generate_corpus
 from repro.service.client import ReproClient
 from repro.service.jobs import JobStatus
+from repro.service.server import ReproServer
 
 LOADTEST_SCHEMA = "repro-loadtest/1"
 
@@ -161,7 +158,6 @@ def run_loadtest(
     clients: int = 8,
     rounds: int = 2,
     server_url: Optional[str] = None,
-    fleet_workers: int = 0,
     use_plan_cache: bool = False,
     quick: bool = True,
     job_timeout: Optional[float] = None,
@@ -170,9 +166,8 @@ def run_loadtest(
 ) -> Dict[str, Any]:
     """Run the load and return the ``repro-loadtest/1`` report dict.
 
-    ``server_url`` targets a running server; ``None`` self-hosts one (in
-    fleet mode with ``fleet_workers`` in-thread runners when that is
-    positive).  ``max_jobs`` truncates the corpus — useful for smoke CI.
+    ``server_url`` targets a running server; ``None`` self-hosts one.
+    ``max_jobs`` truncates the corpus — useful for smoke CI.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -185,31 +180,10 @@ def run_loadtest(
         raise ReproError(f"suite {suite!r} produced no scenarios")
 
     server = None
-    workers: List[FleetWorker] = []
-    worker_threads: List[threading.Thread] = []
     if server_url is None:
-        from repro.service.server import ReproServer
-
-        server = ReproServer(port=0, fleet=fleet_workers > 0)
+        server = ReproServer(port=0)
         server.start()
         server_url = server.url
-        for index in range(fleet_workers):
-            worker = FleetWorker(
-                server_url,
-                worker_id=f"lt-worker-{index + 1}",
-                lease_wait=0.5,
-            )
-            thread = threading.Thread(
-                target=worker.run, name=worker.worker_id, daemon=True
-            )
-            workers.append(worker)
-            worker_threads.append(thread)
-            thread.start()
-    elif fleet_workers:
-        raise ReproError(
-            "fleet_workers only applies to a self-hosted server; "
-            "start `repro worker` processes against --server instead"
-        )
 
     probe = ReproClient(server_url)
     options_data: Dict[str, Any] = {"use_plan_cache": bool(use_plan_cache)}
@@ -258,36 +232,9 @@ def run_loadtest(
             }
             report.update(_round_rates(before, after))
             round_reports.append(report)
-
-        final_metrics = probe.metrics_dict()
     finally:
-        for worker in workers:
-            worker.stop()
-        for thread in worker_threads:
-            thread.join(timeout=10.0)
-        for worker in workers:
-            worker.close()
         if server is not None:
             server.close()
-
-    total_wall = sum(entry["wall_seconds"] for entry in round_reports)
-    fleet_gauges = (final_metrics.get("gauges") or {}).get("fleet")
-    fleet_report = None
-    if fleet_gauges is not None:
-        per_worker = {}
-        for worker_id, stats in (fleet_gauges.get("workers") or {}).items():
-            busy = float(stats.get("busy_seconds", 0.0))
-            per_worker[worker_id] = {
-                "completed": int(stats.get("completed", 0)),
-                "busy_seconds": round(busy, 6),
-                "utilization": round(busy / total_wall, 4) if total_wall else 0.0,
-            }
-        fleet_report = {
-            "workers_connected": fleet_gauges.get("workers_connected", 0),
-            "leases_granted_total": fleet_gauges.get("leases_granted_total", 0),
-            "leases_expired_total": fleet_gauges.get("leases_expired_total", 0),
-            "per_worker": per_worker,
-        }
 
     return {
         "schema": LOADTEST_SCHEMA,
@@ -299,8 +246,6 @@ def run_loadtest(
         "use_plan_cache": bool(use_plan_cache),
         "server": server_url,
         "self_hosted": server is not None,
-        "fleet_workers": fleet_workers,
-        "fleet": fleet_report,
         "failures": failures[:50],
         "ok": not failures,
     }

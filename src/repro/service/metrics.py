@@ -87,27 +87,20 @@ class ServiceMetrics:
         queue_depth: int = 0,
         in_flight: int = 0,
         memo_scopes: int = 0,
-        fleet: "Dict[str, Any] | None" = None,
     ) -> Dict[str, Any]:
         """Live point-in-time gauges for the HTTP ``/v1/metrics`` endpoint.
 
         Counters in :meth:`as_dict` are cumulative; these describe *now*:
         jobs waiting for the scheduler, jobs currently executing, verdict-
         memo scopes held hot, and how long the service has been up.  The
-        caller (the service) supplies the scheduler-state readings; in
-        fleet mode it also passes the coordinator's gauges (connected
-        workers, outstanding leases, expiry counter, per-worker heartbeat
-        ages) which nest under ``"fleet"``.
+        caller (the service) supplies the scheduler-state readings.
         """
-        out: Dict[str, Any] = {
+        return {
             "queue_depth": int(queue_depth),
             "in_flight": int(in_flight),
             "memo_scopes": int(memo_scopes),
             "uptime_seconds": round(self.uptime_seconds, 3),
         }
-        if fleet is not None:
-            out["fleet"] = dict(fleet)
-        return out
 
     @property
     def throughput(self) -> float:

@@ -27,11 +27,6 @@ Endpoints (see ``docs/ARCHITECTURE.md`` for the full table):
 ``GET /v1/healthz``       liveness: ``{"ok": true, "api": "repro-api/1"}``
 ========================  ====================================================
 
-In fleet mode (``repro serve --fleet``) three more endpoints come live —
-``POST /v1/fleet/lease`` / ``complete`` / ``heartbeat`` — the work-pull
-surface ``repro worker`` runners speak (:mod:`repro.fleet`); on a
-non-fleet server they 404 with a ``not_found`` envelope naming the flag.
-
 Failures use the machine-readable :class:`~repro.api.ErrorEnvelope` —
 ``parse`` → 400, ``not_found`` → 404, anything else → 500 — carrying the
 same exit code the local CLI would have produced, so thin clients exit
@@ -44,16 +39,13 @@ import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.api import (
     API_VERSION,
     ErrorEnvelope,
-    HeartbeatRequest,
     JobView,
-    LeaseCompletion,
-    LeaseRequest,
     SynthesisDelta,
     SynthesisRequest,
     SynthesisResponse,
@@ -61,9 +53,6 @@ from repro.api import (
 )
 from repro.errors import ParseError, ReproError
 from repro.service.engine import SynthesisService
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle: fleet imports server
-    from repro.fleet.coordinator import FleetCoordinator
 
 #: Cap on request bodies; a batch of problem documents is generous at 64 MiB.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -131,19 +120,6 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def service(self) -> SynthesisService:
         return self.server.repro_service  # type: ignore[attr-defined]
-
-    @property
-    def fleet(self) -> "FleetCoordinator":
-        coordinator = getattr(self.server, "repro_fleet", None)
-        if coordinator is None:
-            raise _ApiError(
-                404,
-                ErrorEnvelope.not_found(
-                    "this server is not in fleet mode "
-                    "(start it with `repro serve --fleet`)"
-                ),
-            )
-        return coordinator
 
     # ------------------------------------------------------------------
     # plumbing
@@ -262,13 +238,6 @@ class _Handler(BaseHTTPRequestHandler):
                     return self._get_job(unquote(parts[2]), query)
                 if method == "DELETE":
                     return self._delete_job(unquote(parts[2]))
-            elif len(parts) == 3 and parts[1] == "fleet" and method == "POST":
-                if parts[2] == "lease":
-                    return self._post_fleet_lease()
-                if parts[2] == "complete":
-                    return self._post_fleet_complete()
-                if parts[2] == "heartbeat":
-                    return self._post_fleet_heartbeat()
             elif parts[1:] == ["metrics"] and method == "GET":
                 return self._send_json(200, dict(
                     self.service.metrics_dict(), api=API_VERSION
@@ -403,30 +372,6 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    # ------------------------------------------------------------------
-    # fleet endpoints (404 unless the server runs in fleet mode)
-    # ------------------------------------------------------------------
-    def _post_fleet_lease(self) -> None:
-        coordinator = self.fleet
-        request = LeaseRequest.from_dict(self._read_body())
-        grants = coordinator.lease(request)
-        self._send_json(
-            200,
-            {"api": API_VERSION, "leases": [grant.to_dict() for grant in grants]},
-        )
-
-    def _post_fleet_complete(self) -> None:
-        coordinator = self.fleet
-        completion = LeaseCompletion.from_dict(self._read_body())
-        verdict = coordinator.complete(completion)
-        self._send_json(200, dict(verdict, api=API_VERSION))
-
-    def _post_fleet_heartbeat(self) -> None:
-        coordinator = self.fleet
-        request = HeartbeatRequest.from_dict(self._read_body())
-        verdict = coordinator.heartbeat(request)
-        self._send_json(200, dict(verdict, api=API_VERSION))
-
 
 class ReproServer:
     """A long-lived synthesis server: scheduler core + HTTP front-end.
@@ -436,14 +381,6 @@ class ReproServer:
     background thread.  Closing the server shuts the listener down and, if
     the server *owns* its service (one was not passed in), closes the
     service too.
-
-    With ``fleet=True`` the server becomes a fleet *coordinator*: a
-    :class:`~repro.fleet.coordinator.FleetCoordinator` is installed as the
-    service's group runner, the three ``/v1/fleet/*`` endpoints come live,
-    and cache-miss groups are executed by ``repro worker`` runner
-    processes instead of the local executors.  Everything else — submit,
-    long-poll, coalescing, the plan cache — is unchanged; clients cannot
-    tell a fleet from a local pool.
 
     Example::
 
@@ -459,23 +396,10 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 8421,
         verbose: bool = False,
-        fleet: bool = False,
-        fleet_options: Optional[Dict[str, Any]] = None,
         **service_kwargs: Any,
     ):
-        if fleet_options and not fleet:
-            raise ValueError("fleet_options requires fleet=True")
         self._owns_service = service is None
         self.service = service or SynthesisService(**service_kwargs)
-        self.fleet: Optional["FleetCoordinator"] = None
-        if fleet:
-            # imported here, not at module top: repro.fleet imports this
-            # module (the loadtest self-hosts a server)
-            from repro.fleet.coordinator import FleetCoordinator
-
-            self.fleet = FleetCoordinator(
-                self.service.verdict_memo, **(fleet_options or {})
-            )
         try:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         except OSError as err:
@@ -484,14 +408,9 @@ class ReproServer:
             if self._owns_service:
                 self.service.close()
             raise ReproError(f"cannot bind {host}:{port}: {err}") from err
-        if self.fleet is not None:
-            # installed before start() so the scheduler never races a local
-            # batch ahead of the coordinator
-            self.service.set_group_runner(self.fleet, fleet=self.fleet)
         self.service.start()
         self._httpd.daemon_threads = True
         self._httpd.repro_service = self.service  # type: ignore[attr-defined]
-        self._httpd.repro_fleet = self.fleet  # type: ignore[attr-defined]
         self._httpd.repro_verbose = verbose  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
@@ -524,10 +443,6 @@ class ReproServer:
         self._httpd.server_close()
         if self._thread is not None and self._thread.is_alive():
             self._thread.join(timeout=10.0)
-        if self.fleet is not None:
-            # wake lease long-polls and let the scheduler settle open
-            # groups; idempotent with the engine's own fleet shutdown
-            self.fleet.close()
         if self._owns_service:
             self.service.close()
 

@@ -6,15 +6,10 @@ import pytest
 from repro.api import (
     API_VERSION,
     ErrorEnvelope,
-    HeartbeatRequest,
     JobView,
-    LeaseCompletion,
-    LeaseGrant,
-    LeaseRequest,
+    SynthesisDelta,
     SynthesisRequest,
     SynthesisResponse,
-    memo_snapshot_from_wire,
-    memo_snapshot_to_wire,
     options_from_dict,
     options_to_dict,
 )
@@ -192,6 +187,11 @@ class TestSynthesisRequest:
             lambda d: d.__setitem__("problem", 5),
             lambda d: d["problem"].__setitem__("spec", "F ("),
             lambda d: d.__setitem__("options", {"shards": -1}),
+            # a job id is a JSON string, never the repr of another value
+            lambda d: d.__setitem__("id", {"a": 1}),
+            lambda d: d.__setitem__("id", True),
+            lambda d: d.__setitem__("id", 7),
+            lambda d: d.__setitem__("id", ["job-1"]),
         ],
     )
     def test_rejects_malformed(self, mutate):
@@ -199,6 +199,12 @@ class TestSynthesisRequest:
         mutate(data)
         with pytest.raises(ParseError):
             SynthesisRequest.from_dict(data)
+
+    @pytest.mark.parametrize("job_id", [{"a": 1}, True, 7])
+    def test_delta_rejects_non_string_id(self, job_id):
+        data = {"base": "fp123", "patch": {"spec": "true"}, "id": job_id}
+        with pytest.raises(ParseError, match="'id' must be a string"):
+            SynthesisDelta.from_dict(data)
 
 
 # ----------------------------------------------------------------------
@@ -295,106 +301,3 @@ class TestErrorEnvelope:
     def test_rejects_missing_error_object(self):
         with pytest.raises(ParseError):
             ErrorEnvelope.from_dict({"api": API_VERSION})
-
-
-# ----------------------------------------------------------------------
-# fleet documents
-# ----------------------------------------------------------------------
-class TestFleetDocuments:
-    def test_lease_request_round_trip(self):
-        request = LeaseRequest(worker_id="w-1", max_groups=3, wait=2.5)
-        data = request.to_dict()
-        assert data["api"] == API_VERSION
-        assert LeaseRequest.from_dict(data) == request
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {},  # no worker
-            {"worker": 7},
-            {"worker": "w", "max_groups": 0},
-            {"worker": "w", "max_groups": 1.5},
-            {"worker": "w", "wait": -1},
-            {"worker": "w", "wait": float("nan")},
-            {"worker": "w", "wait": True},
-        ],
-    )
-    def test_lease_request_rejects_bad_fields(self, bad):
-        with pytest.raises(ParseError):
-            LeaseRequest.from_dict(dict(bad, api=API_VERSION))
-
-    def test_lease_grant_round_trip(self):
-        from repro.perf.memo import SharedVerdictMemo
-
-        grant = LeaseGrant(
-            lease_id="lease-9",
-            fingerprint="fp-abc",
-            problem=fig1_problem(),
-            options=SynthesisOptions(timeout=4.0, shards=2),
-            scope="scope-xyz",
-            memo=memo_snapshot_to_wire(SharedVerdictMemo().snapshot()),
-            deadline_seconds=12.0,
-            attempt=2,
-        )
-        data = grant.to_dict()
-        assert data["api"] == API_VERSION
-        parsed = LeaseGrant.from_dict(data)
-        assert parsed.lease_id == "lease-9"
-        assert parsed.fingerprint == "fp-abc"
-        assert parsed.options == grant.options
-        assert parsed.scope == "scope-xyz"
-        assert parsed.deadline_seconds == 12.0
-        assert parsed.attempt == 2
-        assert problem_to_dict(parsed.problem) == problem_to_dict(grant.problem)
-
-    def test_lease_completion_round_trip_and_validation(self):
-        completion = LeaseCompletion(
-            lease_id="lease-1",
-            worker_id="w-1",
-            payload={"status": "infeasible", "seconds": 0.25, "message": "m"},
-        )
-        parsed = LeaseCompletion.from_dict(completion.to_dict())
-        assert parsed == completion
-        for payload in (
-            {"status": "sideways", "seconds": 0.0},  # unknown status
-            {"status": "done", "seconds": 0.0},  # done without a plan
-            {"status": "done", "plan": "not-a-dict", "seconds": 0.0},
-            {"status": "error", "seconds": "slow"},
-            {"seconds": 0.0},  # no status
-        ):
-            bad = LeaseCompletion(
-                lease_id="lease-1", worker_id="w-1", payload=payload
-            )
-            with pytest.raises(ParseError):
-                LeaseCompletion.from_dict(bad.to_dict())
-
-    def test_heartbeat_round_trip(self):
-        request = HeartbeatRequest(worker_id="w-1", lease_ids=("a", "b"))
-        assert HeartbeatRequest.from_dict(request.to_dict()) == request
-
-    @pytest.mark.parametrize(
-        "garbage",
-        [
-            42,  # not a string
-            "not base64!!",
-            "AAAA",  # valid b64, not a pickle
-        ],
-    )
-    def test_memo_wire_rejects_garbage(self, garbage):
-        with pytest.raises(ParseError):
-            memo_snapshot_from_wire(garbage)
-
-    def test_memo_wire_rejects_non_snapshot_pickle(self):
-        import base64
-        import pickle
-
-        wire = base64.b64encode(pickle.dumps({"not": "a snapshot"})).decode()
-        with pytest.raises(ParseError, match="snapshot"):
-            memo_snapshot_from_wire(wire)
-
-    def test_memo_wire_round_trip(self):
-        from repro.perf.memo import MemoSnapshot, SharedVerdictMemo
-
-        snapshot = SharedVerdictMemo().snapshot()
-        decoded = memo_snapshot_from_wire(memo_snapshot_to_wire(snapshot))
-        assert isinstance(decoded, MemoSnapshot)

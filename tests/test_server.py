@@ -277,6 +277,16 @@ class TestProtocolErrors:
             self.post(server, json.dumps(data).encode())
         assert excinfo.value.code == 400
 
+    def test_non_string_job_id_is_400(self, server):
+        from repro.api import SynthesisRequest
+
+        data = SynthesisRequest(problem=fig1_problem()).to_dict()
+        data["id"] = {"a": 1}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server, json.dumps(data).encode())
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["code"] == "parse"
+
     def test_unknown_job_is_404_envelope(self, server):
         client = ReproClient(server.url)
         with pytest.raises(KeyError):
@@ -408,10 +418,18 @@ class TestProtocolErrors:
         assert reply.status == 200
 
     def test_unknown_endpoint_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(server.url + "/v2/jobs")
-        assert excinfo.value.code == 404
-        assert json.loads(excinfo.value.read())["error"]["code"] == "not_found"
+        # an unknown API version, and an unknown route under /v1
+        for method, path in (("GET", "/v2/jobs"), ("POST", "/v1/fleet/lease")):
+            request = urllib.request.Request(
+                server.url + path,
+                data=b"{}" if method == "POST" else None,
+                method=method,
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 404
+            envelope = json.loads(excinfo.value.read())
+            assert envelope["error"]["code"] == "not_found"
 
     def test_healthz_metrics_cache_stats(self, server):
         client = ReproClient(server.url)

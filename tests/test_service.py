@@ -301,6 +301,18 @@ class TestServiceSerial:
         service.submit(fig1_problem(), job_id="two")
         assert [r.job_id for r in service.run()] == ["one", "two"]
 
+    def test_use_plan_cache_false_forces_resynthesis(self):
+        service = SynthesisService(workers=0)
+        options = SynthesisOptions(use_plan_cache=False)
+        first = service.submit(fig1_problem(), options=options)
+        second = service.submit(fig1_problem(), options=options)
+        results = {res.job_id: res for res in service.stream()}
+        assert results[first.job_id].status is JobStatus.DONE
+        repeat = results[second.job_id]
+        assert repeat.status is JobStatus.DONE
+        # without the gate the repeat would be served from the plan cache
+        assert not repeat.cached
+
 
 class TestServicePool:
     def test_pool_batch_over_examples(self):

@@ -16,6 +16,14 @@ Enforces repo-specific rules generic linters can't see:
    pass a timezone.
 4. **No mutable default arguments** (``def f(x=[])``), anywhere under
    ``src/``.
+5. **No unpickling anywhere under ``src/``.**  ``pickle.load``/``loads``
+   and ``marshal.load``/``loads`` run arbitrary code on hostile bytes, so
+   no byte stream is ever decoded that way; wire documents are JSON.  The
+   process pool's own pickling inside :mod:`concurrent.futures` stays
+   (it is not a call in ``src/``).
+
+Every :data:`WIRE_MODULES` entry must name an existing file, so rule 1
+can never silently cover nothing.
 
 Exit status 0 when clean, 1 with ``file:line: message`` findings otherwise.
 Run from the repo root: ``python tools/check_invariants.py``.
@@ -36,8 +44,12 @@ WIRE_MODULES = (
     "src/repro/service/fingerprint.py",
     "src/repro/api/schema.py",
     "src/repro/scenarios/corpus.py",
-    "src/repro/fleet/coordinator.py",
     "src/repro/analysis/diagnostics.py",
+)
+
+#: (module, function) pairs that decode untrusted bytes into objects (rule 5)
+UNPICKLERS = frozenset(
+    (module, name) for module in ("pickle", "marshal") for name in ("load", "loads")
 )
 
 SCHEMA_MODULE = "src/repro/api/schema.py"
@@ -66,6 +78,24 @@ def check_file(path: Path, findings: list) -> None:
             findings.append(
                 f"{rel}:{node.lineno}: builtin hash() in a fingerprint/wire module "
                 "(salted per process; use hashlib or zlib.crc32)"
+            )
+        # rule 5: unpickling, as a call or through a from-import
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and (node.func.value.id, node.func.attr) in UNPICKLERS
+        ):
+            findings.append(
+                f"{rel}:{node.lineno}: {node.func.value.id}.{node.func.attr}() "
+                "executes code from its input; decode JSON instead"
+            )
+        if isinstance(node, ast.ImportFrom) and any(
+            (node.module, alias.name) in UNPICKLERS for alias in node.names
+        ):
+            findings.append(
+                f"{rel}:{node.lineno}: importing an unpickler from {node.module}; "
+                "decode JSON instead"
             )
         # rule 3: naive datetime calls
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -131,8 +161,18 @@ def check_schema_coverage(findings: list) -> None:
             )
 
 
+def check_wire_modules(findings: list) -> None:
+    """Rule 1's module list must not name files that no longer exist."""
+    for rel in WIRE_MODULES:
+        if not (REPO / rel).is_file():
+            findings.append(
+                f"tools/check_invariants.py: WIRE_MODULES names missing file {rel}"
+            )
+
+
 def main() -> int:
     findings: list = []
+    check_wire_modules(findings)
     for path in sorted(SRC.rglob("*.py")):
         check_file(path, findings)
     check_schema_coverage(findings)

@@ -19,9 +19,11 @@ def test_fig8h_infeasible(once):
     print(
         format_table(
             "Fig 8(h) infeasible instances (switch granularity)",
-            ["switches", "updating", "seconds", "feasible"],
-            [(r.switches, r.updates, r.seconds, r.feasible) for r in rows],
+            ["switches", "updating", "seconds", "feasible", "reason"],
+            [(r.switches, r.updates, r.seconds, r.feasible, r.reason) for r in rows],
         )
     )
     assert all(not r.feasible for r in rows)
+    # the SAT early termination (§4.2.B) must fire at every size
+    assert all(r.reason == "sat" for r in rows)
     assert all(r.seconds < 120 for r in rows)

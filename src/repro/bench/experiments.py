@@ -241,6 +241,8 @@ class ScalingRow:
     updates: int
     seconds: float
     feasible: bool = True
+    #: which proof fired for an infeasible row (``UpdateInfeasibleError.reason``)
+    reason: str = ""
     waits_before: int = 0
     waits_after: int = 0
     wait_seconds: float = 0.0
@@ -300,18 +302,19 @@ def fig8h_infeasible(
                     scenario.spec,
                     timeout=timeout,
                 )
-                return True
-            except UpdateInfeasibleError:
-                return False
+                return ""
+            except UpdateInfeasibleError as err:
+                return err.reason
 
-        feasible, seconds = timed(attempt)
+        reason, seconds = timed(attempt)
         rows.append(
             ScalingRow(
                 "infeasible",
                 len(scenario.topology.switches),
                 len(scenario.init.diff_switches(scenario.final)),
                 seconds,
-                feasible=feasible,
+                feasible=not reason,
+                reason=reason,
             )
         )
     return rows

@@ -398,8 +398,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(
             format_table(
                 "Fig 8(h)",
-                ["switches", "updating", "seconds", "feasible"],
-                [(r.switches, r.updates, r.seconds, r.feasible) for r in rows],
+                ["switches", "updating", "seconds", "feasible", "reason"],
+                [(r.switches, r.updates, r.seconds, r.feasible, r.reason) for r in rows],
             )
         )
     elif name == "ablations":

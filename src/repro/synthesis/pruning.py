@@ -16,7 +16,7 @@ trace, so it can be pruned without a model-checker call.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Hashable, Sequence, Set, Tuple
 
 from repro.kripke.structure import KState
 
@@ -53,21 +53,29 @@ def make_formula(
 
 
 class WrongConfigs:
-    """The ``W`` set: patterns of configurations known to violate the spec."""
+    """The ``W`` set: patterns of configurations known to violate the spec.
+
+    Each pattern is stored once, as the units it requires to be updated and
+    the units it requires not to be, so matching is two set operations.
+    """
 
     def __init__(self) -> None:
-        self._patterns: List[Pattern] = []
+        self._patterns: Set[Tuple[ConfigKey, ConfigKey]] = set()
 
     def add(self, pattern: Pattern) -> None:
-        if pattern and pattern not in self._patterns:
-            self._patterns.append(pattern)
+        if not pattern:
+            return
+        self._patterns.add((
+            frozenset(unit for unit, flag in pattern if flag),
+            frozenset(unit for unit, flag in pattern if not flag),
+        ))
 
     def matches(self, config: ConfigKey) -> bool:
         """Would ``config`` reproduce a known-violating trace?"""
-        for pattern in self._patterns:
-            if all((unit in config) == flag for unit, flag in pattern):
-                return True
-        return False
+        return any(
+            required <= config and forbidden.isdisjoint(config)
+            for required, forbidden in self._patterns
+        )
 
     def __len__(self) -> int:
         return len(self._patterns)

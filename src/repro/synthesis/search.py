@@ -7,8 +7,9 @@ backend, and pruning with:
 * ``V`` — configurations already visited (memoized subsets);
 * ``W`` — wrong-configuration patterns learned from counterexamples
   (:mod:`repro.synthesis.pruning`, §4.2.A);
-* early termination — ordering constraints fed to an incremental SAT solver
-  (:mod:`repro.synthesis.ordering`, §4.2.B);
+* early termination — ordering constraints checked after every
+  counterexample against a witness order, with an incremental SAT solver
+  behind it (:mod:`repro.synthesis.ordering`, §4.2.B);
 * a reachability heuristic that tries currently-unreachable switches first
   (they can never break a trace-based property);
 * the cross-candidate verdict memo (:mod:`repro.perf`) — model-checker
@@ -364,12 +365,6 @@ def order_update(
                     [u for u, flag in pattern if flag],
                     [u for u, flag in pattern if not flag],
                 )
-                # feasibility is re-solved incrementally, but on large feasible
-                # instances the checks are pure overhead: back off once many
-                # constraints have accumulated without a contradiction
-                added = ordering.constraints_added
-                if added > 64 and added % 16 != 0:
-                    return
                 if not ordering.feasible():
                     stats.sat_terminated = True
                     raise _infeasible(

@@ -12,6 +12,12 @@ wrong answers into later ones) and assumption solving, where an
 UNSAT-under-assumptions answer must ship a valid core — a subset of the
 assumptions that brute-force confirms is jointly inconsistent with the
 formula.
+
+The ordering-constraint store (§4.2.B) gets the same treatment: seeded
+random streams of precedence constraints over at most 7 units, where after
+every addition ``feasible()`` must agree with enumerating every permutation,
+and every ``True`` must come with a witness order satisfying all recorded
+constraints.
 """
 
 import itertools
@@ -19,8 +25,10 @@ import random
 from typing import Dict, List, Sequence
 
 from repro.sat.solver import SatSolver
+from repro.synthesis.ordering import OrderingConstraints
 
 MAX_VARS = 8
+MAX_UNITS = 7
 
 
 def _random_cnf(rng: random.Random, *, num_vars: int, num_clauses: int):
@@ -179,3 +187,65 @@ class TestDifferentialAssumptions:
                 solver.solve([variable])
                 solver.solve([-variable])
                 assert solver.solve() == expected, (seed, clauses)
+
+
+def _order_satisfies(order: Sequence[str], constraints) -> bool:
+    """Some unit of ``D`` precedes some unit of ``U``, for every ``(U, D)``."""
+    pos = {unit: index for index, unit in enumerate(order)}
+    return all(
+        min(pos[d] for d in not_updated) < max(pos[u] for u in updated)
+        for updated, not_updated in constraints
+    )
+
+
+def _brute_force_order(units: Sequence[str], constraints) -> bool:
+    return any(
+        _order_satisfies(order, constraints)
+        for order in itertools.permutations(units)
+    )
+
+
+class TestDifferentialOrdering:
+    def test_feasibility_matches_permutation_enumeration(self):
+        verdicts = {True: 0, False: 0}
+        repaired = 0  # feasible, but the solver had to reorder the witness
+        for seed in range(150):
+            rng = random.Random(4000 + seed)
+            units = [f"u{i}" for i in range(rng.randint(2, MAX_UNITS))]
+            store = OrderingConstraints()
+            recorded = []
+            for _ in range(rng.randint(1, 3 * len(units))):
+                updated = rng.sample(units, rng.randint(1, len(units) - 1))
+                rest = [u for u in units if u not in updated]
+                not_updated = rng.sample(rest, rng.randint(1, len(rest)))
+                if rng.random() < 0.1:
+                    # overlapping sides: a unit never precedes itself
+                    not_updated.append(updated[0])
+                before = store.witness
+                store.add_counterexample(updated, not_updated)
+                recorded.append((updated, not_updated))
+                interned = sorted({u for pair in recorded for side in pair for u in side})
+                expected = _brute_force_order(interned, recorded)
+                verdict = store.feasible()
+                assert verdict == expected, (seed, recorded)
+                verdicts[verdict] += 1
+                if not verdict:
+                    break  # more constraints can never revive an infeasible store
+                assert sorted(store.witness) == interned, (seed, store.witness)
+                assert _order_satisfies(store.witness, recorded), (
+                    seed,
+                    recorded,
+                    store.witness,
+                )
+                # inserting new units never reorders old ones; a solve may
+                repaired += [u for u in store.witness if u in before] != before
+        assert verdicts[True] >= 50 and verdicts[False] >= 20, verdicts
+        assert repaired >= 20, repaired  # the solver path was exercised
+
+    def test_cycle_beyond_sixty_units_is_infeasible(self):
+        """A 70-unit precedence cycle: transitivity must hold at any size."""
+        units = [f"a{i}" for i in range(70)]
+        store = OrderingConstraints()
+        for index, unit in enumerate(units):
+            store.add_counterexample([units[(index + 1) % 70]], [unit])
+        assert not store.feasible()

@@ -141,6 +141,13 @@ class TestInfeasible:
         # with the optimization on, the SAT solver should fire
         assert err.value.reason == "sat"
 
+    def test_fig8h_experiment_reports_the_sat_proof(self):
+        from repro.bench import experiments
+
+        (row,) = experiments.fig8h_infeasible(sizes=(16,))
+        assert not row.feasible
+        assert row.reason == "sat"
+
     def test_double_diamond_feasible_rule_granularity(self):
         sc = double_diamond(10)
         plan = order_update(

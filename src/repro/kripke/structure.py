@@ -20,6 +20,22 @@ stable across updates, as §5.2 requires.  :meth:`KripkeStructure.update_switch`
 implements ``swUpdate``: it recomputes the transitions of the updated
 switch's states and returns the set of *dirty* states (changed or newly
 created) that an incremental checker must relabel.
+
+Every update costs what it changes, not the size of the structure:
+
+* loc states are indexed by switch (``_at``, in creation order), so an
+  update finds the states it retargets without scanning ``Q``;
+* each state counts its reachable predecessors, plus one per ingress it is
+  the entry of; a state is reachable iff its count is positive.  After an
+  update passes the loop check, each retargeted reachable state gains its
+  new successors and then loses its old ones, and only 0<->1 transitions
+  propagate further.  Reference counting is exact on a DAG.  Each class
+  keeps ``{switch: reachable loc-state count}``, so
+  :meth:`KripkeStructure.reachable_switches` is a read of its keys;
+* an update that creates a forwarding loop is rolled back before it
+  touches ranks or counts: the previous configuration, the old transitions
+  and the state set come back, and the loop is raised.  So a loop never
+  leaves stale counts or half-built states behind.
 """
 
 from __future__ import annotations
@@ -129,13 +145,16 @@ class KripkeStructure:
         self._succ: Dict[KState, Tuple[KState, ...]] = {}
         self._preds: Dict[KState, Set[KState]] = {}
         self._rank: Dict[KState, int] = {}
+        # loc states per switch, in creation order
+        self._at: Dict[NodeId, List[KState]] = {}
         self._initial: List[KState] = []
         for tc, hosts in self._ingresses.items():
             for host in hosts:
                 sw, pt = topology.attachment(host)
                 state = _loc(sw, pt, tc)
                 self._initial.append(state)
-        self._build_from(self._initial)
+        self._build_from(self._initial, [])
+        self._count_reach()
 
     # ------------------------------------------------------------------
     # read API
@@ -196,13 +215,13 @@ class KripkeStructure:
                 out.append(_loc(node, port, state.tc))
         return tuple(out)
 
-    def _build_from(self, seeds: Iterable[KState]) -> List[KState]:
+    def _build_from(self, seeds: Iterable[KState], created: List[KState]) -> None:
         """Create all states reachable from ``seeds`` that do not exist yet.
 
         Iterative DFS with cycle detection; newly created states get ranks
-        computed post-order.  Returns the list of created states.
+        computed post-order.  Created states are appended to ``created``,
+        also when a loop aborts the walk, so the caller can forget them.
         """
-        created: List[KState] = []
         on_stack: Set[KState] = set()
         # stack entries: (state, child_index); succ computed on first visit
         stack: List[List] = []
@@ -213,10 +232,12 @@ class KripkeStructure:
                 return
             succ = self._compute_succ(state)
             self._succ[state] = succ
+            created.append(state)
+            if state.kind == "loc":
+                self._at.setdefault(state.node, []).append(state)
             self._preds.setdefault(state, set())
             for child in succ:
                 self._preds.setdefault(child, set()).add(state)
-            created.append(state)
             on_stack.add(state)
             stack.append([state, 0])
 
@@ -246,7 +267,6 @@ class KripkeStructure:
                     order.append(state)
         for state in order:
             self._recompute_rank(state)
-        return created
 
     @staticmethod
     def _extract_cycle(stack: List[List], entry: KState) -> List[KState]:
@@ -323,15 +343,14 @@ class KripkeStructure:
 
         Dirty states are the existing ``loc`` states of ``switch`` whose
         outgoing transitions changed, plus any newly created states.  If the
-        new configuration contains a forwarding loop, the structure is left
-        *updated* (cyclic) and :class:`ForwardingLoopError` is raised; revert
-        by calling ``update_switch`` again with the old table.
+        new configuration contains a forwarding loop, the update is rolled
+        back (configuration, transitions, ranks, created states) and
+        :class:`ForwardingLoopError` is raised; reverting to the old table
+        afterwards is then a no-op.
         """
-        self._config = self._config.with_table(switch, table)
-        affected = [
-            s for s in list(self._succ) if s.kind == "loc" and s.node == switch
-        ]
-        return self._retarget(affected)
+        previous = self._config
+        self._config = previous.with_table(switch, table)
+        return self._retarget(list(self._at.get(switch, ())), previous)
 
     def update_class_rules(
         self, switch: NodeId, tc: TrafficClass, class_table: Table
@@ -341,43 +360,157 @@ class KripkeStructure:
         ``class_table`` supplies the new rules for the class; rules of other
         classes on the switch are kept.
         """
-        old = self._config.table(switch)
+        previous = self._config
+        old = previous.table(switch)
         kept = old.restrict(lambda r: not rule_covers_class(r, tc))
         new_rules = [r for r in class_table if rule_covers_class(r, tc)]
         merged = Table(tuple(kept) + tuple(new_rules))
-        self._config = self._config.with_table(switch, merged)
-        affected = [
-            s
-            for s in list(self._succ)
-            if s.kind == "loc" and s.node == switch and s.tc == tc
-        ]
-        return self._retarget(affected)
+        self._config = previous.with_table(switch, merged)
+        affected = [s for s in self._at.get(switch, ()) if s.tc == tc]
+        return self._retarget(affected, previous)
 
-    def _retarget(self, affected: Sequence[KState]) -> List[KState]:
-        """Recompute transitions of ``affected``; return dirty states."""
+    def _retarget(
+        self, affected: Sequence[KState], previous: Configuration
+    ) -> List[KState]:
+        """Recompute transitions of ``affected``; return dirty states.
+
+        If the update fails (a forwarding loop, or a rewrite across classes)
+        the structure is restored, configuration ``previous`` included,
+        before the error propagates.
+        """
         dirty: List[KState] = []
-        changed: List[KState] = []
-        for state in affected:
-            new_succ = self._compute_succ(state)
-            old_succ = self._succ[state]
-            if new_succ == old_succ:
-                continue
-            for child in old_succ:
-                if child != state:
-                    self._preds[child].discard(state)
-            self._succ[state] = new_succ
-            created = self._build_from([c for c in new_succ if c not in self._succ])
-            for child in new_succ:
-                if child != state:
-                    self._preds.setdefault(child, set()).add(state)
-            changed.append(state)
-            dirty.append(state)
-            dirty.extend(created)
+        changed: List[Tuple[KState, Tuple[KState, ...]]] = []  # (state, old succ)
+        created: List[KState] = []
+        try:
+            for state in affected:
+                new_succ = self._compute_succ(state)
+                old_succ = self._succ[state]
+                if new_succ == old_succ:
+                    continue
+                self._relink(state, old_succ, new_succ)
+                changed.append((state, old_succ))
+                dirty.append(state)
+                start = len(created)
+                self._build_from([c for c in new_succ if c not in self._succ], created)
+                dirty.extend(created[start:])
+            if changed:
+                # a loop, if any, must pass through a changed state
+                self._check_acyclic_from([state for state, _ in changed])
+        except (ConfigurationError, ForwardingLoopError):
+            for state, old_succ in reversed(changed):
+                self._relink(state, self._succ[state], old_succ)
+            self._forget(created)
+            self._config = previous
+            raise
         if changed:
-            # a loop, if any, must pass through a changed state
-            self._check_acyclic_from(changed)
-            self._propagate_ranks(changed)
+            self._propagate_ranks([state for state, _ in changed])
+            self._recount(changed)
         return dirty
+
+    def _relink(
+        self, state: KState, old: Tuple[KState, ...], new: Tuple[KState, ...]
+    ) -> None:
+        """Point ``state`` at ``new`` instead of ``old`` (succ and preds)."""
+        for child in old:
+            if child != state:
+                self._unlink(state, child)
+        self._succ[state] = new
+        for child in new:
+            if child != state:
+                self._preds.setdefault(child, set()).add(state)
+
+    def _unlink(self, parent: KState, child: KState) -> None:
+        preds = self._preds.get(child)
+        if preds is None:
+            return
+        preds.discard(parent)
+        if not preds and child not in self._succ:
+            del self._preds[child]  # a successor a failed build never entered
+
+    def _forget(self, created: Sequence[KState]) -> None:
+        """Remove states created by a failed update, with their edges."""
+        for state in created:
+            for child in self._succ.pop(state):
+                self._unlink(state, child)
+        for state in created:
+            self._preds.pop(state, None)
+            self._rank.pop(state, None)
+            if state.kind == "loc":
+                at = self._at[state.node]
+                at.remove(state)
+                if not at:
+                    del self._at[state.node]
+
+    # ------------------------------------------------------------------
+    # reachability by reference count
+    # ------------------------------------------------------------------
+    def _count_reach(self) -> None:
+        """Count every state's reachable predecessors from scratch.
+
+        Construction is the only caller: updates move the counts in
+        :meth:`_recount`, and a failed update never touches them.
+        """
+        # reachable states -> reachable predecessors + ingress entries
+        self._refs: Dict[KState, int] = {}
+        # per class: switch -> number of its reachable loc states
+        self._reach: Dict[TrafficClass, Dict[NodeId, int]] = {
+            tc: {} for tc in self._ingresses
+        }
+        for state in self._initial:
+            self._shift(state, 1)
+
+    def _recount(self, changed: Sequence[Tuple[KState, Tuple[KState, ...]]]) -> None:
+        """Move the reach counts from the old transitions to the new ones.
+
+        Edges change one at a time: ``edges`` holds a retargeted state's
+        successors as counted so far, so propagation through a state whose
+        turn has not come (or is under way) follows what its count reflects.
+        """
+        edges = {state: list(old) for state, old in changed}
+        for state, old in changed:
+            counted = edges[state]
+            for child in self._succ[state]:
+                counted.append(child)
+                if state in self._refs:
+                    self._shift(child, 1, edges)
+            for child in old:
+                counted.remove(child)
+                if state in self._refs:
+                    self._shift(child, -1, edges)
+            del edges[state]
+
+    def _shift(
+        self,
+        state: KState,
+        delta: int,
+        edges: Optional[Mapping[KState, List[KState]]] = None,
+    ) -> None:
+        """Add ``delta`` (+1 or -1) to ``state``'s reach count.
+
+        A 0<->1 transition (the state becomes reachable or unreachable)
+        carries on to its successors.
+        """
+        refs = self._refs
+        turn = 1 if delta > 0 else 0
+        stack = [state]
+        while stack:
+            state = stack.pop()
+            count = refs.get(state, 0) + delta
+            if count:
+                refs[state] = count
+            else:
+                del refs[state]
+            if count != turn:
+                continue
+            if state.kind == "loc":
+                per_switch = self._reach[state.tc]
+                held = per_switch.get(state.node, 0) + delta
+                if held:
+                    per_switch[state.node] = held
+                else:
+                    del per_switch[state.node]
+            succ = edges[state] if edges and state in edges else self._succ[state]
+            stack.extend(child for child in succ if child is not state)
 
     # ------------------------------------------------------------------
     # path enumeration (for the reference semantics and tests)
@@ -406,20 +539,7 @@ class KripkeStructure:
 
     def reachable_switches(self, tc: TrafficClass) -> FrozenSet[NodeId]:
         """Switches reachable by class ``tc`` in the current configuration."""
-        seen: Set[NodeId] = set()
-        stack = [s for s in self._initial if s.tc == tc]
-        visited: Set[KState] = set()
-        while stack:
-            state = stack.pop()
-            if state in visited:
-                continue
-            visited.add(state)
-            if state.kind == "loc":
-                seen.add(state.node)
-            for child in self._succ[state]:
-                if child not in visited:
-                    stack.append(child)
-        return frozenset(seen)
+        return frozenset(self._reach.get(tc, ()))
 
     def __str__(self) -> str:
         return (

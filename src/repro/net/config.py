@@ -46,7 +46,11 @@ class Configuration:
             updated.pop(switch, None)
         else:
             updated[switch] = table
-        return Configuration(updated)
+        # ``updated`` is already free of empty tables: skip __init__'s filter
+        clone = Configuration.__new__(Configuration)
+        clone._tables = updated
+        clone._hash = None
+        return clone
 
     def process(self, switch: NodeId, packet: Packet, port: Port) -> List[Tuple[Packet, Port]]:
         """Apply ``switch``'s table to ``(packet, port)``."""

@@ -376,21 +376,22 @@ def order_update(
             finally:
                 stats.sat_seconds += time.perf_counter() - phase_start
 
+    # the heuristic frame order is (hot, str(unit)): sort by str once, then
+    # each frame is the stable partition cold-then-hot of what remains
+    by_name = sorted(units, key=str)
+
     def candidates() -> List[Unit]:
-        remaining = [u for u in units if u not in updated]
         if not use_reachability_heuristic:
-            return remaining
-        reach_by_name = {tc.name: reachable(tc) for tc in classes}
-
-        def sort_key(unit: Unit) -> Tuple[int, str]:
-            if rule_gran:
-                switch, tc_name = unit
-                hot = switch in reach_by_name[tc_name]
-            else:
-                hot = any(unit in r for r in reach_by_name.values())
-            return (1 if hot else 0, str(unit))
-
-        return sorted(remaining, key=sort_key)
+            return [u for u in units if u not in updated]
+        remaining = [u for u in by_name if u not in updated]
+        if rule_gran:
+            reach_by_name = {tc.name: reachable(tc) for tc in classes}
+            hot = {u for u in remaining if u[0] in reach_by_name[u[1]]}
+        else:
+            hot = set().union(*(reachable(tc) for tc in classes))
+        return [u for u in remaining if u not in hot] + [
+            u for u in remaining if u in hot
+        ]
 
     def prefer_warm(frame: List[Unit]) -> List[Unit]:
         """Front-load the warm hint while the path still follows it.

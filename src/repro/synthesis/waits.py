@@ -22,6 +22,15 @@ rule-granularity updates so much more parallel):
 Sound (never removes a needed wait under the model's assumptions) and in
 practice removes the overwhelming majority of waits, matching the paper's
 ~99.9% removal with 2-4 waits kept.
+
+Windows are monotone: inside one, the union graph only gains edges, so the
+nodes reachable from a class ingress (*exposed*) and the nodes reachable in
+>= 1 hop from an exposed window unit (*downstream*) only grow.  Each class
+keeps both sets with the union's adjacency.  The whole-configuration edge
+set is built once, when the class's window opens; after that every update
+adds only its switch's new edges, and a wait is kept iff the updated switch
+is downstream for an affected class.  A plan costs O(switches + edges) per
+window rather than per update.
 """
 
 from __future__ import annotations
@@ -39,10 +48,24 @@ from repro.net.topology import NodeId, Topology
 from repro.synthesis.plan import UpdatePlan
 
 
+#: memo key for one switch's edge contribution: tables are immutable and
+#: content-hashed, so consecutive plan configurations (which share all but
+#: one table) hit the cache on every unchanged switch
+_EdgeCacheKey = Tuple[NodeId, Table, Optional[str]]
+_EdgeCache = Dict[_EdgeCacheKey, FrozenSet[Tuple[NodeId, NodeId]]]
+
+
 def _switch_class_edges(
-    topology: Topology, switch: NodeId, table: Table, tc: Optional[TrafficClass]
+    topology: Topology,
+    switch: NodeId,
+    table: Table,
+    tc: Optional[TrafficClass],
+    cache: Optional[_EdgeCache] = None,
 ) -> FrozenSet[Tuple[NodeId, NodeId]]:
     """One switch's contribution to :func:`_class_edges`."""
+    key = (switch, table, tc.name if tc is not None else None)
+    if cache is not None and key in cache:
+        return cache[key]
     edges: Set[Tuple[NodeId, NodeId]] = set()
     for rule in table:
         if tc is not None and not rule_covers_class(rule, tc):
@@ -56,14 +79,10 @@ def _switch_class_edges(
             peer_node, _ = peer
             if topology.is_switch(peer_node):
                 edges.add((switch, peer_node))
-    return frozenset(edges)
-
-
-#: memo key for one switch's edge contribution: tables are immutable and
-#: content-hashed, so consecutive plan configurations (which share all but
-#: one table) hit the cache on every unchanged switch
-_EdgeCacheKey = Tuple[NodeId, Table, Optional[str]]
-_EdgeCache = Dict[_EdgeCacheKey, FrozenSet[Tuple[NodeId, NodeId]]]
+    frozen = frozenset(edges)
+    if cache is not None:
+        cache[key] = frozen
+    return frozen
 
 
 def _class_edges(
@@ -81,53 +100,8 @@ def _class_edges(
     """
     edges: Set[Tuple[NodeId, NodeId]] = set()
     for switch in config.switches():
-        table = config.table(switch)
-        if cache is None:
-            edges |= _switch_class_edges(topology, switch, table, tc)
-            continue
-        key = (switch, table, tc.name if tc is not None else None)
-        cached = cache.get(key)
-        if cached is None:
-            cached = _switch_class_edges(topology, switch, table, tc)
-            cache[key] = cached
-        edges |= cached
+        edges |= _switch_class_edges(topology, switch, config.table(switch), tc, cache)
     return edges
-
-
-def _reaches(edges: Set[Tuple[NodeId, NodeId]], src: NodeId, dst: NodeId) -> bool:
-    """Is ``dst`` reachable from ``src`` (in >= 1 hop) in the edge set?"""
-    adjacency: Dict[NodeId, List[NodeId]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    queue = deque(adjacency.get(src, ()))
-    seen: Set[NodeId] = set()
-    while queue:
-        node = queue.popleft()
-        if node == dst:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        queue.extend(adjacency.get(node, ()))
-    return False
-
-
-def _reachable_from(
-    edges: Set[Tuple[NodeId, NodeId]], sources: Set[NodeId]
-) -> Set[NodeId]:
-    """All nodes reachable from ``sources`` (inclusive) in the edge set."""
-    adjacency: Dict[NodeId, List[NodeId]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    seen: Set[NodeId] = set(sources)
-    queue = deque(sources)
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 def _apply(config: Configuration, command: Command) -> Configuration:
@@ -148,7 +122,7 @@ def _affected_classes(
     classes: Sequence[TrafficClass],
 ) -> List[Optional[TrafficClass]]:
     """The traffic classes whose forwarding this update can change."""
-    if isinstance(command, RuleGranUpdate):
+    if isinstance(command, RuleGranUpdate) and None not in classes:
         return [command.tc]
     switch = command.switch
     affected: List[Optional[TrafficClass]] = []
@@ -162,6 +136,67 @@ def _affected_classes(
         if old_rules != new_rules:
             affected.append(tc)
     return affected
+
+
+class _Window:
+    """One class's open window: the union graph's adjacency, its window
+    units, and the growing ``exposed`` and ``downstream`` node sets (see the
+    module docstring).  Each edge and node enters them once."""
+
+    __slots__ = ("adj", "exposed", "units", "downstream")
+
+    def __init__(self, edges: Set[Tuple[NodeId, NodeId]], ingresses: Set[NodeId]):
+        self.adj: Dict[NodeId, Set[NodeId]] = {}
+        self.exposed: Set[NodeId] = set(ingresses)
+        self.units: Set[NodeId] = set()
+        self.downstream: Set[NodeId] = set()
+        for a, b in edges:
+            self.add_edge(a, b)
+
+    def add_edge(self, a: NodeId, b: NodeId) -> None:
+        succ = self.adj.setdefault(a, set())
+        if b in succ:
+            return
+        succ.add(b)
+        if a in self.exposed:
+            self._expose(b)
+        if a in self.downstream or (a in self.units and a in self.exposed):
+            self._flood(b)
+
+    def add_unit(self, node: NodeId) -> None:
+        if node in self.units:
+            return
+        self.units.add(node)
+        if node in self.exposed:
+            for b in self.adj.get(node, ()):
+                self._flood(b)
+
+    def _expose(self, node: NodeId) -> None:
+        if node in self.exposed:
+            return
+        self.exposed.add(node)
+        queue = deque([node])
+        while queue:
+            here = queue.popleft()
+            succ = self.adj.get(here, ())
+            if here in self.units:
+                for b in succ:
+                    self._flood(b)
+            for b in succ:
+                if b not in self.exposed:
+                    self.exposed.add(b)
+                    queue.append(b)
+
+    def _flood(self, node: NodeId) -> None:
+        if node in self.downstream:
+            return
+        self.downstream.add(node)
+        queue = deque([node])
+        while queue:
+            for b in self.adj.get(queue.popleft(), ()):
+                if b not in self.downstream:
+                    self.downstream.add(b)
+                    queue.append(b)
 
 
 def remove_waits(
@@ -195,57 +230,51 @@ def remove_waits(
     commands: List[Command] = []
     config = init
     edge_cache: _EdgeCache = {}
-    # per class: window units (switches whose class rules changed) and the
-    # union of the class's forwarding edges over the window's configurations
-    window: Dict[Optional[TrafficClass], List[NodeId]] = {tc: [] for tc in classes}
-    union: Dict[Optional[TrafficClass], Set[Tuple[NodeId, NodeId]]] = {
-        tc: set() for tc in classes
-    }
+    # the open windows: a class's window opens at the first update changing
+    # its rules and closes (for every class) at each retained wait
+    windows: Dict[Optional[TrafficClass], _Window] = {}
+    # a retained wait flushes the network under its configuration, so a
+    # window opening later also covers the edges that configuration had on
+    # the switches updated since
+    wait_config: Optional[Configuration] = None
+    since_wait: Set[NodeId] = set()
     kept = 0
     for index, update in enumerate(updates):
+        switch = update.switch
         after = _apply(config, update)
         affected = _affected_classes(update, config, after, classes)
-        if index > 0 and self_needs_wait(
-            topology, update.switch, affected, window, union, ingress_of
+        if index > 0 and any(
+            tc in windows and switch in windows[tc].downstream for tc in affected
         ):
             commands.append(Wait())
             kept += 1
-            for tc in classes:
-                window[tc] = []
-                union[tc] = _class_edges(topology, config, tc, edge_cache)
+            windows = {}
+            wait_config = config
+            since_wait = set()
         for tc in affected:
-            if not window[tc]:
-                union[tc] |= _class_edges(topology, config, tc, edge_cache)
-            window[tc].append(update.switch)
+            window = windows.get(tc)
+            if window is None:
+                edges = _class_edges(topology, config, tc, edge_cache)
+                if wait_config is not None:
+                    for moved in since_wait:
+                        edges |= _switch_class_edges(
+                            topology, moved, wait_config.table(moved), tc, edge_cache
+                        )
+                window = windows[tc] = _Window(edges, ingress_of[tc])
+            window.add_unit(switch)
         commands.append(update)
+        since_wait.add(switch)
         config = after
-        for tc in classes:
-            if window[tc]:
-                union[tc] |= _class_edges(topology, config, tc, edge_cache)
+        # the union only grows: add the updated switch's new edges for every
+        # open window (a rule-granularity update can change a wildcard rule
+        # other classes share)
+        table = config.table(switch)
+        for tc, window in windows.items():
+            for a, b in _switch_class_edges(topology, switch, table, tc, edge_cache):
+                window.add_edge(a, b)
 
     new_plan = UpdatePlan(commands, plan.granularity, plan.stats)
     new_plan.stats.waits_before_removal = waits_before
     new_plan.stats.waits_after_removal = kept
     new_plan.stats.wait_removal_seconds = time.monotonic() - started
     return new_plan
-
-
-def self_needs_wait(
-    topology: Topology,
-    switch: NodeId,
-    affected: Sequence[Optional[TrafficClass]],
-    window: Mapping[Optional[TrafficClass], List[NodeId]],
-    union: Mapping[Optional[TrafficClass], Set[Tuple[NodeId, NodeId]]],
-    ingress_of: Mapping[Optional[TrafficClass], Set[NodeId]],
-) -> bool:
-    """Could an in-flight packet cross both a window update and this one?"""
-    for tc in affected:
-        pending = window.get(tc, [])
-        if not pending:
-            continue
-        edges = union[tc]
-        exposed = _reachable_from(edges, ingress_of[tc])
-        for p in pending:
-            if p in exposed and _reaches(edges, p, switch):
-                return True
-    return False

@@ -1,14 +1,20 @@
 """Tests for the Kripke structure builder and incremental updates."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.errors import ForwardingLoopError
 from repro.kripke.structure import KripkeStructure, rule_covers_class
-from repro.net.config import Configuration
+from repro.ltl import specs
+from repro.mc.interface import make_checker
+from repro.net.config import Configuration, next_hops
 from repro.net.fields import TrafficClass
 from repro.net.rules import Forward, Pattern, Rule, Table
 from repro.net.topology import Topology
-from repro.topo import mini_datacenter
+from repro.synthesis import order_update
+from repro.topo import mini_datacenter, ring_diamond
 
 TC = TrafficClass.make("f13", src="H1", dst="H3")
 RED = ["H1", "T1", "A1", "C1", "A3", "T3", "H3"]
@@ -120,10 +126,13 @@ class TestUpdate:
         path = ["H", "A", "B", "H2"]
         config = Configuration.from_paths(topo, {TC: path})
         ks = KripkeStructure(topo, config, {TC: ["H"]})
+        before = snapshot(ks)
         # repoint B back at A: loop
         bad = Rule(99, Pattern(None, TC.fields), (Forward(topo.port_to("B", "A")),))
         with pytest.raises(ForwardingLoopError):
             ks.update_switch("B", Table([bad]))
+        # the update is rolled back whole, the state A-from-B it built too
+        assert snapshot(ks) == before
         # revert restores acyclicity
         ks.update_switch("B", config.table("B"))
         assert ks.rank(ks.initial_states[0]) >= 1
@@ -144,6 +153,164 @@ class TestUpdate:
     def test_reachable_switches(self, topo):
         ks = build(topo, RED)
         assert ks.reachable_switches(TC) == frozenset({"T1", "A1", "C1", "A3", "T3"})
+
+
+def snapshot(ks):
+    """Every piece of a structure's incremental state, copied."""
+    return (
+        ks.config,
+        dict(ks._succ),
+        {state: set(preds) for state, preds in ks._preds.items()},
+        dict(ks._rank),
+        {switch: list(states) for switch, states in ks._at.items()},
+        dict(ks._refs),
+        {tc: dict(counts) for tc, counts in ks._reach.items()},
+    )
+
+
+def forward(topo, switch, *peers, fields=TC.fields, priority=10, in_from=None):
+    ports = tuple(Forward(topo.port_to(switch, peer)) for peer in peers)
+    in_port = topo.port_to(switch, in_from) if in_from is not None else None
+    return Rule(priority, Pattern(in_port, fields), ports)
+
+
+class TestFailedUpdate:
+    def test_multicast_into_a_loop_reverts_cleanly(self):
+        """A loop found partway through a multicast's successors leaves no
+        half-built state behind (an unvisited successor without succ, preds
+        or rank made the revert raise KeyError)."""
+        topo = Topology()
+        topo.add_switches(["A", "B", "C", "D", "E"])
+        topo.add_hosts(["H", "H2"])
+        for a, b in [("H", "A"), ("A", "B"), ("B", "C"), ("A", "D"),
+                     ("D", "H2"), ("A", "E"), ("E", "D")]:
+            topo.add_link(a, b)
+        config = Configuration.from_paths(topo, {TC: ["H", "A", "D", "H2"]})
+        ks = KripkeStructure(topo, config, {TC: ["H"]})
+        ks.update_switch("B", Table([forward(topo, "B", "C")]))
+        ks.update_switch("C", Table([forward(topo, "C", "B")]))
+        before = snapshot(ks)
+        with pytest.raises(ForwardingLoopError):
+            ks.update_switch("A", Table([forward(topo, "A", "B", "E")]))
+        assert snapshot(ks) == before
+        assert ks.update_switch("A", config.table("A")) == []
+        assert snapshot(ks) == before
+        assert ks.reachable_switches(TC) == frozenset({"A", "D"})
+
+    def test_states_built_by_a_loop_do_not_outlive_it(self):
+        """States a looping update built do not stay behind: left unlabeled,
+        a later update reaching one from a labeled state broke the checker."""
+        topo = Topology()
+        topo.add_switches(["A", "D", "E"])
+        topo.add_hosts(["H", "H2"])
+        for a, b in [("H", "A"), ("A", "E"), ("E", "D"), ("D", "H2"), ("A", "D")]:
+            topo.add_link(a, b)
+        config = Configuration.from_paths(topo, {TC: ["H", "A", "E", "D", "H2"]})
+        spec = specs.reachability(TC, "H2")
+        ks = KripkeStructure(topo, config, {TC: ["H"]})
+        checker = make_checker("incremental", ks, spec)
+        assert checker.full_check().ok
+        # D -> A builds <A from D> and closes the loop A -> E -> D -> A
+        with pytest.raises(ForwardingLoopError):
+            ks.update_switch("D", Table([forward(topo, "D", "A")]))
+        checker.apply_update(ks.update_switch("D", config.table("D")))
+        # only packets from H change course at A
+        a_table = Table(
+            [forward(topo, "A", "D", priority=20, in_from="H"), forward(topo, "A", "E")]
+        )
+        assert checker.apply_update(ks.update_switch("A", a_table)).ok
+        # H -> A -> D -> A -> E -> D -> H2 reaches <A from D> again, loop-free
+        d_table = Table(
+            [forward(topo, "D", "A", priority=20, in_from="A"), forward(topo, "D", "H2")]
+        )
+        result = checker.apply_update(ks.update_switch("D", d_table))
+        fresh = KripkeStructure(topo, ks.config, {TC: ["H"]})
+        assert result.ok == make_checker("incremental", fresh, spec).full_check().ok
+
+
+def reference_reach(topo, config, ingresses, tc):
+    """Switches class ``tc`` reaches, walked on the configuration itself."""
+    todo = [topo.attachment(host) for host in ingresses[tc]]
+    seen = set(todo)
+    while todo:
+        switch, port = todo.pop()
+        for node, arrival, _ in next_hops(topo, config, switch, tc, port):
+            if topo.is_switch(node) and (node, arrival) not in seen:
+                seen.add((node, arrival))
+                todo.append((node, arrival))
+    return frozenset(switch for switch, _ in seen)
+
+
+class TestReachDifferential:
+    """Reach counts against a walk of the configuration, step by step."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_walk(self, seed):
+        rng = random.Random(seed)
+        sc = ring_diamond(12, seed=seed)
+        topo = sc.topology
+        (forth,) = sc.ingresses
+        back = TrafficClass.make("back", src="Hdst", dst="Hsrc")
+        ingresses = {forth: ["Hsrc"], back: ["Hdst"]}
+        classes = [forth, back]
+        ks = KripkeStructure(topo, sc.init, ingresses)
+        switches = sorted(topo.switches)
+
+        def random_table(switch):
+            # per-class rules only (a wildcard rule would let a class-rule
+            # update move another class's forwarding); in-port rules let a
+            # packet cross one switch twice without a loop
+            rules = []
+            for priority in range(rng.randint(0, 4)):
+                owner = rng.choice(classes)
+                width = rng.choice([1, 1, 2])  # unicast or multicast
+                ports = tuple(
+                    Forward(topo.port_to(switch, peer))
+                    for peer in rng.sample(topo.neighbors(switch), width)
+                )
+                in_port = rng.choice([None, rng.choice(topo.ports(switch))])
+                rules.append(Rule(priority, Pattern(in_port, owner.fields), ports))
+            return Table(rules)
+
+        loops = 0
+        for step in range(200):
+            where = f"seed={seed} step={step}"
+            switch = rng.choice(switches)
+            table = random_table(switch)
+            tc = rng.choice(classes + [None])
+            before = snapshot(ks)
+            old = ks.config.table(switch)
+            try:
+                if tc is None:
+                    ks.update_switch(switch, table)
+                else:
+                    ks.update_class_rules(switch, tc, table)
+            except ForwardingLoopError:
+                loops += 1
+                assert snapshot(ks) == before, where
+                assert ks.update_switch(switch, old) == [], where
+                assert snapshot(ks) == before, where
+            for cls in classes:
+                expected = reference_reach(topo, ks.config, ingresses, cls)
+                assert ks.reachable_switches(cls) == expected, f"{where} class={cls.name}"
+        assert loops > 0, f"seed={seed}: the walk never met a loop"
+
+
+class TestUpdateCost:
+    def test_ring_search_never_recounts_reach_from_scratch(self, monkeypatch):
+        """Counts are built once per structure; every later update moves
+        them incrementally (a recount per update would be O(n) each)."""
+        calls = Counter()
+        count_reach = KripkeStructure._count_reach
+
+        def counted(self):
+            calls[id(self)] += 1
+            count_reach(self)
+
+        monkeypatch.setattr(KripkeStructure, "_count_reach", counted)
+        sc = ring_diamond(640)
+        order_update(sc.topology, sc.init, sc.final, sc.ingresses, sc.spec)
+        assert calls and set(calls.values()) == {1}
 
 
 class TestMaximalPaths:

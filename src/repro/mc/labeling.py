@@ -106,7 +106,11 @@ class LabelEngine:
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown formula {f!r}")
         self._program: Tuple[Tuple[int, int, int], ...] = tuple(program)
+        # per-state atom valuations.  An engine outlives one structure (the
+        # service hands it from a job to its deltas), so this is bounded
+        # like the mask memo below: a clear costs only recompute.
         self._atom_cache: Dict[object, Tuple[bool, ...]] = {}
+        self._atom_cache_max = 1 << 16
         # cross-candidate mask memo: the program is a pure function of the
         # state's atom valuation and the successor mask, and the search
         # presents the same (valuation, mask) pairs over and over as it
@@ -126,6 +130,8 @@ class LabelEngine:
         cached = self._atom_cache.get(state)
         if cached is None:
             cached = tuple(atom.holds(state) for atom in self._atoms)
+            if len(self._atom_cache) >= self._atom_cache_max:
+                self._atom_cache.clear()
             self._atom_cache[state] = cached
         return cached
 

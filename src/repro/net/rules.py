@@ -10,10 +10,16 @@ highest-priority matching rule (§3.1).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.fields import FieldName, FieldValue, Packet
+
+
+#: compact, key-sorted JSON (one encoder: ``json.dumps`` with options
+#: builds a new one per call)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Action:
@@ -120,15 +126,22 @@ class Table:
     choice among equal-priority matches).
     """
 
-    __slots__ = ("_rules", "_hash")
+    __slots__ = ("_rules", "_hash", "_json")
 
     def __init__(self, rules: Iterable[Rule] = ()):
         # canonical order: priority descending, then a deterministic
         # structural tiebreak, so tables are equal as rule *sets* and the
-        # equal-priority choice (which the paper leaves free) is stable
-        ordered = sorted(rules, key=lambda r: (-r.priority, str(r.pattern), str(r)))
-        self._rules: Tuple[Rule, ...] = tuple(ordered)
+        # equal-priority choice (which the paper leaves free) is stable.
+        # Most tables hold one rule, whose sort key (two str() renderings)
+        # would cost more than building the rest of the table.
+        ordered = tuple(rules)
+        if len(ordered) > 1:
+            ordered = tuple(
+                sorted(ordered, key=lambda r: (-r.priority, str(r.pattern), str(r)))
+            )
+        self._rules: Tuple[Rule, ...] = ordered
         self._hash: Optional[int] = None
+        self._json: Optional[str] = None
 
     @property
     def rules(self) -> Tuple[Rule, ...]:
@@ -152,15 +165,33 @@ class Table:
             self._hash = hash(self._rules)
         return self._hash
 
+    def canonical_json(self) -> str:
+        """The rules as a JSON list, order-insensitive: each rule's compact,
+        key-sorted wire encoding, sorted by that encoding.
+
+        This is the table's share of a problem fingerprint
+        (:mod:`repro.service.fingerprint`).  It is computed once per table,
+        so a delta that shares untouched tables with its base re-encodes
+        only the tables it patched.
+        """
+        if self._json is None:
+            # serialize imports this module, so bind it on first use
+            from repro.net.serialize import rule_to_dict
+
+            encoded = sorted(_CANONICAL.encode(rule_to_dict(rule)) for rule in self._rules)
+            self._json = "[" + ",".join(encoded) + "]"
+        return self._json
+
     def __getstate__(self):
-        # never ship the cached hash across a process boundary: str hashes
-        # are salted per process, so a pickled cache would disagree with
-        # hashes the receiving process computes for equal tables
+        # never ship the caches across a process boundary: str hashes are
+        # salted per process, so a pickled hash would disagree with hashes
+        # the receiving process computes for equal tables
         return self._rules
 
     def __setstate__(self, state) -> None:
         self._rules = state
         self._hash = None
+        self._json = None
 
     def lookup(self, packet: Packet, port: int) -> Optional[Rule]:
         """The highest-priority rule matching ``(packet, port)``, if any."""

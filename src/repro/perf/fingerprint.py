@@ -145,23 +145,12 @@ def scope_fingerprint(
     """
     # imported lazily: repro.service.engine imports repro.perf.memo at module
     # load, so a top-level import here would close an import cycle
-    from repro.service.fingerprint import canonical_topology
+    from repro.service.fingerprint import canonical_classes, canonical_topology
 
-    classes = sorted(
-        (
-            {
-                "name": tc.name,
-                "fields": sorted(tc.field_map().items()),
-                "ingress": sorted(str(h) for h in hosts),
-            }
-            for tc, hosts in ingresses.items()
-        ),
-        key=lambda entry: entry["name"],
-    )
     return _digest(
         {
             "topology": canonical_topology(topology),
-            "classes": classes,
+            "classes": canonical_classes(ingresses),
             "spec": str(spec),
         }
     )

@@ -44,10 +44,7 @@ thin CLI wrappers around this package.
 from repro.service.cache import CacheStats, PlanCache, disk_cache_summary
 from repro.service.client import ReproClient
 from repro.service.engine import SynthesisService, default_worker_count
-from repro.service.fingerprint import (
-    canonical_problem,
-    problem_fingerprint,
-)
+from repro.service.fingerprint import problem_fingerprint
 from repro.service.jobs import (
     JobResult,
     JobStatus,
@@ -68,7 +65,6 @@ __all__ = [
     "SynthesisJob",
     "SynthesisOptions",
     "SynthesisService",
-    "canonical_problem",
     "default_worker_count",
     "disk_cache_summary",
     "problem_fingerprint",

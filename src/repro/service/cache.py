@@ -1,16 +1,17 @@
 """Content-addressed plan cache: in-memory LRU with optional disk tier.
 
 The cache stores *successful* plans keyed by the problem fingerprint
-(:mod:`repro.service.fingerprint`).  Entries are held as JSON-safe plan
-dicts (the :func:`~repro.net.serialize.plan_to_dict` form) so the memory
-and disk tiers share one representation and cached plans never alias live
-:class:`~repro.synthesis.plan.UpdatePlan` objects across jobs.
+(:mod:`repro.service.fingerprint`).  The memory tier holds
+:class:`~repro.synthesis.plan.UpdatePlan` objects; a plan is copied on the
+way in and on the way out (:meth:`~repro.synthesis.plan.UpdatePlan.copy`),
+so a cached plan never aliases one a job handed to its caller.
 
 With a ``directory``, every stored plan is also written to
-``<directory>/<fingerprint>.json``; lookups that miss in memory fall back
-to disk (and promote the entry back into memory).  ``persist_stats`` dumps
-the cumulative counters to ``<directory>/stats.json`` for the
-``cache-stats`` CLI subcommand.
+``<directory>/<fingerprint>.json`` in its
+:func:`~repro.net.serialize.plan_to_dict` form; lookups that miss in
+memory fall back to disk (and promote the plan back into memory).
+``persist_stats`` dumps the cumulative counters to
+``<directory>/stats.json`` for the ``cache-stats`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class PlanCache:
         self.capacity = capacity
         self.directory = directory
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[str, UpdatePlan]" = OrderedDict()
 
     def __len__(self) -> int:
         """Number of *in-memory* entries (the disk tier may hold more)."""
@@ -116,37 +117,51 @@ class PlanCache:
     ) -> Optional[UpdatePlan]:
         """The cached plan for ``fingerprint``, or ``None`` on a miss.
 
-        ``classes`` rehydrates rule-granularity commands (pass the problem's
-        traffic classes by name).  Returns a fresh :class:`UpdatePlan` on
-        every hit.
+        ``classes`` rehydrates rule-granularity commands read from disk
+        (pass the problem's traffic classes by name).  Returns a fresh
+        :class:`UpdatePlan` on every hit.
         """
-        entry = self._entries.get(fingerprint)
-        if entry is None and self.directory is not None:
-            entry = self._read_disk(fingerprint)
-            if entry is not None:
+        plan = self._entries.get(fingerprint)
+        if plan is None and self.directory is not None:
+            plan = self._read_disk(fingerprint, classes)
+            if plan is not None:
                 self.stats.disk_hits += 1
-                self._insert(fingerprint, entry)
-        if entry is None:
+                self._insert(fingerprint, plan)
+        if plan is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(fingerprint)
         self.stats.hits += 1
-        return plan_from_dict(entry, classes)
+        return plan.copy()
+
+    def peek(
+        self,
+        fingerprint: str,
+        classes: Optional[Mapping[str, TrafficClass]] = None,
+    ) -> Optional[UpdatePlan]:
+        """Like :meth:`get`, but leaves the counters and the LRU order alone.
+
+        For reads that serve no job, such as fetching a delta base's unit
+        order, so the hit rate counts only jobs answered from the cache.
+        """
+        plan = self._entries.get(fingerprint)
+        if plan is None and self.directory is not None:
+            return self._read_disk(fingerprint, classes)
+        return None if plan is None else plan.copy()
 
     def put(self, fingerprint: str, plan: UpdatePlan) -> None:
         """Store ``plan`` under ``fingerprint`` (memory, and disk if configured)."""
-        entry = plan_to_dict(plan)
-        self._insert(fingerprint, entry)
+        self._insert(fingerprint, plan.copy())
         self.stats.puts += 1
         if self.directory is not None:
-            self._write_disk(fingerprint, entry)
+            self._write_disk(fingerprint, plan_to_dict(plan))
 
     def clear(self) -> None:
         """Drop all in-memory entries (the disk tier is left untouched)."""
         self._entries.clear()
 
-    def _insert(self, fingerprint: str, entry: Dict[str, Any]) -> None:
-        self._entries[fingerprint] = entry
+    def _insert(self, fingerprint: str, plan: UpdatePlan) -> None:
+        self._entries[fingerprint] = plan
         self._entries.move_to_end(fingerprint)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -159,12 +174,15 @@ class PlanCache:
         assert self.directory is not None
         return os.path.join(self.directory, f"{fingerprint}.json")
 
-    def _read_disk(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+    def _read_disk(
+        self, fingerprint: str, classes: Optional[Mapping[str, TrafficClass]]
+    ) -> Optional[UpdatePlan]:
         try:
             with open(self._path(fingerprint)) as handle:
-                return json.load(handle)
+                entry = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
+        return plan_from_dict(entry, classes)
 
     def _write_disk(self, fingerprint: str, entry: Dict[str, Any]) -> None:
         assert self.directory is not None

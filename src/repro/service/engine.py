@@ -34,12 +34,16 @@ jobs and surface each result as it settles.  :meth:`result` waits on one
 job, :meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
 still-queued job, and :meth:`drain` blocks until the service is idle.
 
-Problems and plans cross the process boundary as JSON-safe dicts
+In-process (serial) execution passes objects end to end: the job's
+:class:`~repro.net.serialize.Problem` goes to the synthesizer and its
+:class:`~repro.synthesis.plan.UpdatePlan` comes back (:func:`_execute_problem`).
+Only the pool crosses a process boundary, so only the pool converts:
+problems and plans travel as JSON-safe dicts
 (:func:`~repro.net.serialize.problem_to_dict`,
-:func:`~repro.net.serialize.plan_to_dict`); verdict-memo snapshots and
-deltas (:class:`~repro.perf.memo.MemoSnapshot`) ride the same pickle
-channel as plain value objects.  Per-job timeouts are enforced
-cooperatively by the synthesizer's own deadline checks.
+:func:`~repro.net.serialize.plan_to_dict`, :func:`_execute_payload`);
+verdict-memo snapshots and deltas (:class:`~repro.perf.memo.MemoSnapshot`)
+ride the same pickle channel as plain value objects.  Per-job timeouts are
+enforced cooperatively by the synthesizer's own deadline checks.
 
 Pool executions share the verdict memo through a snapshot/merge protocol:
 every dispatched payload carries a snapshot of its job's memo scope taken
@@ -56,7 +60,11 @@ Streaming callers can submit **deltas** instead of full problems:
 :class:`~repro.net.delta.ProblemPatch` against a retained base problem
 (every submission is kept, LRU-bounded by :data:`BASE_RETENTION`) and
 warm-starts the search from the base plan's unit order — the churn path
-of the ``repro-api/1`` delta extension (see ``docs/API.md``).
+of the ``repro-api/1`` delta extension (see ``docs/API.md``).  On the
+serial path a delta also starts from what its base's search verified:
+the base's label engine, and when the delta only moves rules on from the
+base's final configuration, the labeled final structure itself
+(:meth:`SynthesisService._handover`, :data:`START_RETENTION`).
 
 Hard jobs can additionally be *sharded*: ``SynthesisOptions.shards = N``
 splits the order search space into N disjoint slices
@@ -82,6 +90,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -95,10 +104,12 @@ from repro.errors import (
     UpdateInfeasibleError,
 )
 from repro.analysis.problem import static_infeasibility
+from repro.mc.incremental import IncrementalChecker
 from repro.net.delta import ProblemPatch
 from repro.net.serialize import (
     Problem,
     plan_from_dict,
+    plan_to_dict,
     problem_from_dict,
     problem_to_dict,
     unit_order_from_wire,
@@ -110,6 +121,7 @@ from repro.service.cache import PlanCache
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.service.metrics import ServiceMetrics
 from repro.synthesis import SearchShard, UpdateSynthesizer
+from repro.synthesis.search import Handover
 
 #: Statuses that settle a fingerprint group in portfolio mode: a plan, or a
 #: proof that no plan exists.  ``timeout``/``error`` keep the race open.
@@ -131,53 +143,38 @@ RESULT_RETENTION = 4096
 #: hold the base problem fall back to a cold full submission.
 BASE_RETENTION = 1024
 
+#: Checkers of verified final structures, retained for delta jobs to
+#: start from (see :meth:`SynthesisService._handover`), LRU by
+#: fingerprint.  Each holds a whole Kripke structure with its labels, and a
+#: churn stream only ever starts from its latest job, so a few suffice.
+START_RETENTION = 4
 
-def _execute_payload(
-    problem_data: Dict[str, Any],
-    options_data: Dict[str, Any],
+
+def _execute_problem(
+    problem: Problem,
+    options_data: Mapping[str, Any],
     backend: str,
     memo_pool: Optional[SharedVerdictMemo] = None,
-    memo_snapshot: Optional[MemoSnapshot] = None,
+    handover: Optional[Handover] = None,
 ) -> Dict[str, Any]:
-    """Run one synthesis attempt; always returns a pickle-safe result dict.
+    """Run one synthesis attempt on a live problem; never raises.
 
-    This is the worker-process entry point — it must stay module-level (for
-    pickling) and must never raise (errors become ``status="error"``).
-
-    Memo sharing comes in two flavours: the in-process serial path passes
-    the live service-wide ``memo_pool`` directly, while pool dispatches
-    send a ``memo_snapshot`` of the job's memo scope.  A snapshot seeds a
-    delta-tracking pool whose learned entries are returned under
-    ``"memo_delta"`` for the engine to merge back.
-
-    ``options_data`` may carry ``shards``/``shard_index``: shard counts
-    above one restrict this attempt to its
-    :class:`~repro.synthesis.search.SearchShard` slice of the order space,
-    and an exhausted slice reports ``infeasible_reason="shard"`` (not a
-    global proof — the engine combines the shards' verdicts).  It may also
-    carry ``warm_order`` (a wire-form unit order, see
-    :func:`~repro.net.serialize.unit_order_to_wire`): the delta path's
-    base-plan hint, seeding the search which degrades to cold when stale.
+    The in-process entry point.  A ``done`` result carries the
+    :class:`~repro.synthesis.plan.UpdatePlan` object under ``"plan"``;
+    errors become ``status="error"``.  ``options_data`` is the
+    :meth:`~repro.service.jobs.SynthesisOptions.identity_dict` form plus
+    ``timeout``, ``memoize``, and optionally ``warm_order`` (the delta
+    path's base-plan hint, which degrades to cold when stale) and
+    ``shards``/``shard_index``: shard counts above one restrict this
+    attempt to its :class:`~repro.synthesis.search.SearchShard` slice of
+    the order space, and an exhausted slice reports
+    ``infeasible_reason="shard"`` (not a global proof — the engine combines
+    the shards' verdicts).  ``memo_pool`` shares the verdict memo;
+    ``handover`` lends and collects labeled structures (see
+    :class:`~repro.synthesis.search.Handover`).
     """
-    from repro.net.serialize import plan_to_dict  # local: after fork/spawn
-
     start = time.perf_counter()
-    delta_pool: Optional[SharedVerdictMemo] = None
-    pool = memo_pool
-    if pool is None and memo_snapshot is not None:
-        pool = delta_pool = SharedVerdictMemo.from_snapshot(
-            memo_snapshot, track_deltas=True
-        )
-
-    def finish(out: Dict[str, Any]) -> Dict[str, Any]:
-        out["seconds"] = time.perf_counter() - start
-        out["backend"] = backend
-        if delta_pool is not None:
-            out["memo_delta"] = delta_pool.drain_deltas()
-        return out
-
     try:
-        problem = problem_from_dict(problem_data)
         synth = UpdateSynthesizer(
             problem.topology,
             checker=backend,
@@ -189,7 +186,7 @@ def _execute_payload(
                 "use_reachability_heuristic", True
             ),
             memoize=options_data.get("memoize", True),
-            memo_pool=pool,
+            memo_pool=memo_pool,
         )
         shards = int(options_data.get("shards", 1) or 1)
         shard = (
@@ -197,9 +194,6 @@ def _execute_payload(
             if shards > 1
             else None
         )
-        warm_order = options_data.get("warm_order")
-        if warm_order is not None:
-            warm_order = unit_order_from_wire(warm_order)
         plan = synth.synthesize(
             problem.init,
             problem.final,
@@ -207,36 +201,71 @@ def _execute_payload(
             problem.ingresses,
             timeout=options_data.get("timeout"),
             shard=shard,
-            warm_order=warm_order,
+            warm_order=options_data.get("warm_order"),
+            handover=handover,
         )
     except UpdateInfeasibleError as err:
-        return finish(
-            {
-                "status": JobStatus.INFEASIBLE.value,
-                "message": f"({err.reason}) {err}",
-                "infeasible_reason": err.reason,
-            }
-        )
-    except SynthesisTimeout as err:
-        return finish(
-            {
-                "status": JobStatus.TIMEOUT.value,
-                "message": str(err),
-            }
-        )
-    except Exception as err:  # noqa: BLE001 — must cross the process boundary
-        return finish(
-            {
-                "status": JobStatus.ERROR.value,
-                "message": f"{type(err).__name__}: {err}",
-            }
-        )
-    return finish(
-        {
-            "status": JobStatus.DONE.value,
-            "plan": plan_to_dict(plan),
+        out: Dict[str, Any] = {
+            "status": JobStatus.INFEASIBLE.value,
+            "message": f"({err.reason}) {err}",
+            "infeasible_reason": err.reason,
         }
-    )
+    except SynthesisTimeout as err:
+        out = {"status": JobStatus.TIMEOUT.value, "message": str(err)}
+    except Exception as err:  # noqa: BLE001 — a job's failure is its result
+        out = {"status": JobStatus.ERROR.value, "message": _describe(err)}
+    else:
+        out = {"status": JobStatus.DONE.value, "plan": plan}
+    out["seconds"] = time.perf_counter() - start
+    out["backend"] = backend
+    return out
+
+
+def _execute_payload(
+    problem_data: Dict[str, Any],
+    options_data: Dict[str, Any],
+    backend: str,
+    memo_snapshot: Optional[MemoSnapshot] = None,
+) -> Dict[str, Any]:
+    """The worker-process entry point: :func:`_execute_problem` on the
+    JSON-safe dict forms; always returns a pickle-safe result dict.
+
+    It must stay module-level (for pickling) and must never raise.  The
+    problem arrives as :func:`~repro.net.serialize.problem_to_dict`, a
+    ``warm_order`` in its wire form
+    (:func:`~repro.net.serialize.unit_order_to_wire`), and a plan leaves as
+    :func:`~repro.net.serialize.plan_to_dict`.  ``seconds`` covers the
+    conversions too.  A ``memo_snapshot`` of the job's memo scope seeds a
+    delta-tracking pool whose learned entries are returned under
+    ``"memo_delta"`` for the engine to merge back.
+    """
+    start = time.perf_counter()
+    delta_pool = None
+    if memo_snapshot is not None:
+        delta_pool = SharedVerdictMemo.from_snapshot(memo_snapshot, track_deltas=True)
+    try:
+        problem = problem_from_dict(problem_data)
+        warm_order = options_data.get("warm_order")
+        if warm_order is not None:
+            options_data = dict(options_data, warm_order=unit_order_from_wire(warm_order))
+    except Exception as err:  # noqa: BLE001 — must cross the process boundary
+        out = {
+            "status": JobStatus.ERROR.value,
+            "message": _describe(err),
+            "backend": backend,
+        }
+    else:
+        out = _execute_problem(problem, options_data, backend, delta_pool)
+        if "plan" in out:
+            out["plan"] = plan_to_dict(out["plan"])
+    out["seconds"] = time.perf_counter() - start
+    if delta_pool is not None:
+        out["memo_delta"] = delta_pool.drain_deltas()
+    return out
+
+
+def _describe(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _best_failure(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
@@ -347,6 +376,9 @@ class SynthesisService:
         self._bases: "OrderedDict[str, Tuple[Problem, SynthesisOptions]]" = (
             OrderedDict()
         )
+        # the checkers of recent jobs' verified final structures
+        # (START_RETENTION), by fingerprint; scheduler thread only
+        self._starts: "OrderedDict[str, IncrementalChecker]" = OrderedDict()
         self._thread: Optional[threading.Thread] = None
         # explicit start() makes the scheduler resident (server mode);
         # consumer-auto-started threads exit once the queue runs dry, so a
@@ -438,15 +470,25 @@ class SynthesisService:
         problem is also retained (LRU) as a possible *base* for later
         :meth:`submit_delta` calls against its fingerprint.
         """
-        opts = options or self.default_options
-        if timeout is not None:
-            opts = opts.with_timeout(timeout)
-        job = SynthesisJob(
-            job_id=job_id or f"job-{next(self._ids)}",
-            problem=problem,
-            options=opts,
-            warm_order=tuple(warm_order) if warm_order is not None else None,
+        return self._enqueue(
+            SynthesisJob(
+                job_id=job_id or f"job-{next(self._ids)}",
+                problem=problem,
+                options=self._options(options, timeout),
+                warm_order=tuple(warm_order) if warm_order is not None else None,
+            )
         )
+
+    def _options(
+        self, options: Optional[SynthesisOptions], timeout: Optional[float]
+    ) -> SynthesisOptions:
+        opts = options or self.default_options
+        return opts if timeout is None else opts.with_timeout(timeout)
+
+    def _enqueue(self, job: SynthesisJob) -> SynthesisJob:
+        """Register a built job: retain it as a base, coalesce or queue it."""
+        opts = job.options
+        problem = job.problem
         fingerprint = job.fingerprint  # content hash, computed outside the lock
         with self._cv:
             if self._closed:
@@ -496,7 +538,9 @@ class SynthesisService:
         (:meth:`~repro.net.delta.ProblemPatch.apply_to` — structural
         sharing keeps the content-hash and label caches warm) and, when
         the base's plan is still in the plan cache, its unit order
-        warm-starts the new search.  The resolved job is an ordinary
+        warm-starts the new search.  On the serial path the search may also
+        start from the base's verified final structure (see
+        :meth:`_handover`).  The resolved job is an ordinary
         submission: it coalesces, caches, and is itself retained as a
         base, so a churn stream can chain deltas indefinitely.
 
@@ -517,17 +561,21 @@ class SynthesisService:
         base_problem, base_options = entry
         problem = patch.apply_to(base_problem)
         warm_order: Optional[Tuple[Any, ...]] = None
-        base_plan = self.cache.get(
+        # not a job's cache lookup: leave the hit/miss counters alone
+        base_plan = self.cache.peek(
             base, {tc.name: tc for tc in base_problem.classes}
         )
         if base_plan is not None:
             warm_order = tuple(base_plan.unit_order())
-        return self.submit(
-            problem,
-            options=options or base_options,
-            job_id=job_id,
-            timeout=timeout,
-            warm_order=warm_order,
+        return self._enqueue(
+            SynthesisJob(
+                job_id=job_id or f"job-{next(self._ids)}",
+                problem=problem,
+                options=self._options(options or base_options, timeout),
+                warm_order=warm_order,
+                base=base,
+                patch=patch,
+            )
         )
 
     def has_base(self, fingerprint: str) -> bool:
@@ -976,16 +1024,12 @@ class SynthesisService:
     # ------------------------------------------------------------------
     @staticmethod
     def _group_payloads(
-        job: SynthesisJob, *, sharded: bool = True
+        job: SynthesisJob,
     ) -> List[Tuple[str, Dict[str, Any], Dict[str, Any]]]:
-        """(backend, problem_dict, options_dict) per portfolio entry × shard.
-
-        ``sharded=False`` collapses the shard dimension — the serial path
-        runs every job unsharded (racing slices sequentially could only
-        lose time against one unrestricted search).
-        """
+        """(backend, problem_dict, options_dict) per portfolio entry × shard:
+        the worker pool's dispatch units."""
         problem_data = problem_to_dict(job.problem)
-        shards = max(1, job.options.shards) if sharded else 1
+        shards = max(1, job.options.shards)
         warm_wire = (
             unit_order_to_wire(job.warm_order)
             if job.warm_order is not None
@@ -1025,20 +1069,61 @@ class SynthesisService:
             stacklevel=4,
         )
 
+    def _handover(self, job: SynthesisJob, backend: str) -> Handover:
+        """What ``job``'s search may take over from its delta base's.
+
+        Only a delta (``job.base``) whose base left a verified final
+        structure qualifies.  If the delta keeps the base's spec object,
+        its search reuses the base's label engine.  It also starts from the
+        base's final structure itself when all of these hold: the patch
+        edits no link, ingress or spec; the backend is ``incremental``; and
+        the delta's ``init`` equals the base's ``final``.  That structure
+        is popped, since the search mutates it.  Every search hands its own
+        verified final structure back through the returned object.
+        """
+        base = self._starts.get(job.base) if job.base is not None else None
+        if base is None or job.problem.spec is not base.engine.formula:
+            return Handover()
+        handover = Handover(engine=base.engine)
+        if (
+            backend == "incremental"
+            and job.patch is not None
+            and not job.patch.touches_scope()
+            and job.problem.init == base.structure.config
+        ):
+            handover.start = self._starts.pop(job.base)
+        return handover
+
+    def _retain_start(self, fingerprint: str, checker: IncrementalChecker) -> None:
+        self._starts[fingerprint] = checker
+        self._starts.move_to_end(fingerprint)
+        while len(self._starts) > START_RETENTION:
+            self._starts.popitem(last=False)
+
     def _execute_serial(
         self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
     ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """In-process execution; portfolio backends tried in order."""
+        """In-process execution on live objects, unsharded (racing slices
+        one after another could only lose to one unrestricted search);
+        portfolio backends are tried in order."""
         for key, group in groups.items():
             for job in group:  # every coalesced sibling is executing
                 job.status = JobStatus.RUNNING
+            job = group[0]
+            options_data = dict(
+                job.options.identity_dict(),
+                timeout=job.options.timeout,
+                memoize=job.options.memoize,
+                warm_order=job.warm_order,
+            )
             attempts: List[Dict[str, Any]] = []
-            for backend, problem_data, options_data in self._group_payloads(
-                group[0], sharded=False
-            ):
-                res = _execute_payload(
-                    problem_data, options_data, backend, memo_pool=self.verdict_memo
+            for backend in job.options.backends():
+                handover = self._handover(job, backend)
+                res = _execute_problem(
+                    job.problem, options_data, backend, self.verdict_memo, handover
                 )
+                if handover.final is not None:
+                    self._retain_start(key[0], handover.final)
                 attempts.append(res)
                 if res["status"] in _DEFINITIVE:
                     break
@@ -1245,23 +1330,22 @@ class SynthesisService:
     ) -> List[JobResult]:
         """Fan one execution result out to every job coalesced on it.
 
-        Runs outside the scheduler lock (plan rehydration and the cache
-        write may touch disk); the caller observes and publishes the
-        returned results under the lock.
+        The serial path hands over the plan object itself; a pool worker's
+        plan arrives in its dict form and is rehydrated once.  The first
+        job gets that plan, each coalesced sibling a copy.  Runs outside
+        the scheduler lock (the cache write may touch disk); the caller
+        observes and publishes the returned results under the lock.
         """
         status = JobStatus(payload["status"])
         fingerprint = group[0].fingerprint
-        if status is JobStatus.DONE:
-            classes = {tc.name: tc for tc in group[0].problem.classes}
-            plan = plan_from_dict(payload["plan"], classes)
+        plan = payload.get("plan")
+        if isinstance(plan, dict):
+            plan = plan_from_dict(plan, {tc.name: tc for tc in group[0].problem.classes})
+        if plan is not None:
             self.cache.put(fingerprint, plan)
         results: List[JobResult] = []
         for index, job in enumerate(group):
             job.status = status
-            plan = None
-            if status is JobStatus.DONE:
-                classes = {tc.name: tc for tc in job.problem.classes}
-                plan = plan_from_dict(payload["plan"], classes)
             message = payload.get("message", "")
             if index > 0:
                 self.metrics.coalesced += 1
@@ -1273,7 +1357,7 @@ class SynthesisService:
                 JobResult(
                     job_id=job.job_id,
                     status=status,
-                    plan=plan,
+                    plan=plan if plan is None or index == 0 else plan.copy(),
                     seconds=payload.get("seconds", 0.0) if index == 0 else 0.0,
                     cached=False,
                     backend=payload.get("backend"),

@@ -21,22 +21,28 @@ Canonicalization rules (on top of :mod:`repro.net.serialize`):
   option is deliberately excluded from the identity: a plan is the same plan
   regardless of how long we were willing to wait for it.
 
-The fingerprint is the SHA-256 hex digest of the compact canonical JSON.
+The fingerprint is the SHA-256 hex digest of the compact, key-sorted
+canonical JSON.  Each table's share of it is cached on the table
+(:meth:`~repro.net.rules.Table.canonical_json`), so a problem that shares
+tables with one fingerprinted before (a delta and its base) encodes only
+its new tables.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.net.config import Configuration
-from repro.net.serialize import Problem, rule_to_dict
-from repro.net.topology import Topology
+from repro.net.fields import TrafficClass
+from repro.net.serialize import Problem
+from repro.net.topology import NodeId, Topology
 
 
-def _canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: compact, key-sorted JSON (one encoder: ``json.dumps`` with options
+#: builds a new one per call)
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_topology(topology: Topology) -> Dict[str, Any]:
@@ -53,39 +59,34 @@ def canonical_topology(topology: Topology) -> Dict[str, Any]:
     }
 
 
-def canonical_config(config: Configuration) -> Dict[str, List[Dict[str, Any]]]:
-    """Order-insensitive dict form of a configuration (rules sorted)."""
-    return {
-        switch: sorted(
-            (rule_to_dict(rule) for rule in config.table(switch)),
-            key=_canonical_json,
-        )
-        for switch in sorted(config.switches())
-    }
-
-
-def canonical_problem(problem: Problem) -> Dict[str, Any]:
-    """The canonical (order-insensitive) dict a fingerprint is computed over."""
-    classes = sorted(
+def canonical_classes(
+    ingresses: Mapping[TrafficClass, Sequence[NodeId]],
+) -> List[Dict[str, Any]]:
+    """Order-insensitive list form of the traffic classes and their ingresses."""
+    return sorted(
         (
             {
                 "name": tc.name,
                 "fields": sorted(tc.field_map().items()),
                 "ingress": sorted(str(h) for h in hosts),
             }
-            for tc, hosts in problem.ingresses.items()
+            for tc, hosts in ingresses.items()
         ),
         key=lambda entry: entry["name"],
     )
-    return {
-        "topology": canonical_topology(problem.topology),
-        "classes": classes,
-        "init": canonical_config(problem.init),
-        "final": canonical_config(problem.final),
-        # the parsed formula's printed form, not the raw text: immune to
-        # whitespace/parenthesization differences in the input
-        "spec": str(problem.spec),
-    }
+
+
+def _config_json(config: Configuration) -> str:
+    """Canonical JSON of a configuration: switches sorted, each table's
+    cached :meth:`~repro.net.rules.Table.canonical_json`."""
+    return (
+        "{"
+        + ",".join(
+            f"{_canonical_json(str(switch))}:{config.table(switch).canonical_json()}"
+            for switch in sorted(config.switches())
+        )
+        + "}"
+    )
 
 
 def problem_fingerprint(
@@ -98,10 +99,25 @@ def problem_fingerprint(
     (checker backend, granularity, optimization switches).  A ``timeout``
     key, if present, is ignored.
     """
-    payload = canonical_problem(problem)
+    # the canonical JSON of one object, assembled key by key in sorted
+    # order so each configuration reuses its tables' cached encodings
+    members = [
+        ("classes", _canonical_json(canonical_classes(problem.ingresses))),
+        ("final", _config_json(problem.final)),
+        ("init", _config_json(problem.init)),
+    ]
     if options:
-        payload["options"] = {
-            str(k): v for k, v in options.items() if k != "timeout"
-        }
-    digest = hashlib.sha256(_canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+        members.append(
+            (
+                "options",
+                _canonical_json(
+                    {str(k): v for k, v in options.items() if k != "timeout"}
+                ),
+            )
+        )
+    # the parsed formula's printed form, not the raw text: immune to
+    # whitespace/parenthesization differences in the input
+    members.append(("spec", _canonical_json(str(problem.spec))))
+    members.append(("topology", _canonical_json(canonical_topology(problem.topology))))
+    text = "{" + ",".join(f'"{key}":{value}' for key, value in members) + "}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

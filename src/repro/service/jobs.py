@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Dict, Optional, Tuple
 
+from repro.net.delta import ProblemPatch
 from repro.net.serialize import Problem, plan_to_dict
 from repro.service.fingerprint import problem_fingerprint
 from repro.synthesis.plan import UpdatePlan
@@ -114,6 +115,11 @@ class SynthesisJob:
     search with.  It is *not* part of the fingerprint — a warm and a cold
     submission of the same problem are the same job (warm start is
     verdict-preserving), so they coalesce and share the plan cache.
+
+    A job submitted as a delta also records the fingerprint of its ``base``
+    job and the ``patch`` applied to it; the engine uses them to start the
+    search from the base's verified final structure.  Neither is part of
+    the fingerprint either.
     """
 
     job_id: str
@@ -121,6 +127,8 @@ class SynthesisJob:
     options: SynthesisOptions = field(default_factory=SynthesisOptions)
     status: JobStatus = JobStatus.QUEUED
     warm_order: Optional[Tuple[Any, ...]] = field(default=None, repr=False)
+    base: Optional[str] = field(default=None, repr=False)
+    patch: Optional[ProblemPatch] = field(default=None, repr=False)
     _fingerprint: Optional[str] = field(default=None, repr=False)
 
     @property

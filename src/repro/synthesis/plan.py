@@ -7,7 +7,7 @@ profile`` harness report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List
 
 from repro.net.commands import (
@@ -84,6 +84,11 @@ class UpdatePlan:
     commands: List[Command]
     granularity: str = "switch"
     stats: SearchStats = field(default_factory=SearchStats)
+
+    def copy(self) -> "UpdatePlan":
+        """A plan of its own: the command list and the stats are copied;
+        the commands, which are immutable, are shared."""
+        return UpdatePlan(list(self.commands), self.granularity, replace(self.stats))
 
     def updates(self) -> List[Command]:
         return updates_of(self.commands)

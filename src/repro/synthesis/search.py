@@ -56,6 +56,7 @@ from typing import (
 from repro.errors import ForwardingLoopError, SynthesisTimeout, UpdateInfeasibleError
 from repro.kripke.structure import KripkeStructure, rule_covers_class
 from repro.ltl.syntax import Formula
+from repro.mc.incremental import IncrementalChecker
 from repro.mc.interface import make_checker
 from repro.mc.labeling import LabelEngine
 from repro.net.commands import Command, RuleGranUpdate, SwitchUpdate, Wait
@@ -111,6 +112,33 @@ class SearchShard:
         return set(units[self.index :: self.total])
 
 
+@dataclass
+class Handover:
+    """What one search passes to the next on the same problem stream: the
+    paper's incremental checking (§5) carried across jobs.
+
+    The structures travel inside their :class:`IncrementalChecker`, which
+    holds the structure, every state's label, and the engine that computed
+    them; a checker handed over has labeled all of its structure, with a
+    verdict of ``ok``.
+
+    In: ``engine`` is a :class:`LabelEngine` built for the *same* spec
+    object, reused with its closure program and its atom and mask memos.
+    ``start`` is the initial configuration's checker; the search runs on
+    it instead of building and labeling ``init``.  The search mutates it, so
+    one ``start`` serves one search, and it needs the ``incremental``
+    checker.
+
+    Out: the search sets ``final`` to the final configuration's checker
+    once the endpoint check has verified it.  It stays ``None`` when a
+    memoized verdict answered that check, since nothing was labeled.
+    """
+
+    engine: Optional[LabelEngine] = None
+    start: Optional[IncrementalChecker] = None
+    final: Optional[IncrementalChecker] = None
+
+
 def _class_table(table: Table, tc: TrafficClass) -> Table:
     return table.restrict(lambda r: rule_covers_class(r, tc))
 
@@ -158,6 +186,7 @@ def order_update(
     memo: Optional[VerdictMemo] = None,
     shard: Optional[SearchShard] = None,
     warm_order: Optional[Sequence[Unit]] = None,
+    handover: Optional[Handover] = None,
 ) -> UpdatePlan:
     """Synthesize a careful update sequence from ``init`` to ``final``.
 
@@ -187,6 +216,13 @@ def order_update(
     search rather than failing.  Warm starting only changes the order
     candidates are *tried* in; every accepted sequence is still verified
     step by step, so the plan is correct regardless of the hint's quality.
+
+    ``handover`` lends the search a label engine and a labeled start
+    structure from an earlier search, and receives this search's labeled
+    final structure (see :class:`Handover`).  A start structure must hold
+    exactly ``init`` under this ``topology`` and ``ingresses``; it skips
+    one Kripke build and one full check, and the search that follows is
+    the one a fresh structure would get.
     """
     start = time.monotonic()
     stats = SearchStats()
@@ -224,7 +260,15 @@ def order_update(
 
     # one labeling engine for both endpoint checks and the whole search:
     # engines are structure-independent and carry the atom/mask memos
-    engine = LabelEngine(spec)
+    labeled_init = handover.start if handover is not None else None
+    if labeled_init is not None and checker != "incremental":
+        raise ValueError(
+            f"a labeled start structure needs the incremental checker, not {checker!r}"
+        )
+    if handover is not None and handover.engine is not None:
+        engine = handover.engine
+    else:
+        engine = LabelEngine(spec)
 
     # the final configuration must itself satisfy the spec
     try:
@@ -234,6 +278,7 @@ def order_update(
             f"final configuration has a forwarding loop: {exc}", stats
         ) from exc
     final_ok: Optional[bool] = None
+    final_checker = None
     final_key = None
     # endpoint verdicts only pay off for pooled memos: a private memo dies
     # with this search, before any sibling could re-reach the endpoint keys
@@ -257,25 +302,32 @@ def order_update(
             memo.record(final_key, final_ok)
     if not final_ok:
         raise _infeasible("final configuration violates the specification", stats)
+    if handover is not None and final_checker is not None:
+        handover.final = final_checker
 
-    try:
-        structure = KripkeStructure(topology, init, ingresses)
-    except ForwardingLoopError as exc:
-        raise _infeasible(
-            f"initial configuration has a forwarding loop: {exc}", stats
-        ) from exc
-    # `checker` is a backend name, or a factory (structure, spec) -> checker
-    # (used by the benchmarks to instrument two backends on one query stream)
-    if isinstance(checker, str):
-        backend = make_checker(checker, structure, spec, engine=engine)
+    if labeled_init is not None:
+        # init is already built, labeled and verified
+        structure, backend = labeled_init.structure, labeled_init
     else:
-        backend = checker(structure, spec)
-    stats.model_checks += 1
-    phase_start = time.perf_counter()
-    init_ok = backend.full_check().ok
-    stats.labeling_seconds += time.perf_counter() - phase_start
-    if not init_ok:
-        raise _infeasible("initial configuration violates the specification", stats)
+        try:
+            structure = KripkeStructure(topology, init, ingresses)
+        except ForwardingLoopError as exc:
+            raise _infeasible(
+                f"initial configuration has a forwarding loop: {exc}", stats
+            ) from exc
+        # `checker` is a backend name, or a factory (structure, spec) ->
+        # checker (used by the benchmarks to instrument two backends on one
+        # query stream)
+        if isinstance(checker, str):
+            backend = make_checker(checker, structure, spec, engine=engine)
+        else:
+            backend = checker(structure, spec)
+        stats.model_checks += 1
+        phase_start = time.perf_counter()
+        init_ok = backend.full_check().ok
+        stats.labeling_seconds += time.perf_counter() - phase_start
+        if not init_ok:
+            raise _infeasible("initial configuration violates the specification", stats)
 
     if not units:
         stats.synthesis_seconds = time.monotonic() - start

@@ -21,7 +21,7 @@ from repro.net.fields import TrafficClass
 from repro.net.topology import NodeId, Topology
 from repro.perf.memo import SharedVerdictMemo, VerdictMemo
 from repro.synthesis.plan import UpdatePlan
-from repro.synthesis.search import SearchShard, order_update
+from repro.synthesis.search import Handover, SearchShard, order_update
 from repro.synthesis.waits import remove_waits
 
 
@@ -91,6 +91,7 @@ class UpdateSynthesizer:
         timeout: Optional[float] = None,
         shard: Optional[SearchShard] = None,
         warm_order: Optional[Sequence] = None,
+        handover: Optional[Handover] = None,
     ) -> UpdatePlan:
         """Synthesize a correct update plan, or raise
         :class:`~repro.errors.UpdateInfeasibleError` /
@@ -102,7 +103,11 @@ class UpdateSynthesizer:
 
         ``warm_order`` seeds the search with a previous plan's unit order
         (:meth:`~repro.synthesis.plan.UpdatePlan.unit_order`) — the delta
-        path's warm start; stale hints degrade to a cold search."""
+        path's warm start; stale hints degrade to a cold search.
+
+        ``handover`` carries a label engine and a labeled start structure
+        in from an earlier search, and this search's labeled final
+        structure out (see :class:`~repro.synthesis.search.Handover`)."""
         plan = order_update(
             self.topology,
             init,
@@ -118,6 +123,7 @@ class UpdateSynthesizer:
             memo=self._memo_for(spec, ingresses),
             shard=shard,
             warm_order=warm_order,
+            handover=handover,
         )
         if self.remove_waits:
             plan = remove_waits(self.topology, init, plan, ingresses)

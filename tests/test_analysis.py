@@ -507,19 +507,35 @@ class TestEnginePreflight:
         from repro.service import SynthesisOptions, SynthesisService
         from repro.service import engine as engine_mod
 
+        searched = []
+
         def boom(*args, **kwargs):
+            searched.append(args)
             raise AssertionError("preflight must not enter the search")
 
-        monkeypatch.setattr(engine_mod, "_execute_payload", boom)
+        monkeypatch.setattr(engine_mod, "_execute_problem", boom)
+        problem = self._statically_infeasible_problem()
         service = SynthesisService(
             workers=0, default_options=SynthesisOptions(preflight=True)
         )
-        job = service.submit(self._statically_infeasible_problem(), job_id="static")
+        job = service.submit(problem, job_id="static")
         result = service.result(job.job_id)
+        service.close()
         assert result.status.value == "infeasible"
         assert result.message.startswith("(static)")
         assert "RA010" in result.message
         assert result.plan is None
+        assert searched == []
+
+        # control: without preflight the same job does reach the hook, so
+        # the assertions above cannot pass with a hook that never fires
+        control = SynthesisService(workers=0)
+        job = control.submit(problem, job_id="searched")
+        result = control.result(job.job_id)
+        control.close()
+        assert len(searched) == 1
+        assert result.status.value == "error"
+        assert "preflight must not enter the search" in result.message
 
     def test_preflight_matches_solver_on_corpora(self):
         from repro.service import SynthesisOptions, SynthesisService

@@ -227,6 +227,34 @@ class TestEngineAndClientFallbacks:
             assert json.loads(excinfo.value.read())["error"]["code"] == "parse"
 
 
+class TestCacheAccounting:
+    def test_cache_hits_count_only_jobs_served_from_cache(self):
+        """Fetching a delta base's warm order is not a plan-cache hit: the
+        cache counters, /v1/metrics and the served-from-cache results agree."""
+        trace = generate_churn(quick=True)[0]
+        service = SynthesisService(workers=0)
+        try:
+            job = service.submit(trace.records[0].problem)
+            results = [service.result(job.job_id)]
+            for patch in trace.patches:
+                job = service.submit_delta(job.fingerprint, patch)
+                results.append(service.result(job.job_id))
+            assert [r.plan.stats.warm_hits > 0 for r in results] == [False, True, True]
+            metrics = service.metrics_dict()
+            served = sum(r.cached for r in results)
+            assert served == 0
+            assert metrics["cache"]["hits"] == served
+            assert metrics["cache"]["hit_rate"] == 0.0
+            assert metrics["cache_hit_rate"] == 0.0
+
+            # a job that *is* served from the cache counts, once
+            again = service.submit(trace.records[0].problem)
+            assert service.result(again.job_id).cached
+            assert service.cache_stats()["hits"] == 1
+        finally:
+            service.close()
+
+
 class TestBatchCliDeltas:
     def test_batch_runs_a_churn_corpus_in_process(self, tmp_path, capsys):
         from repro.cli import main

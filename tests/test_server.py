@@ -94,15 +94,14 @@ def gated_server(monkeypatch):
     import repro.service.engine as engine_module
 
     gate = threading.Event()
-    original = engine_module._execute_payload
+    original = engine_module._execute_problem
 
-    def gated(problem_data, options_data, backend, **kwargs):
-        classes = problem_data.get("classes", [])
-        if any(entry.get("name") == "blocker" for entry in classes):
+    def gated(problem, options_data, backend, *args):
+        if any(tc.name == "blocker" for tc in problem.ingresses):
             gate.wait(timeout=60)
-        return original(problem_data, options_data, backend, **kwargs)
+        return original(problem, options_data, backend, *args)
 
-    monkeypatch.setattr(engine_module, "_execute_payload", gated)
+    monkeypatch.setattr(engine_module, "_execute_problem", gated)
     with ReproServer(port=0, workers=0) as srv:
         try:
             yield srv, gate

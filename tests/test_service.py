@@ -105,6 +105,90 @@ class TestFingerprint:
         assert a != c
 
 
+def reference_fingerprint(problem, options=None):
+    """The fingerprint as first written: one canonical dict for the whole
+    problem, serialized in one ``json.dumps`` call.  ``problem_fingerprint``
+    now assembles the same bytes from per-table cached encodings."""
+    import hashlib
+
+    from repro.net.serialize import rule_to_dict
+    from repro.service.fingerprint import canonical_topology
+
+    def canonical_json(value):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def canonical_config(config):
+        return {
+            switch: sorted(
+                (rule_to_dict(rule) for rule in config.table(switch)),
+                key=canonical_json,
+            )
+            for switch in sorted(config.switches())
+        }
+
+    classes = sorted(
+        (
+            {
+                "name": tc.name,
+                "fields": sorted(tc.field_map().items()),
+                "ingress": sorted(str(h) for h in hosts),
+            }
+            for tc, hosts in problem.ingresses.items()
+        ),
+        key=lambda entry: entry["name"],
+    )
+    payload = {
+        "topology": canonical_topology(problem.topology),
+        "classes": classes,
+        "init": canonical_config(problem.init),
+        "final": canonical_config(problem.final),
+        "spec": str(problem.spec),
+    }
+    if options:
+        payload["options"] = {str(k): v for k, v in options.items() if k != "timeout"}
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+class TestFingerprintIdentity:
+    """Byte-identical to the single-dict encoding, on every corpus suite
+    and along delta chains that share tables with their bases."""
+
+    @pytest.mark.parametrize("suite", ["smoke", "full", "zoo", "churn"])
+    def test_every_corpus_suite(self, suite):
+        from repro.scenarios.corpus import generate_corpus
+
+        for record in generate_corpus(suite):
+            options = SynthesisOptions(granularity=record.granularity).identity_dict()
+            for opts in (None, options, {"timeout": 5}):
+                assert problem_fingerprint(record.problem, opts) == reference_fingerprint(
+                    record.problem, opts
+                ), record.scenario_id
+
+    def test_delta_chain(self):
+        from repro.scenarios.churn import generate_churn
+
+        for trace in generate_churn():
+            problem = trace.records[0].problem
+            problem_fingerprint(problem)  # warm the base's table encodings
+            for patch in trace.patches:
+                problem = patch.apply_to(problem)
+                assert problem_fingerprint(problem) == reference_fingerprint(problem)
+
+    def test_cached_table_encoding_does_not_cross_pickle(self):
+        import pickle
+
+        table = Table(
+            [
+                Rule(1, Pattern.make(dst="H3"), (Forward(2),)),
+                Rule(1, Pattern.make(1, dst="H1"), (Forward(3),)),
+            ]
+        )
+        encoded = table.canonical_json()
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone._json is None
+        assert clone.canonical_json() == encoded
+
+
 # ----------------------------------------------------------------------
 # plan (de)serialization
 # ----------------------------------------------------------------------
@@ -694,14 +778,14 @@ class TestContinuousScheduler:
 
         gate = threading.Event()
         entered = threading.Event()
-        original = engine_module._execute_payload
+        original = engine_module._execute_problem
 
-        def gated(problem_data, options_data, backend, **kwargs):
+        def gated(problem, options_data, backend, *args):
             entered.set()
             gate.wait(timeout=60)
-            return original(problem_data, options_data, backend, **kwargs)
+            return original(problem, options_data, backend, *args)
 
-        monkeypatch.setattr(engine_module, "_execute_payload", gated)
+        monkeypatch.setattr(engine_module, "_execute_problem", gated)
         service = SynthesisService(workers=0)
         service.submit(fig1_problem(), job_id="a")
         service.submit(fig1_problem(), job_id="b")  # same fingerprint
@@ -759,14 +843,14 @@ class TestContinuousScheduler:
 
         gate = threading.Event()
         entered = threading.Event()
-        original = engine_module._execute_payload
+        original = engine_module._execute_problem
 
-        def gated(problem_data, options_data, backend, **kwargs):
+        def gated(problem, options_data, backend, *args):
             entered.set()
             gate.wait(timeout=60)
-            return original(problem_data, options_data, backend, **kwargs)
+            return original(problem, options_data, backend, *args)
 
-        monkeypatch.setattr(engine_module, "_execute_payload", gated)
+        monkeypatch.setattr(engine_module, "_execute_problem", gated)
         service = SynthesisService(workers=0)
         service.submit(fig1_problem(), job_id="first")
         service.start()

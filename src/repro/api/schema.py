@@ -32,6 +32,7 @@ rejecting v1 clients loudly instead of mis-parsing them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -93,8 +94,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "use_reachability_heuristic": options.use_reachability_heuristic,
         "timeout": options.timeout,
         "portfolio": list(options.portfolio),
-        "memoize": options.memoize,
-        "shards": options.shards,
         "use_plan_cache": options.use_plan_cache,
         "preflight": options.preflight,
     }
@@ -116,10 +115,10 @@ def options_from_dict(
     back to ``base`` (the receiving scheduler's ``default_options`` — how
     ``repro serve --timeout 30`` still bounds a request that only picks a
     checker) or, without a base, to the :class:`SynthesisOptions`
-    defaults.  Unknown keys, unknown checker names, non-numeric timeouts
-    and non-positive shard counts all raise
-    :class:`~repro.errors.ParseError` (the ``parse`` family, wire code 4 /
-    HTTP 400).
+    defaults.  Unknown keys, unknown checker names, and timeouts that are
+    not a finite number >= 0 all raise :class:`~repro.errors.ParseError`
+    (the ``parse`` family, wire code 4 / HTTP 400).  A timeout of ``0``
+    is valid: the job times out at once.
     """
     if not isinstance(data, Mapping):
         raise ParseError(f"options: expected an object, got {data!r}")
@@ -127,7 +126,7 @@ def options_from_dict(
     known = {
         "checker", "granularity", "remove_waits", "use_counterexamples",
         "use_early_termination", "use_reachability_heuristic", "timeout",
-        "portfolio", "memoize", "shards", "use_plan_cache", "preflight",
+        "portfolio", "use_plan_cache", "preflight",
     }
     unknown = set(data) - known
     if unknown:
@@ -150,12 +149,15 @@ def options_from_dict(
         )
     timeout = data.get("timeout", base.timeout)
     if timeout is not None:
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-            raise ParseError(f"options.timeout: expected a number, got {timeout!r}")
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 <= timeout < math.inf  # also false for NaN
+        ):
+            raise ParseError(
+                f"options.timeout: expected a finite number >= 0, got {timeout!r}"
+            )
         timeout = float(timeout)
-    shards = data.get("shards", base.shards)
-    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-        raise ParseError(f"options.shards: expected an integer >= 1, got {shards!r}")
     return SynthesisOptions(
         checker=checker,
         granularity=granularity,
@@ -171,8 +173,6 @@ def options_from_dict(
         ),
         timeout=timeout,
         portfolio=portfolio,
-        memoize=_require_bool(data, "memoize", base.memoize),
-        shards=shards,
         use_plan_cache=_require_bool(data, "use_plan_cache", base.use_plan_cache),
         preflight=_require_bool(data, "preflight", base.preflight),
     )

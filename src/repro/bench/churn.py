@@ -15,8 +15,7 @@ on two fresh serial services:
 
 Both passes see the same problems (the generator chains its resolved
 problems through ``patch.apply_to`` precisely as the engine does), the
-same serial execution, and the same per-service verdict-memo continuity,
-so the per-step ``speedup`` column isolates the warm start.  The
+and the same serial execution, so the per-step ``speedup`` column isolates the warm start.  The
 document's ``totals.churn`` block carries the median speedup over delta
 steps and a self-gate verdict (``ok``) against ``speedup_target`` — the
 CI job fails on either the gate or a ``--compare`` regression against
@@ -46,7 +45,6 @@ def run_churn_suite(
     base_seed: int = 0,
     timeout: Optional[float] = 120.0,
     checker: str = "incremental",
-    memoize: bool = True,
     speedup_target: float = CHURN_SPEEDUP_TARGET,
 ) -> Dict[str, Any]:
     """Replay every churn trace cold and as deltas; return the BENCH document.
@@ -74,7 +72,6 @@ def run_churn_suite(
                     checker=checker,
                     granularity=record.granularity,
                     timeout=timeout,
-                    memoize=memoize,
                 )
                 job = cold_service.submit(
                     record.problem, job_id=record.scenario_id, options=options
@@ -90,7 +87,6 @@ def run_churn_suite(
                     checker=checker,
                     granularity=base_record.granularity,
                     timeout=timeout,
-                    memoize=memoize,
                 ),
             )
             delta_results.append(delta_service.result(job.job_id))
@@ -140,8 +136,6 @@ def run_churn_suite(
         "base_seed": base_seed,
         "checker": checker,
         "workers": 0,
-        "memoize": memoize,
-        "shards": 1,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),

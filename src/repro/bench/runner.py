@@ -76,25 +76,13 @@ def run_suite(
     workers: int = 0,
     timeout: Optional[float] = 120.0,
     checker: str = "incremental",
-    memoize: bool = True,
-    shards: int = 1,
 ) -> Dict[str, Any]:
     """Execute every scenario of ``suite`` and return the BENCH document.
 
     ``workers=0`` runs in-process (the default: serial execution keeps
     per-scenario timings comparable across runs); a positive count uses the
-    service's worker pool.  ``memoize`` toggles the cross-candidate verdict
-    memo (:mod:`repro.perf`) — verdict-preserving, so the two settings must
-    agree on every status and plan shape.  ``shards`` > 1 races that many
-    disjoint search-space slices per scenario on the pool (shard A/B runs
-    compare wall time, not plan bytes: whichever shard wins picked the plan).
+    service's worker pool.
     """
-    if shards > 1 and workers <= 1:
-        # the serial path runs unsharded; stamping "shards: N" into the
-        # document for a serial run would misrepresent the configuration
-        raise ReproError(
-            f"--shards {shards} needs a worker pool: pass --workers >= 2"
-        )
     records = generate_corpus(suite, quick=quick, base_seed=base_seed)
     if not records:
         raise ReproError(f"suite {suite!r} produced no scenarios")
@@ -108,8 +96,6 @@ def run_suite(
                 checker=checker,
                 granularity=record.granularity,
                 timeout=timeout,
-                memoize=memoize,
-                shards=shards,
             ),
         )
     start = time.perf_counter()
@@ -142,14 +128,6 @@ def run_suite(
                 plan_updates=result.plan.num_updates(),
                 plan_waits=result.plan.num_waits(),
             )
-            if memoize:
-                row.update(
-                    memo_probes=stats.memo_probes,
-                    memo_hits=stats.memo_hits,
-                    memo_pruned=stats.memo_pruned,
-                )
-            if stats.shards:
-                row["shards"] = stats.shards
             if record.perturbation == "robust":
                 # dataset robustness axis: quantify the plan's single-link
                 # failure blast radius alongside its timings
@@ -183,8 +161,6 @@ def run_suite(
         "base_seed": base_seed,
         "checker": checker,
         "workers": workers,
-        "memoize": memoize,
-        "shards": shards,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),
@@ -201,7 +177,6 @@ def run_suite(
             "busy_seconds": round(sum(row["seconds"] for row in rows), 6),
             "cache_hits": sum(1 for row in rows if row["cached"]),
             "model_checks": sum(row.get("model_checks", 0) for row in rows),
-            "memo_pruned": sum(row.get("memo_pruned", 0) for row in rows),
             "robust_probed": sum(1 for row in rows if "robustness" in row),
             "fully_robust": sum(
                 1 for row in rows if row.get("robustness", {}).get("fully_robust")

@@ -12,12 +12,12 @@ Subcommands:
 * ``serve`` — run the long-lived synthesis server: the continuous
   scheduler core behind the ``repro-api/1`` HTTP JSON API
   (:mod:`repro.service.server`).  ``POST /v1/jobs`` accepts single and
-  batch submissions; jobs from independent clients share the plan cache,
-  the verdict-memo pool, and fingerprint coalescing.
+  batch submissions; jobs from independent clients share the plan cache
+  and fingerprint coalescing.
 * ``loadtest --suite NAME`` — replay a scenario corpus against a server
   from N concurrent clients for several rounds and write a
-  ``repro-loadtest/1`` JSON report (p50/p99 latency, throughput, memo and
-  plan-cache hit rates per round).  Without ``--server`` it self-hosts
+  ``repro-loadtest/1`` JSON report (p50/p99 latency, throughput, and
+  plan-cache hit rate per round).  Without ``--server`` it self-hosts
   one.
 * ``submit PROBLEM.json --server URL`` — submit one problem to a running
   server and (by default) wait for the verdict; exit codes match
@@ -31,15 +31,14 @@ Subcommands:
   print its table.
 * ``batch PROBLEMS.jsonl`` — run many problems through the
   :mod:`repro.service` batch engine (worker pool + content-addressed plan
-  cache + cross-job verdict-memo sharing) and stream one JSON result object
+  cache) and stream one JSON result object
   per line to stdout.  Each input line is a problem document (the
   ``synthesize`` format), optionally with extra ``"id"``, ``"timeout"`` and
   ``"granularity"`` keys; a line with ``"base"``/``"patch"`` keys instead
   is a *delta* against an earlier line's job (``repro corpus --suite
   churn`` emits such streams) — the batch front-end settles the base
   first, then submits the patch so the base plan warm-starts the search.
-  ``--shards N`` races N disjoint slices of each
-  job's search space across the worker pool.  An empty (or comment-only)
+  An empty (or comment-only)
   file is a valid empty batch: the result stream is empty and the exit
   status is 0.  With ``--server URL`` the batch routes through
   :class:`~repro.service.client.ReproClient` to a running ``repro serve``
@@ -66,11 +65,10 @@ Subcommands:
   failure robustness summary on the result line.
 * ``bench --suite NAME`` — run a scenario suite through the service engine
   and write a schema-versioned ``BENCH_<suite>.json`` (per-scenario wall
-  time, model-checker calls, cache hits, plan shape, verdict-memo
-  counters); ``bench --compare BASELINE CURRENT`` diffs two such documents
+  time, model-checker calls, cache hits, plan shape);
+  ``bench --compare BASELINE CURRENT`` diffs two such documents
   (reporting the median per-scenario speedup) and exits non-zero when a
-  regression exceeds ``--threshold``.  ``--no-memo`` disables the
-  cross-candidate verdict memo for A/B runs.  ``--suite churn`` runs the
+  regression exceeds ``--threshold``.  ``--suite churn`` runs the
   two-pass delta benchmark (:mod:`repro.bench.churn`): every churn trace
   replayed cold and as chained deltas, self-gated on the median delta
   speedup (exit 1 below target).
@@ -78,7 +76,7 @@ Subcommands:
   ``repro-bench-history/1`` JSONL trajectory, so runs accumulate instead
   of overwriting each other.
 * ``report HISTORY`` — read a bench history file and render trend tables
-  (per-scenario seconds, plan-cache/verdict-memo hit rates, per-family
+  (per-scenario seconds, plan-cache hit rates, per-family
   scaling) plus a regression summary of the latest run against an anchor
   run (``--anchor`` / ``--anchor-sha``); exits non-zero when the latest
   run regressed past the noise floor.  ``--json`` emits the
@@ -91,7 +89,7 @@ Subcommands:
   ``repro-judge/1`` document.
 * ``profile --suite NAME`` — run a suite in-process and write a
   schema-versioned ``PROFILE_<suite>.json`` attributing wall time to
-  phases (labeling, SAT ordering, wait removal, memo probes).
+  phases (labeling, SAT ordering, wait removal).
 * ``cache-stats DIR`` — summarize an on-disk plan cache directory
   (entry count, bytes, cumulative hit/miss counters).  With
   ``--server URL`` it asks a running server instead.
@@ -561,15 +559,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.service import SynthesisOptions, SynthesisService
 
     jobs = _load_batch_jobs(args.problems)
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     options = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
         portfolio=args.portfolio or (),
-        memoize=not args.no_memo,
-        shards=args.shards,
         preflight=args.preflight,
     )
     if args.server:
@@ -635,12 +629,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             default_options=options,
         )
-        if args.shards > 1 and engine.workers <= 1:
-            print(
-                f"warning: --shards {args.shards} needs a worker pool "
-                f"(resolved workers: {engine.workers}); running unsharded",
-                file=sys.stderr,
-            )
         submitted = {}
         for job in jobs:
             opts = (
@@ -757,15 +745,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import ReproServer, SynthesisOptions
 
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     options = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
         portfolio=args.portfolio or (),
-        memoize=not args.no_memo,
-        shards=args.shards,
     )
     server = ReproServer(
         host=args.host,
@@ -824,7 +808,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             f"({entry['throughput_jobs_per_s']:.1f} jobs/s), "
             f"p50 {entry['latency_p50_s'] * 1000:.1f}ms "
             f"p99 {entry['latency_p99_s'] * 1000:.1f}ms, "
-            f"memo hit rate {entry['memo']['hit_rate']:.2f}",
+            f"plan-cache hit rate {entry['plan_cache']['hit_rate']:.2f}",
             file=sys.stderr,
         )
     if args.out:
@@ -998,29 +982,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_OK if comparison.ok else EXIT_FAILURE
     if not args.suite:
         raise ReproError("bench needs --suite NAME (or --compare BASELINE CURRENT)")
-    if args.shards < 1:
-        raise ParseError(f"--shards must be >= 1, got {args.shards}")
     if args.suite == "churn":
         # the churn suite is a two-pass delta benchmark with its own
         # (always serial) runner and a self-gated speedup target
         from repro.bench.churn import format_churn_summary, run_churn_suite
 
-        for flag, name in (
-            (bool(args.workers), "--workers"),
-            (args.shards > 1, "--shards"),
-        ):
-            if flag:
-                print(
-                    f"warning: {name} is ignored for the churn suite "
-                    "(both passes run serially for fair timing)",
-                    file=sys.stderr,
-                )
+        if args.workers:
+            print(
+                "warning: --workers is ignored for the churn suite "
+                "(both passes run serially for fair timing)",
+                file=sys.stderr,
+            )
         document = run_churn_suite(
             quick=args.quick,
             base_seed=args.seed,
             timeout=args.timeout,
             checker=args.checker,
-            memoize=not args.no_memo,
         )
         out_path = args.out or "BENCH_churn.json"
         write_bench(document, out_path)
@@ -1039,8 +1016,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         workers=0 if args.serial else args.workers,
         timeout=args.timeout,
         checker=args.checker,
-        memoize=not args.no_memo,
-        shards=args.shards,
     )
     out_path = args.out or f"BENCH_{args.suite}.json"
     write_bench(document, out_path)
@@ -1128,7 +1103,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         args.suite,
         quick=args.quick,
         base_seed=args.seed,
-        memoize=not args.no_memo,
         timeout=args.timeout,
     )
     out_path = args.out or f"PROFILE_{args.suite}.json"
@@ -1211,10 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--portfolio", default=None, metavar="B1,B2",
                          type=_portfolio_arg,
                          help="default backend portfolio raced per job")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="default search-shard count per job")
-    p_serve.add_argument("--no-memo", action="store_true",
-                         help="disable the cross-candidate verdict memo")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
     p_serve.add_argument("--verbose", action="store_true",
@@ -1231,15 +1201,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadtest.add_argument("--clients", type=int, default=8,
                             help="concurrent synthetic clients (default 8)")
     p_loadtest.add_argument("--rounds", type=int, default=2,
-                            help="passes over the corpus (default 2; round "
-                                 "2+ measures warm-memo behaviour)")
+                            help="passes over the corpus (default 2)")
     p_loadtest.add_argument("--server", default=None, metavar="URL",
                             help="target a running server (default: self-host "
                                  "one for the duration of the run)")
     p_loadtest.add_argument("--use-plan-cache", action="store_true",
                             help="let repeat rounds hit the plan cache "
                                  "(default: bypass it so every round "
-                                 "re-synthesizes against the warm memo)")
+                                 "re-synthesizes)")
     p_loadtest.add_argument("--full", action="store_true",
                             help="use the suite's full sizes instead of the "
                                  "scaled-down quick ones")
@@ -1301,14 +1270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--portfolio", default=None, metavar="B1,B2",
                          type=_portfolio_arg,
                          help="race these comma-separated checker backends per job")
-    p_batch.add_argument("--shards", type=int, default=1,
-                         help="split each job's order search space into N "
-                              "disjoint slices raced on the worker pool "
-                              "(default 1: unsharded; needs --workers >= 2)")
     p_batch.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
-    p_batch.add_argument("--no-memo", action="store_true",
-                         help="disable the cross-candidate verdict memo")
     p_batch.add_argument("--preflight", action="store_true",
                          help="statically fast-fail provably-infeasible jobs "
                               "before search (repro.analysis; verdict-preserving)")
@@ -1430,12 +1393,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="regression factor for --compare (default 2.0)")
     p_bench.add_argument("--min-seconds", type=float, default=0.02,
                          help="noise floor for --compare timings (default 0.02)")
-    p_bench.add_argument("--no-memo", action="store_true",
-                         help="disable the cross-candidate verdict memo "
-                              "(for memo A/B comparisons)")
-    p_bench.add_argument("--shards", type=int, default=1,
-                         help="race each scenario's search across N shards "
-                              "(default 1; needs --workers >= 2)")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the document/comparison as JSON to stdout")
     p_bench.add_argument("--history", default=None, metavar="PATH",
@@ -1510,8 +1467,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="base seed for scenario generation (default 0)")
     p_profile.add_argument("--timeout", type=float, default=120.0,
                            help="per-scenario timeout in seconds (default 120)")
-    p_profile.add_argument("--no-memo", action="store_true",
-                           help="profile with the verdict memo disabled")
     p_profile.add_argument("--out", default=None,
                            help="output path (default PROFILE_<suite>.json)")
     p_profile.add_argument("--json", action="store_true",

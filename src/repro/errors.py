@@ -52,15 +52,6 @@ class UpdateInfeasibleError(ReproError):
         self.reason = reason
 
 
-class MemoMergeError(ReproError):
-    """Raised when merging verdict-memo deltas finds conflicting verdicts.
-
-    Verdicts are pure functions of the reached-state key, so two processes
-    disagreeing on one key means a fingerprint collision or a checker bug —
-    the merge refuses rather than silently keeping either side.
-    """
-
-
 class SynthesisTimeout(ReproError):
     """Raised when synthesis exceeds its time budget."""
 

@@ -75,7 +75,7 @@ class KState:
 
     def __hash__(self) -> int:
         # states are hashed millions of times as dict keys across the label
-        # maps, pred sets, and memo keys; cache the (immutable) hash
+        # maps and pred sets; cache the (immutable) hash
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.kind, self.node, self.port, self.tc))
@@ -83,8 +83,7 @@ class KState:
         return h
 
     def __getstate__(self):
-        # drop the cached hash: it is salt-specific to this process, and
-        # memo traces carry states across the worker-pool boundary
+        # drop the cached hash: it is salt-specific to this process
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

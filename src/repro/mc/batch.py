@@ -32,9 +32,6 @@ class BatchChecker:
         self.relabel_count = 0
         self.check_count = 0
 
-    def note_states(self, states: Sequence[KState]) -> None:
-        """No-op memo hook: batch mode keeps no state between queries."""
-
     def full_check(self) -> CheckResult:
         labels: Dict[KState, Label] = {}
         for state in sorted(self.structure.states(), key=self.structure.rank):

@@ -9,9 +9,10 @@ relabeled after its successors, and propagation stops as soon as a label is
 unchanged — the early-cutoff that gives the paper its speedups.
 
 Paper mapping: §5.2 (incremental relabeling) over the labeling engine of
-§5.1; this is the default backend the §4.1 search drives, and the one the
-cross-candidate verdict memo (:mod:`repro.perf`) instruments via
-:meth:`IncrementalChecker.note_states`.
+§5.1; this is the default backend the §4.1 search drives.  A checker that
+has labeled its whole structure also outlives its search: the batch service
+hands a verified final structure to the next delta job on the same stream
+(:class:`~repro.synthesis.search.Handover`).
 """
 
 from __future__ import annotations
@@ -87,19 +88,6 @@ class IncrementalChecker:
                     if pred != state:
                         push(pred)
         return self._verdict()
-
-    def note_states(self, states: Sequence[KState]) -> None:
-        """Label ``states`` (and their successors) without a verdict.
-
-        Hook for the verdict memo's pruning path: when a candidate update is
-        refuted by a memoized verdict and immediately reverted, no relabel
-        cascade or verdict is needed — the structure is back in the state
-        the labels describe — but states *created* during the probe must
-        still get labels so later relabel cascades never meet an unlabeled
-        successor.  Already-labeled states are skipped in O(1).
-        """
-        for state in states:
-            self._ensure_labeled_down(state)
 
     def _ensure_labeled_down(self, state: KState) -> None:
         """Label ``state``'s (transitive) successors that have no label yet.

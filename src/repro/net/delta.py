@@ -14,9 +14,8 @@ against a retained base :class:`~repro.net.serialize.Problem`
   recompute;
 * table edits go through
   :meth:`~repro.net.config.Configuration.with_table`, which shares every
-  untouched :class:`~repro.net.rules.Table` by reference, so the content
-  hashes the reached-state fingerprints (:mod:`repro.perf.fingerprint`)
-  cache on those tables stay warm;
+  untouched :class:`~repro.net.rules.Table` by reference, so the hashes and
+  canonical encodings cached on those tables stay warm;
 * ingress and spec edits replace only the named pieces.
 
 The resulting problem is an ordinary full problem — downstream layers
@@ -143,11 +142,13 @@ class ProblemPatch:
         )
 
     def touches_scope(self) -> bool:
-        """True when the patch changes the verdict-memo scope.
+        """True when the patch edits a link, an ingress or the spec.
 
-        The scope fingerprint covers topology, traffic classes/ingresses,
-        and the spec — a patch that only swaps rules leaves the scope (and
-        hence the retained memo) fully reusable.
+        Only a patch that swaps rules and nothing else lets a delta job
+        start its search from its base's verified final structure (see
+        :meth:`repro.service.engine.SynthesisService._handover`): the
+        structure's states and transitions depend on the topology and the
+        ingresses, and its labels on the spec.
         """
         return bool(
             self.links_add

@@ -45,8 +45,7 @@ class TrafficClass:
         return h
 
     def __getstate__(self):
-        # drop the cached hash: salted str hashes differ between processes,
-        # and classes ride inside pickled memo keys and traces
+        # drop the cached hash: salted str hashes differ between processes
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

@@ -159,7 +159,7 @@ class Table:
         return self._rules == other._rules
 
     def __hash__(self) -> int:
-        # tables key the reached-state memo and the wait-removal edge cache;
+        # tables key the wait-removal edge cache;
         # the rule tuple never changes, so hash once
         if self._hash is None:
             self._hash = hash(self._rules)

@@ -239,15 +239,10 @@ def plan_to_dict(plan: UpdatePlan) -> Dict[str, Any]:
             "waits_after_removal": plan.stats.waits_after_removal,
             "wait_removal_seconds": plan.stats.wait_removal_seconds,
             "synthesis_seconds": plan.stats.synthesis_seconds,
-            "memo_probes": plan.stats.memo_probes,
-            "memo_hits": plan.stats.memo_hits,
-            "memo_pruned": plan.stats.memo_pruned,
-            "shards": plan.stats.shards,
             "warm_units": plan.stats.warm_units,
             "warm_hits": plan.stats.warm_hits,
             "labeling_seconds": plan.stats.labeling_seconds,
             "sat_seconds": plan.stats.sat_seconds,
-            "memo_seconds": plan.stats.memo_seconds,
         },
     }
 
@@ -326,13 +321,8 @@ def plan_from_dict(
     plan.stats.waits_after_removal = int(stats.get("waits_after_removal", 0))
     plan.stats.wait_removal_seconds = float(stats.get("wait_removal_seconds", 0.0))
     plan.stats.synthesis_seconds = float(stats.get("synthesis_seconds", 0.0))
-    plan.stats.memo_probes = int(stats.get("memo_probes", 0))
-    plan.stats.memo_hits = int(stats.get("memo_hits", 0))
-    plan.stats.memo_pruned = int(stats.get("memo_pruned", 0))
-    plan.stats.shards = int(stats.get("shards", 0))
     plan.stats.warm_units = int(stats.get("warm_units", 0))
     plan.stats.warm_hits = int(stats.get("warm_hits", 0))
     plan.stats.labeling_seconds = float(stats.get("labeling_seconds", 0.0))
     plan.stats.sat_seconds = float(stats.get("sat_seconds", 0.0))
-    plan.stats.memo_seconds = float(stats.get("memo_seconds", 0.0))
     return plan

@@ -8,7 +8,7 @@ perf trajectory into a first-class, self-checking artifact:
   ``repro-bench-history/1`` JSONL line (UTC time, git SHA, hostname,
   suite, options, full document);
 * :mod:`.report` — ``repro report`` renders trend tables (per-scenario
-  seconds, memo/plan-cache hit rates, per-family scaling) plus a
+  seconds, plan-cache hit rates, per-family scaling) plus a
   regression summary against a chosen anchor run, exiting non-zero past
   the noise floor;
 * :mod:`.judge` — ``repro judge`` replays a suite across checker

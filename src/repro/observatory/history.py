@@ -32,7 +32,7 @@ from repro.errors import ParseError, ReproError
 HISTORY_SCHEMA = "repro-bench-history/1"
 
 #: BENCH option fields lifted into each line's ``options`` block
-_OPTION_FIELDS = ("checker", "workers", "memoize", "shards")
+_OPTION_FIELDS = ("checker", "workers")
 
 
 def history_line(document: Dict[str, Any]) -> Dict[str, Any]:

@@ -64,7 +64,7 @@ def _execute_one(
 ) -> Dict[str, Any]:
     """One scenario on one backend, solo and cold: the judge's testimony.
 
-    Runs the synthesizer directly (no service, no memo pool, no plan
+    Runs the synthesizer directly (no service, no plan
     cache) so every backend faces the identical cold search and the
     timings are comparable.  Module-level on purpose: the disagreement
     tests monkeypatch this to inject a lying backend.

@@ -4,8 +4,7 @@ Reads a ``repro-bench-history/1`` trajectory (:mod:`.history`) and builds
 a ``repro-report/1`` document:
 
 * **runs** — one row per recorded run: provenance, status counts,
-  wall/busy seconds, plan-cache and verdict-memo hit rates (the service
-  efficiency gauges the bench embeds);
+  wall/busy seconds and the plan-cache hit rate;
 * **trends** — per-scenario seconds across runs, and per-family scaling
   (busy seconds / model checks / mean seconds per scenario per run);
 * **regressions** — :func:`repro.bench.runner.compare_runs` between a
@@ -58,8 +57,6 @@ def _run_row(index: int, entry: Dict[str, Any]) -> Dict[str, Any]:
     bench = entry["bench"]
     totals = bench.get("totals", {})
     rows = bench.get("scenarios", [])
-    memo_probes = sum(row.get("memo_probes", 0) for row in rows)
-    memo_hits = sum(row.get("memo_hits", 0) for row in rows)
     scenarios = totals.get("scenarios", len(rows))
     return {
         "index": index,
@@ -77,9 +74,6 @@ def _run_row(index: int, entry: Dict[str, Any]) -> Dict[str, Any]:
         "model_checks": totals.get("model_checks"),
         "cache_hit_rate": round(
             totals.get("cache_hits", 0) / scenarios if scenarios else 0.0, 4
-        ),
-        "memo_hit_rate": round(
-            memo_hits / memo_probes if memo_probes else 0.0, 4
         ),
     }
 
@@ -232,7 +226,7 @@ def format_report(document: Dict[str, Any], *, slowest: int = 8) -> str:
         f"bench history: {len(runs)} run(s) of suite "
         f"{document.get('suite')!r} (schema {document.get('schema')})",
         "  run  recorded             git        scen  busy_s    wall_s"
-        "    cache  memo   statuses",
+        "    cache  statuses",
     ]
     for run in runs:
         mark = (
@@ -242,8 +236,7 @@ def format_report(document: Dict[str, Any], *, slowest: int = 8) -> str:
             f"  {mark}{run['index']:>2}  {str(run['recorded_at'] or '-'):<20} "
             f"{_short_sha(run['git_sha']):<9}  {run['scenarios']:>4}  "
             f"{run['busy_seconds'] or 0.0:>7.3f}  {run['wall_seconds'] or 0.0:>7.3f}"
-            f"  {run['cache_hit_rate']:>5.2f}  {run['memo_hit_rate']:>5.2f}"
-            f"   {run['statuses']}"
+            f"  {run['cache_hit_rate']:>5.2f}  {run['statuses']}"
         )
 
     families = document["trends"]["families"]

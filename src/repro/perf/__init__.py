@@ -1,46 +1,9 @@
-"""Cross-candidate performance layer: verdict memoization and profiling.
+"""Profiling: the ``repro profile`` harness.
 
-The synthesis search explores many *closely related* configurations — sibling
-branches of the same search tree, and (through the batch service) sibling
-jobs on the same topology.  This package makes that relatedness pay:
+* :mod:`repro.perf.profile` — per-phase wall time attribution (labeling,
+  SAT ordering, wait removal) emitted as a schema-versioned
+  ``PROFILE_<suite>.json``.
 
-* :mod:`repro.perf.fingerprint` — content-addressed fingerprints of the
-  *reached* network state, extending the canonicalization rules of
-  :mod:`repro.service.fingerprint` from whole problems down to individual
-  intermediate configurations;
-* :mod:`repro.perf.memo` — the verdict memo: model-checker verdicts keyed by
-  reached-state fingerprint, plus dominance pruning that re-applies stored
-  counterexample traces to skip provably-refuted candidates without a
-  model-checker call;
-* :mod:`repro.perf.profile` — the ``repro profile`` harness: per-phase wall
-  time attribution (labeling, SAT ordering, wait removal, memo probes)
-  emitted as a schema-versioned ``PROFILE_<suite>.json``.
-
-See ``docs/ARCHITECTURE.md`` for where this layer sits in the stack.
+:mod:`repro.perf.memo` is an empty placeholder kept for an import in
+``perfbench/tracing.py``.
 """
-
-from repro.perf.fingerprint import (
-    config_fingerprint,
-    reached_state_key,
-    scope_fingerprint,
-    table_fingerprint,
-)
-from repro.perf.memo import (
-    MemoDelta,
-    MemoSnapshot,
-    MemoStats,
-    SharedVerdictMemo,
-    VerdictMemo,
-)
-
-__all__ = [
-    "MemoDelta",
-    "MemoSnapshot",
-    "MemoStats",
-    "SharedVerdictMemo",
-    "VerdictMemo",
-    "config_fingerprint",
-    "reached_state_key",
-    "scope_fingerprint",
-    "table_fingerprint",
-]

@@ -7,7 +7,6 @@ search instruments in :class:`~repro.synthesis.plan.SearchStats`:
 * ``labeling`` — model-checker work (full checks + incremental relabels);
 * ``sat_ordering`` — the §4.2.B early-termination SAT solver;
 * ``wait_removal`` — the §4.2.C post-pass;
-* ``memo_probes`` — verdict-memo key building, lookups, and trace replay;
 * ``other`` — everything else (Kripke construction, search bookkeeping).
 
 The result is a schema-versioned ``PROFILE_<suite>.json`` written next to
@@ -24,15 +23,14 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError, SynthesisTimeout, UpdateInfeasibleError
-from repro.perf.memo import SharedVerdictMemo
 from repro.scenarios import generate_corpus
 from repro.synthesis import UpdateSynthesizer
 from repro.synthesis.plan import SearchStats
 
 #: bump on any incompatible change to the PROFILE document layout
-PROFILE_SCHEMA = "repro-profile/1"
+PROFILE_SCHEMA = "repro-profile/2"
 
-PHASES = ("labeling", "sat_ordering", "wait_removal", "memo_probes", "other")
+PHASES = ("labeling", "sat_ordering", "wait_removal", "other")
 
 
 def _phases_of(stats: SearchStats, wall: float) -> Dict[str, float]:
@@ -40,13 +38,11 @@ def _phases_of(stats: SearchStats, wall: float) -> Dict[str, float]:
         stats.labeling_seconds
         + stats.sat_seconds
         + stats.wait_removal_seconds
-        + stats.memo_seconds
     )
     return {
         "labeling": round(stats.labeling_seconds, 6),
         "sat_ordering": round(stats.sat_seconds, 6),
         "wait_removal": round(stats.wait_removal_seconds, 6),
-        "memo_probes": round(stats.memo_seconds, 6),
         "other": round(max(wall - attributed, 0.0), 6),
     }
 
@@ -56,31 +52,22 @@ def run_profile(
     *,
     quick: bool = False,
     base_seed: int = 0,
-    memoize: bool = True,
     timeout: Optional[float] = 120.0,
 ) -> Dict[str, Any]:
     """Profile every scenario of ``suite``; return the PROFILE document.
 
     Scenarios run serially in-process (pool scheduling would perturb the
-    phase timings) and share one verdict-memo pool, mirroring the batch
-    service's serial path.
+    phase timings).
     """
     records = generate_corpus(suite, quick=quick, base_seed=base_seed)
     if not records:
         raise ReproError(f"suite {suite!r} produced no scenarios")
-    pool = SharedVerdictMemo() if memoize else None
     rows: List[Dict[str, Any]] = []
     totals = dict.fromkeys(PHASES, 0.0)
-    memo_counters = {"memo_probes": 0, "memo_hits": 0, "memo_pruned": 0}
     wall_total = 0.0
     for record in records:
         problem = record.problem
-        synth = UpdateSynthesizer(
-            problem.topology,
-            granularity=record.granularity,
-            memoize=memoize,
-            memo_pool=pool,
-        )
+        synth = UpdateSynthesizer(problem.topology, granularity=record.granularity)
         start = time.perf_counter()
         stats: Optional[SearchStats] = None
         try:
@@ -109,23 +96,15 @@ def run_profile(
         if stats is not None:
             row["phases"] = _phases_of(stats, wall)
             row["model_checks"] = stats.model_checks
-            # 0 = unsharded; the profile harness itself always runs serial
-            # in-process, so nonzero values only appear when profiling
-            # stats round-tripped from a sharded service run
-            row["shards"] = stats.shards
             for phase in PHASES:
                 totals[phase] += row["phases"][phase]
-            memo_counters["memo_probes"] += stats.memo_probes
-            memo_counters["memo_hits"] += stats.memo_hits
-            memo_counters["memo_pruned"] += stats.memo_pruned
         rows.append(row)
     rows.sort(key=lambda row: row["id"])
-    document = {
+    return {
         "schema": PROFILE_SCHEMA,
         "suite": suite,
         "quick": quick,
         "base_seed": base_seed,
-        "memoize": memoize,
         "env": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
@@ -136,13 +115,9 @@ def run_profile(
             "scenarios": len(rows),
             "wall_seconds": round(wall_total, 6),
             "phases": {phase: round(totals[phase], 6) for phase in PHASES},
-            **memo_counters,
         },
         "scenarios": rows,
     }
-    if pool is not None:
-        document["totals"]["memo_pool"] = pool.stats().as_dict()
-    return document
 
 
 def write_profile(document: Dict[str, Any], path: str) -> None:
@@ -158,15 +133,11 @@ def format_profile_summary(document: Dict[str, Any]) -> str:
     wall = totals.get("wall_seconds") or 0.0
     lines = [
         f"suite {document.get('suite')!r} (quick={document.get('quick')}, "
-        f"memoize={document.get('memoize')}, schema {document.get('schema')})",
+        f"schema {document.get('schema')})",
         f"  scenarios: {totals.get('scenarios')}  wall: {wall:.3f}s",
     ]
     for phase in PHASES:
         seconds = phases.get(phase, 0.0)
         share = (seconds / wall * 100.0) if wall else 0.0
         lines.append(f"  {phase:>12}: {seconds:8.3f}s  ({share:5.1f}%)")
-    lines.append(
-        f"  memo: {totals.get('memo_probes')} probes, "
-        f"{totals.get('memo_hits')} hits, {totals.get('memo_pruned')} pruned"
-    )
     return "\n".join(lines)

@@ -27,8 +27,8 @@ onto a shared service chain of ``enablers`` switches.
   warm-started search accepts every unit on the first try.
 
 Each step genuinely changes forwarding (a new wave, new chain rules), so
-neither the verdict memo nor dominance-trace replay lets the cold pass
-shortcut the refutations — the measured gap is the warm start's alone.
+the cold pass cannot shortcut the refutations — the measured gap is the
+warm start's alone.
 
 >>> traces = generate_churn(quick=True)
 >>> [len(t.records) - 1 for t in traces]  # delta steps per trace
@@ -155,7 +155,7 @@ def _fan_topology(
     topo.add_link(f"Z{enablers - 1:02d}", "Xtail")
     # a traffic-free stub pair whose link the flap variant churns; the
     # stubs never carry rules, so they are never search units and the
-    # flap stays pure topology noise (plus a fresh verdict-memo scope)
+    # flap stays pure topology noise
     topo.add_switch("D00")
     topo.add_switch("D01")
     if decoy_link:

@@ -298,7 +298,7 @@ class ReproClient:
         (or the client default) specified a full option set.
 
         A bare ``timeout=`` rides as a sparse ``{"timeout": ...}`` so the
-        server's other defaults (checker, shards, memo...) still apply.
+        server's other defaults (checker, granularity...) still apply.
         """
         if options is not None and options_data is not None:
             raise TypeError("pass either options or options_data, not both")

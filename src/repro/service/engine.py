@@ -40,20 +40,9 @@ In-process (serial) execution passes objects end to end: the job's
 Only the pool crosses a process boundary, so only the pool converts:
 problems and plans travel as JSON-safe dicts
 (:func:`~repro.net.serialize.problem_to_dict`,
-:func:`~repro.net.serialize.plan_to_dict`, :func:`_execute_payload`);
-verdict-memo snapshots and deltas (:class:`~repro.perf.memo.MemoSnapshot`)
-ride the same pickle channel as plain value objects.  Per-job timeouts are
-enforced cooperatively by the synthesizer's own deadline checks.
-
-Pool executions share the verdict memo through a snapshot/merge protocol:
-every dispatched payload carries a snapshot of its job's memo scope taken
-*at dispatch time*, the worker seeds a delta-tracking pool from it, and
-the learned delta returns with the result for the engine to merge — so
-later-scheduled jobs (and later-dispatched shards of one job) start from
-everything the service has already learned, across *independent*
-submissions, not just within one batch.  In the CDCL framing this is
-clause sharing between parallel solvers, with the memo and plan cache
-kept hot across requests instead of rebuilt per batch.
+:func:`~repro.net.serialize.plan_to_dict`, :func:`_execute_payload`).
+Per-job timeouts are enforced cooperatively by the synthesizer's own
+deadline checks.
 
 Streaming callers can submit **deltas** instead of full problems:
 :meth:`SynthesisService.submit_delta` resolves a
@@ -65,13 +54,6 @@ serial path a delta also starts from what its base's search verified:
 the base's label engine, and when the delta only moves rules on from the
 base's final configuration, the labeled final structure itself
 (:meth:`SynthesisService._handover`, :data:`START_RETENTION`).
-
-Hard jobs can additionally be *sharded*: ``SynthesisOptions.shards = N``
-splits the order search space into N disjoint slices
-(:class:`~repro.synthesis.search.SearchShard`) raced on the same pool —
-the first plan wins, and infeasibility needs every shard to exhaust its
-slice (endpoint violations and SAT proofs stay global and settle the race
-immediately).
 """
 
 from __future__ import annotations
@@ -80,7 +62,6 @@ import itertools
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import (
@@ -97,12 +78,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import (
-    MemoMergeError,
-    ReproError,
-    SynthesisTimeout,
-    UpdateInfeasibleError,
-)
+from repro.errors import ReproError, SynthesisTimeout, UpdateInfeasibleError
 from repro.analysis.problem import static_infeasibility
 from repro.mc.incremental import IncrementalChecker
 from repro.net.delta import ProblemPatch
@@ -115,12 +91,10 @@ from repro.net.serialize import (
     unit_order_from_wire,
     unit_order_to_wire,
 )
-from repro.perf.fingerprint import scope_fingerprint
-from repro.perf.memo import MemoSnapshot, SharedVerdictMemo
 from repro.service.cache import PlanCache
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.service.metrics import ServiceMetrics
-from repro.synthesis import SearchShard, UpdateSynthesizer
+from repro.synthesis import UpdateSynthesizer
 from repro.synthesis.search import Handover
 
 #: Statuses that settle a fingerprint group in portfolio mode: a plan, or a
@@ -154,7 +128,6 @@ def _execute_problem(
     problem: Problem,
     options_data: Mapping[str, Any],
     backend: str,
-    memo_pool: Optional[SharedVerdictMemo] = None,
     handover: Optional[Handover] = None,
 ) -> Dict[str, Any]:
     """Run one synthesis attempt on a live problem; never raises.
@@ -163,14 +136,9 @@ def _execute_problem(
     :class:`~repro.synthesis.plan.UpdatePlan` object under ``"plan"``;
     errors become ``status="error"``.  ``options_data`` is the
     :meth:`~repro.service.jobs.SynthesisOptions.identity_dict` form plus
-    ``timeout``, ``memoize``, and optionally ``warm_order`` (the delta
-    path's base-plan hint, which degrades to cold when stale) and
-    ``shards``/``shard_index``: shard counts above one restrict this
-    attempt to its :class:`~repro.synthesis.search.SearchShard` slice of
-    the order space, and an exhausted slice reports
-    ``infeasible_reason="shard"`` (not a global proof — the engine combines
-    the shards' verdicts).  ``memo_pool`` shares the verdict memo;
-    ``handover`` lends and collects labeled structures (see
+    ``timeout`` and optionally ``warm_order`` (the delta path's base-plan
+    hint, which degrades to cold when stale).  ``handover`` lends and
+    collects labeled structures (see
     :class:`~repro.synthesis.search.Handover`).
     """
     start = time.perf_counter()
@@ -185,14 +153,6 @@ def _execute_problem(
             use_reachability_heuristic=options_data.get(
                 "use_reachability_heuristic", True
             ),
-            memoize=options_data.get("memoize", True),
-            memo_pool=memo_pool,
-        )
-        shards = int(options_data.get("shards", 1) or 1)
-        shard = (
-            SearchShard(int(options_data.get("shard_index", 0)), shards)
-            if shards > 1
-            else None
         )
         plan = synth.synthesize(
             problem.init,
@@ -200,7 +160,6 @@ def _execute_problem(
             problem.spec,
             problem.ingresses,
             timeout=options_data.get("timeout"),
-            shard=shard,
             warm_order=options_data.get("warm_order"),
             handover=handover,
         )
@@ -225,7 +184,6 @@ def _execute_payload(
     problem_data: Dict[str, Any],
     options_data: Dict[str, Any],
     backend: str,
-    memo_snapshot: Optional[MemoSnapshot] = None,
 ) -> Dict[str, Any]:
     """The worker-process entry point: :func:`_execute_problem` on the
     JSON-safe dict forms; always returns a pickle-safe result dict.
@@ -235,14 +193,9 @@ def _execute_payload(
     ``warm_order`` in its wire form
     (:func:`~repro.net.serialize.unit_order_to_wire`), and a plan leaves as
     :func:`~repro.net.serialize.plan_to_dict`.  ``seconds`` covers the
-    conversions too.  A ``memo_snapshot`` of the job's memo scope seeds a
-    delta-tracking pool whose learned entries are returned under
-    ``"memo_delta"`` for the engine to merge back.
+    conversions too.
     """
     start = time.perf_counter()
-    delta_pool = None
-    if memo_snapshot is not None:
-        delta_pool = SharedVerdictMemo.from_snapshot(memo_snapshot, track_deltas=True)
     try:
         problem = problem_from_dict(problem_data)
         warm_order = options_data.get("warm_order")
@@ -255,12 +208,10 @@ def _execute_payload(
             "backend": backend,
         }
     else:
-        out = _execute_problem(problem, options_data, backend, delta_pool)
+        out = _execute_problem(problem, options_data, backend)
         if "plan" in out:
             out["plan"] = plan_to_dict(out["plan"])
     out["seconds"] = time.perf_counter() - start
-    if delta_pool is not None:
-        out["memo_delta"] = delta_pool.drain_deltas()
     return out
 
 
@@ -275,29 +226,6 @@ def _best_failure(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             if res["status"] == status:
                 return res
     return results[-1]
-
-
-def _conclude_shards(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """One backend's verdict once every shard of its task has reported.
-
-    The shards partition the order space, so all-shards-infeasible upgrades
-    to a *global* infeasibility proof.  Any timeout or error among them
-    means part of the space went unexplored — the most informative failure
-    wins instead (a shard's "my slice is exhausted" alone proves nothing).
-    For unsharded tasks (one result) this degrades to the old behavior.
-    """
-    if all(res["status"] == JobStatus.INFEASIBLE.value for res in results):
-        combined = dict(results[0])
-        if len(results) > 1:
-            combined["message"] = (
-                f"({len(results)} shards) every shard exhausted its slice: "
-                "no simple careful update sequence exists"
-            )
-            combined["infeasible_reason"] = "search"
-            # shards ran concurrently; the slowest bounds the wall time
-            combined["seconds"] = max(res.get("seconds", 0.0) for res in results)
-        return combined
-    return _best_failure(results)
 
 
 def default_worker_count() -> int:
@@ -344,12 +272,6 @@ class SynthesisService:
         self.cache = cache or PlanCache(cache_capacity, cache_dir)
         self.default_options = default_options or SynthesisOptions()
         self.metrics = metrics or ServiceMetrics()
-        # cross-job verdict memo: jobs on the same topology/ingresses/spec
-        # share refuted traces and verdicts.  The serial path probes it
-        # live; pool dispatches snapshot it per payload and merge the
-        # workers' learned deltas back (see the module docstring).
-        self.verdict_memo = SharedVerdictMemo()
-        self._memo_conflict_warned = False
         self._ids = itertools.count(1)
         # scheduler state, all guarded by the condition's lock.  The cv is
         # notified on every publication and queue append.
@@ -775,9 +697,6 @@ class SynthesisService:
         out = self.metrics.as_dict()
         out["cache"] = self.cache_stats()
         out["workers"] = self.workers
-        out["verdict_memo"] = dict(
-            self.verdict_memo.stats().as_dict(), scopes=len(self.verdict_memo)
-        )
         with self._cv:
             queue_depth = len(self._queue)
             in_flight = sum(
@@ -786,9 +705,7 @@ class SynthesisService:
                 if job.status is JobStatus.RUNNING
             )
         out["gauges"] = self.metrics.gauges_dict(
-            queue_depth=queue_depth,
-            in_flight=in_flight,
-            memo_scopes=len(self.verdict_memo),
+            queue_depth=queue_depth, in_flight=in_flight
         )
         return out
 
@@ -970,14 +887,11 @@ class SynthesisService:
     def _execute_groups(self, groups: Dict[_GroupKey, List[SynthesisJob]]) -> None:
         """Run one micro-batch of cache-miss groups and publish verdicts.
 
-        Task count includes shards: a single job with shards=4 is worth
-        spinning the pool up for (that is the point of shards).
+        One task is one (group, backend) pair; a single task runs in
+        process, since a pool cannot beat it.
         """
         with self.metrics.time_batch():
-            tasks = sum(
-                len(group[0].options.backends()) * max(1, group[0].options.shards)
-                for group in groups.values()
-            )
+            tasks = sum(len(group[0].options.backends()) for group in groups.values())
             runner = (
                 self._execute_serial
                 if self.workers <= 1 or tasks == 1
@@ -1026,48 +940,15 @@ class SynthesisService:
     def _group_payloads(
         job: SynthesisJob,
     ) -> List[Tuple[str, Dict[str, Any], Dict[str, Any]]]:
-        """(backend, problem_dict, options_dict) per portfolio entry × shard:
-        the worker pool's dispatch units."""
+        """(backend, problem_dict, options_dict) per portfolio entry: the
+        worker pool's dispatch units."""
         problem_data = problem_to_dict(job.problem)
-        shards = max(1, job.options.shards)
-        warm_wire = (
-            unit_order_to_wire(job.warm_order)
-            if job.warm_order is not None
-            else None
-        )
-        payloads = []
-        for backend in job.options.backends():
-            for index in range(shards):
-                options_data = dict(
-                    job.options.identity_dict(),
-                    timeout=job.options.timeout,
-                    memoize=job.options.memoize,
-                    shards=shards,
-                    shard_index=index,
-                )
-                if warm_wire is not None:
-                    options_data["warm_order"] = warm_wire
-                payloads.append((backend, problem_data, options_data))
-        return payloads
-
-    @staticmethod
-    def _group_scope(job: SynthesisJob) -> Optional[str]:
-        """The verdict-memo scope of a job, or ``None`` when memo-disabled."""
-        if not job.options.memoize:
-            return None
-        return scope_fingerprint(
-            job.problem.topology, job.problem.spec, job.problem.ingresses
-        )
-
-    def _warn_memo_conflict(self, err: MemoMergeError) -> None:
-        if self._memo_conflict_warned:
-            return
-        self._memo_conflict_warned = True
-        warnings.warn(
-            f"dropping a worker's verdict-memo delta: {err}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+        options_data = dict(job.options.identity_dict(), timeout=job.options.timeout)
+        if job.warm_order is not None:
+            options_data["warm_order"] = unit_order_to_wire(job.warm_order)
+        return [
+            (backend, problem_data, options_data) for backend in job.options.backends()
+        ]
 
     def _handover(self, job: SynthesisJob, backend: str) -> Handover:
         """What ``job``'s search may take over from its delta base's.
@@ -1103,9 +984,8 @@ class SynthesisService:
     def _execute_serial(
         self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
     ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """In-process execution on live objects, unsharded (racing slices
-        one after another could only lose to one unrestricted search);
-        portfolio backends are tried in order."""
+        """In-process execution on live objects; portfolio backends are
+        tried in order."""
         for key, group in groups.items():
             for job in group:  # every coalesced sibling is executing
                 job.status = JobStatus.RUNNING
@@ -1113,15 +993,12 @@ class SynthesisService:
             options_data = dict(
                 job.options.identity_dict(),
                 timeout=job.options.timeout,
-                memoize=job.options.memoize,
                 warm_order=job.warm_order,
             )
             attempts: List[Dict[str, Any]] = []
             for backend in job.options.backends():
                 handover = self._handover(job, backend)
-                res = _execute_problem(
-                    job.problem, options_data, backend, self.verdict_memo, handover
-                )
+                res = _execute_problem(job.problem, options_data, backend, handover)
                 if handover.final is not None:
                     self._retain_start(key[0], handover.final)
                 attempts.append(res)
@@ -1136,15 +1013,14 @@ class SynthesisService:
     def _execute_pool(
         self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
     ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """Worker-pool execution; backends (and shards) race concurrently.
+        """Worker-pool execution; portfolio backends race concurrently.
 
-        Payloads dispatch lazily — at most ``workers`` in flight — and each
-        dispatch snapshots its job's verdict-memo scope *at that moment*,
-        so a worker starts from everything the batch has learned so far.
-        Completed workers hand their learned delta back and it is merged
-        before the next dispatch.  If the pool breaks mid-batch (a worker
-        died hard), the remaining payloads degrade to inline in-process
-        execution: every job always settles.
+        Payloads dispatch lazily, at most ``workers`` in flight.  A group
+        settles on its first definitive verdict, which cancels its other
+        payloads, or on its most informative failure once every backend
+        has reported.  If the pool breaks mid-batch (a worker died hard),
+        the remaining groups degrade to inline in-process execution: every
+        job always settles.
         """
         try:
             executor = ProcessPoolExecutor(max_workers=self.workers)
@@ -1155,97 +1031,37 @@ class SynthesisService:
 
         queue: "Deque[Tuple[_GroupKey, str, Dict[str, Any], Dict[str, Any]]]" = deque()
         pending: "Dict[Future, Tuple[_GroupKey, str]]" = {}
-        # per (group, backend) shard accounting, per group backend verdicts
-        shard_results: "Dict[Tuple[_GroupKey, str], List[Dict[str, Any]]]" = {}
-        expected: "Dict[Tuple[_GroupKey, str], int]" = {}
         attempts: "Dict[_GroupKey, List[Dict[str, Any]]]" = {}
         outstanding: "Dict[_GroupKey, int]" = {}
-        decided: "Dict[_GroupKey, bool]" = {}
-        scope_of: "Dict[_GroupKey, Optional[str]]" = {}
+        decided: "Set[_GroupKey]" = set()
         pool_broken = False
 
         for key, group in groups.items():
             for job in group:  # every coalesced sibling is executing
                 job.status = JobStatus.RUNNING
             attempts[key] = []
-            decided[key] = False
-            scope_of[key] = self._group_scope(group[0])
             payloads = self._group_payloads(group[0])
             outstanding[key] = len(payloads)
             for backend, problem_data, options_data in payloads:
-                expected[key, backend] = expected.get((key, backend), 0) + 1
                 queue.append((key, backend, problem_data, options_data))
-
-        #: per-scope snapshot cache: exporting and pickling a scope is O(its
-        #: size), so reuse the snapshot until a merge actually changes the
-        #: pool (the only mutation point between dispatches on this path)
-        snapshots: "Dict[str, MemoSnapshot]" = {}
-        #: race-losing futures whose workers may still be running; their
-        #: learned deltas are harvested when they finish instead of dropped
-        zombies: "List[Future]" = []
-
-        def merge_delta(res: Dict[str, Any]) -> None:
-            snapshot = res.pop("memo_delta", None)
-            if snapshot is None:
-                return
-            try:
-                if self.verdict_memo.merge(snapshot):
-                    # only the touched scopes went stale; keep the rest warm
-                    for delta in snapshot.deltas:
-                        snapshots.pop(delta.scope, None)
-            except MemoMergeError as err:
-                self._warn_memo_conflict(err)
 
         def settle(
             key: _GroupKey, res: Dict[str, Any]
         ) -> Tuple[_GroupKey, Dict[str, Any]]:
-            decided[key] = True
-            for other in list(pending):
-                if pending[other][0] != key:
-                    continue
+            decided.add(key)
+            for other in [f for f, (owner, _) in pending.items() if owner == key]:
                 other.cancel()
-                pending.pop(other, None)
-                zombies.append(other)
+                del pending[other]
             return key, res
 
-        def harvest_zombies() -> None:
-            """Merge deltas of finished race losers (their work is real)."""
-            for future in list(zombies):
-                if future.cancelled():
-                    zombies.remove(future)
-                    continue
-                if not future.done():
-                    continue
-                zombies.remove(future)
-                try:
-                    res = future.result()
-                except Exception:  # noqa: BLE001 — broken worker
-                    continue
-                if isinstance(res, dict):
-                    merge_delta(res)
-
         def process(
-            key: _GroupKey, backend: str, res: Dict[str, Any]
+            key: _GroupKey, res: Dict[str, Any]
         ) -> Optional[Tuple[_GroupKey, Dict[str, Any]]]:
             """Feed one payload result; returns the group verdict if settled."""
-            merge_delta(res)
-            if decided[key]:
-                return None  # a sibling already won the race
-            outstanding[key] -= 1
-            results = shard_results.setdefault((key, backend), [])
-            results.append(res)
-            # a plan, or a global infeasibility proof, wins immediately; a
-            # shard-local "my slice is exhausted" must wait for its siblings
-            if (
-                res["status"] in _DEFINITIVE
-                and res.get("infeasible_reason") != "shard"
-            ):
+            if res["status"] in _DEFINITIVE:
                 return settle(key, res)
-            if len(results) == expected[key, backend]:
-                verdict = _conclude_shards(results)
-                if verdict["status"] in _DEFINITIVE:
-                    return settle(key, verdict)
-                attempts[key].append(verdict)
+            attempts[key].append(res)
+            outstanding[key] -= 1
             if outstanding[key] == 0:
                 return settle(key, _best_failure(attempts[key]))
             return None
@@ -1254,30 +1070,17 @@ class SynthesisService:
             """Submit queued payloads up to the worker count.
 
             Returns already-settled group verdicts when the pool broke: the
-            remaining groups each collapse onto *one* unsharded in-process
-            execution (racing slices sequentially could only lose time
-            against a single unrestricted search), so every job settles
-            even with a dead pool.
+            remaining groups each run in process instead, so every job
+            settles even with a dead pool.
             """
             nonlocal pool_broken
             while queue and not pool_broken and len(pending) < self.workers:
                 key, backend, problem_data, options_data = queue.popleft()
-                if decided[key]:
+                if key in decided:
                     continue  # the group settled while this payload queued
-                snapshot = None
-                scope = scope_of[key]
-                if scope is not None:
-                    snapshot = snapshots.get(scope)
-                    if snapshot is None:
-                        snapshot = self.verdict_memo.snapshot(scopes=(scope,))
-                        snapshots[scope] = snapshot
                 try:
                     future = executor.submit(
-                        _execute_payload,
-                        problem_data,
-                        options_data,
-                        backend,
-                        memo_snapshot=snapshot,
+                        _execute_payload, problem_data, options_data, backend
                     )
                 except Exception:  # noqa: BLE001 — BrokenProcessPool etc.
                     pool_broken = True
@@ -1286,10 +1089,9 @@ class SynthesisService:
                     pending[future] = (key, backend)
             inline: List[Tuple[_GroupKey, Dict[str, Any]]] = []
             if pool_broken and queue:
-                remaining = []
-                for key, _, _, _ in queue:
-                    if not decided[key] and key not in remaining:
-                        remaining.append(key)
+                remaining = list(dict.fromkeys(
+                    key for key, _, _, _ in queue if key not in decided
+                ))
                 queue.clear()
                 for key, res in self._execute_serial(
                     {key: groups[key] for key in remaining}
@@ -1316,14 +1118,9 @@ class SynthesisService:
                             "seconds": 0.0,
                             "backend": backend,
                         }
-                    ready.append(process(key, backend, res))
-                harvest_zombies()  # fresher deltas for the next dispatch
+                    ready.append(process(key, res))
                 ready.extend(dispatch())
                 yield from (verdict for verdict in ready if verdict is not None)
-            # shutdown blocks on uncancellable losers anyway — collect what
-            # they learned before the pool goes away
-            executor.shutdown(wait=True)
-            harvest_zombies()
 
     def _settle_group(
         self, group: List[SynthesisJob], payload: Dict[str, Any]

@@ -50,20 +50,10 @@ class SynthesisOptions:
     non-empty it supersedes ``checker`` and the first backend to produce a
     definitive verdict (a plan, or a proof of infeasibility) wins.
     ``timeout`` is a per-job budget in seconds; it is *not* part of the
-    cache identity (see :mod:`repro.service.fingerprint`).  ``memoize``
-    toggles the cross-candidate verdict memo (:mod:`repro.perf`); it is
-    also excluded from the identity because memoization is
-    verdict-preserving — the same plan is synthesized either way.
-    ``shards`` > 1 splits the order search space into that many disjoint
-    slices (:class:`~repro.synthesis.search.SearchShard`) raced on the
-    worker pool; it is likewise excluded from the identity — every shard's
-    plan is a correct plan for the same problem, so cached plans remain
-    interchangeable (which plan wins a race is not deterministic).
-    Sharding needs the pool: serial execution runs unsharded.
-    ``use_plan_cache`` gates the *plan cache* lookup (not the verdict
-    memo): load generators turn it off to force real synthesis on repeat
-    traffic.  Excluded from the identity for the same reason as
-    ``memoize`` — it changes how a plan is obtained, never which plan.
+    cache identity (see :mod:`repro.service.fingerprint`).
+    ``use_plan_cache`` gates the plan cache lookup: load generators turn it
+    off to force real synthesis on repeat traffic.  It is excluded from the
+    identity because it changes how a plan is obtained, never which plan.
     ``preflight`` runs the static problem linter
     (:func:`repro.analysis.static_infeasibility`) on cache-miss groups
     before scheduling any search: a statically-*proven* infeasible job
@@ -81,8 +71,6 @@ class SynthesisOptions:
     use_reachability_heuristic: bool = True
     timeout: Optional[float] = None
     portfolio: Tuple[str, ...] = ()
-    memoize: bool = True
-    shards: int = 1
     use_plan_cache: bool = True
     preflight: bool = False
 

@@ -4,20 +4,17 @@ Replays the scenario corpus against a running server (or a self-hosted
 one) from ``clients`` concurrent thin clients, for ``rounds`` passes over
 the same problems, and reports a ``repro-loadtest/1`` JSON document: per
 round, client-observed p50/p99 latency, throughput, and the *server-side*
-verdict-memo and plan-cache hit rates (measured as counter deltas on
-``/v1/metrics``).
+plan-cache hit rate (measured as counter deltas on ``/v1/metrics``).
 
 This is the throughput counterpart of the bench runner's
 ``BENCH_<suite>.json``: the bench measures one synthesis at a time, the
-loadtest measures the serving stack — coalescing, cache temperature, and
-the shared verdict memo under concurrent load.
+loadtest measures the serving stack — coalescing and cache temperature
+under concurrent load.
 
 By default the *plan cache is bypassed* (``use_plan_cache=False`` rides
 in every request): a load generator that lets round two answer entirely
 from the plan cache would measure dictionary lookups, not synthesis.
-With the cache bypassed, repeated rounds still re-run the search — but
-against a warm verdict memo, which the report's per-round memo hit
-rates make visible.
+With the cache bypassed, every round re-runs the search.
 
 Without ``--server`` the harness self-hosts: it starts an in-process
 :class:`~repro.service.server.ReproServer`, runs the load, and tears it
@@ -59,30 +56,17 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 def _counters(metrics: Dict[str, Any]) -> Dict[str, int]:
     """The cumulative server counters a round's deltas are computed from."""
-    memo = metrics.get("verdict_memo", {}) or {}
     cache = metrics.get("cache", {}) or {}
     return {
-        "memo_probes": int(memo.get("probes", 0)),
-        "memo_hits": int(memo.get("hits", 0)),
-        "memo_checks_skipped": int(memo.get("checks_skipped", 0)),
         "cache_lookups": int(cache.get("hits", 0)) + int(cache.get("misses", 0)),
         "cache_hits": int(cache.get("hits", 0)),
     }
 
 
 def _round_rates(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, Any]:
-    probes = after["memo_probes"] - before["memo_probes"]
-    hits = after["memo_hits"] - before["memo_hits"]
-    skipped = after["memo_checks_skipped"] - before["memo_checks_skipped"]
     lookups = after["cache_lookups"] - before["cache_lookups"]
     cache_hits = after["cache_hits"] - before["cache_hits"]
     return {
-        "memo": {
-            "probes": probes,
-            "hits": hits,
-            "checks_skipped": skipped,
-            "hit_rate": round(hits / probes, 4) if probes else 0.0,
-        },
         "plan_cache": {
             "lookups": lookups,
             "hits": cache_hits,

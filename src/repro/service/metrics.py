@@ -86,19 +86,17 @@ class ServiceMetrics:
         *,
         queue_depth: int = 0,
         in_flight: int = 0,
-        memo_scopes: int = 0,
     ) -> Dict[str, Any]:
         """Live point-in-time gauges for the HTTP ``/v1/metrics`` endpoint.
 
         Counters in :meth:`as_dict` are cumulative; these describe *now*:
-        jobs waiting for the scheduler, jobs currently executing, verdict-
-        memo scopes held hot, and how long the service has been up.  The
+        jobs waiting for the scheduler, jobs currently executing, and how
+        long the service has been up.  The
         caller (the service) supplies the scheduler-state readings.
         """
         return {
             "queue_depth": int(queue_depth),
             "in_flight": int(in_flight),
-            "memo_scopes": int(memo_scopes),
             "uptime_seconds": round(self.uptime_seconds, 3),
         }
 

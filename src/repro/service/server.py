@@ -5,8 +5,7 @@
 :class:`~http.server.ThreadingHTTPServer`.  Handler threads only parse
 documents (:mod:`repro.api`) and call the thread-safe service surface; all
 synthesis work stays on the scheduler thread and its worker pool, so the
-plan cache and the shared verdict memo stay hot across requests from
-independent clients.
+plan cache stays hot across requests from independent clients.
 
 Endpoints (see ``docs/ARCHITECTURE.md`` for the full table):
 

@@ -35,14 +35,6 @@ class SearchStats:
     waits_after_removal: int = 0
     wait_removal_seconds: float = 0.0
     synthesis_seconds: float = 0.0
-    # cross-candidate verdict memo (repro.perf): probe/hit counters and the
-    # number of candidate steps settled without a model-checker call
-    memo_probes: int = 0
-    memo_hits: int = 0
-    memo_pruned: int = 0
-    # intra-job search sharding: how many shards raced for this plan
-    # (0 = unsharded; set from SearchShard.total by the search)
-    shards: int = 0
     # delta warm start (repro.net.delta): length of the base plan's unit
     # order the search was seeded with, and how many candidate frames it
     # actually steered before the path left the warm prefix
@@ -52,24 +44,6 @@ class SearchStats:
     # the `repro profile` harness
     labeling_seconds: float = 0.0
     sat_seconds: float = 0.0
-    memo_seconds: float = 0.0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.model_checks += other.model_checks
-        self.counterexamples += other.counterexamples
-        self.pruned_visited += other.pruned_visited
-        self.pruned_wrong += other.pruned_wrong
-        self.loops_rejected += other.loops_rejected
-        self.backtracks += other.backtracks
-        self.memo_probes += other.memo_probes
-        self.memo_hits += other.memo_hits
-        self.memo_pruned += other.memo_pruned
-        self.shards = max(self.shards, other.shards)
-        self.warm_units = max(self.warm_units, other.warm_units)
-        self.warm_hits += other.warm_hits
-        self.labeling_seconds += other.labeling_seconds
-        self.sat_seconds += other.sat_seconds
-        self.memo_seconds += other.memo_seconds
 
 
 @dataclass

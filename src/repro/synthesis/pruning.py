@@ -1,8 +1,7 @@
 """Counterexample-based pruning (§4.2.A): the ``V`` and ``W`` formula sets.
 
 Paper mapping: §4.2.A (``makeFormula``, wrong-configuration learning) used
-by the §4.1 search; the cross-candidate memo (:mod:`repro.perf`) builds on
-the same soundness argument.
+by the §4.1 search.
 
 A *configuration key* identifies an intermediate configuration by the set of
 update units already applied (a unit is a switch at switch granularity, or a

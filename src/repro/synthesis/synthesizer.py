@@ -3,8 +3,7 @@
 :class:`UpdateSynthesizer` ties the pieces together: build the Kripke
 structure for the initial configuration, run
 :func:`~repro.synthesis.search.order_update` (§4.1) with the chosen checker
-backend, granularity, and cross-candidate verdict memo (:mod:`repro.perf`),
-then post-process with the wait-removal heuristic (§4.2.C).  This is the
+backend and granularity, then post-process with the wait-removal heuristic (§4.2.C).  This is the
 entry point examples, the batch service, and the benchmarks use::
 
     synth = UpdateSynthesizer(topology)
@@ -19,9 +18,8 @@ from repro.ltl.syntax import Formula
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
 from repro.net.topology import NodeId, Topology
-from repro.perf.memo import SharedVerdictMemo, VerdictMemo
 from repro.synthesis.plan import UpdatePlan
-from repro.synthesis.search import Handover, SearchShard, order_update
+from repro.synthesis.search import Handover, order_update
 from repro.synthesis.waits import remove_waits
 
 
@@ -37,14 +35,6 @@ class UpdateSynthesizer:
         use_counterexamples: learn wrong-configuration patterns (§4.2.A).
         use_early_termination: SAT-based infeasibility shortcut (§4.2.B).
         use_reachability_heuristic: try unreachable switches first.
-        memoize: enable the cross-candidate verdict memo (:mod:`repro.perf`).
-            Verdict-preserving — plans are identical either way; only the
-            amount of model-checking work changes.
-        memo_pool: an optional :class:`~repro.perf.memo.SharedVerdictMemo`
-            to share verdicts *across* synthesize calls that agree on
-            topology, ingresses, and specification (the batch service passes
-            its service-wide pool).  Without one, each synthesize call gets
-            a fresh private memo.
     """
 
     def __init__(
@@ -57,8 +47,6 @@ class UpdateSynthesizer:
         use_counterexamples: bool = True,
         use_early_termination: bool = True,
         use_reachability_heuristic: bool = True,
-        memoize: bool = True,
-        memo_pool: Optional[SharedVerdictMemo] = None,
     ):
         self.topology = topology
         self.checker = checker
@@ -67,19 +55,6 @@ class UpdateSynthesizer:
         self.use_counterexamples = use_counterexamples
         self.use_early_termination = use_early_termination
         self.use_reachability_heuristic = use_reachability_heuristic
-        self.memoize = memoize
-        self.memo_pool = memo_pool
-
-    def _memo_for(
-        self,
-        spec: Formula,
-        ingresses: Mapping[TrafficClass, Sequence[NodeId]],
-    ) -> Optional[VerdictMemo]:
-        if not self.memoize:
-            return None
-        if self.memo_pool is not None:
-            return self.memo_pool.memo_for(self.topology, spec, ingresses)
-        return VerdictMemo()
 
     def synthesize(
         self,
@@ -89,17 +64,12 @@ class UpdateSynthesizer:
         ingresses: Mapping[TrafficClass, Sequence[NodeId]],
         *,
         timeout: Optional[float] = None,
-        shard: Optional[SearchShard] = None,
         warm_order: Optional[Sequence] = None,
         handover: Optional[Handover] = None,
     ) -> UpdatePlan:
         """Synthesize a correct update plan, or raise
         :class:`~repro.errors.UpdateInfeasibleError` /
         :class:`~repro.errors.SynthesisTimeout`.
-
-        ``shard`` restricts the search to one slice of the order space (see
-        :class:`~repro.synthesis.search.SearchShard`); the batch service
-        races the slices on its worker pool.
 
         ``warm_order`` seeds the search with a previous plan's unit order
         (:meth:`~repro.synthesis.plan.UpdatePlan.unit_order`) — the delta
@@ -120,8 +90,6 @@ class UpdateSynthesizer:
             use_early_termination=self.use_early_termination,
             use_reachability_heuristic=self.use_reachability_heuristic,
             timeout=timeout,
-            memo=self._memo_for(spec, ingresses),
-            shard=shard,
             warm_order=warm_order,
             handover=handover,
         )

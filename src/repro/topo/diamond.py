@@ -17,9 +17,8 @@ updated.  The module provides:
   same two arcs: switch-granularity updates are provably impossible
   (Figure 8(h)) while rule-granularity updates succeed (Figure 8(i));
 * :func:`fan_diamond` — ``n`` per-class diamonds whose flips all wait on
-  one shared enabler, with naming adversarial to the search's tie-break:
-  the hard-search workload of the shard-racing benchmark
-  (``repro batch --shards N``).
+  one shared enabler, with naming adversarial to the search's tie-break
+  (a hard search without the reachability heuristic).
 """
 
 from __future__ import annotations
@@ -245,13 +244,8 @@ def fan_diamond(n: int) -> DiamondScenario:
 
     The naming is deliberately adversarial to the search's alphabetical
     tie-break (flips sort first, the enabler last): with the reachability
-    heuristic disabled, an unsharded search pays one refuted model check
-    per flip before it reaches ``Zall``, while a first-unit shard race
-    (``repro batch --shards N``) bounds that root-level waste at one slice
-    — only the shard owning ``Zall`` can finish, and it skips the other
-    slices' refutations entirely.  This is the workload of
-    ``benchmarks/bench_shard_scaling.py``.  With the heuristic on, the
-    cold enabler is tried first and the instance is easy — the point is a
+    heuristic disabled, the search pays one refuted model check per flip
+    before it reaches ``Zall``.  With the heuristic on, the cold enabler is tried first and the instance is easy — the point is a
     hard *search*, not a hard network.
     """
     if n < 2:

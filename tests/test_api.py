@@ -111,8 +111,6 @@ class TestOptionsRoundTrip:
             use_counterexamples=False,
             timeout=12.5,
             portfolio=("incremental", "symbolic"),
-            memoize=False,
-            shards=3,
             use_plan_cache=False,
         )
         assert options_from_dict(options_to_dict(options)) == options
@@ -134,6 +132,9 @@ class TestOptionsRoundTrip:
             {"memoize": "yes"},
             {"use_plan_cache": "no"},
             {"surprise": 1},
+            {"timeout": float("nan")},
+            {"timeout": float("inf")},
+            {"timeout": -1},
         ],
     )
     def test_rejects_bad_fields(self, bad):
@@ -148,7 +149,7 @@ class TestSynthesisRequest:
     def test_round_trip(self):
         request = SynthesisRequest(
             problem=fig1_problem(),
-            options=SynthesisOptions(timeout=5.0, shards=2),
+            options=SynthesisOptions(timeout=5.0, granularity="rule"),
             job_id="job-x",
         )
         data = request.to_dict()

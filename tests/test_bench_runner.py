@@ -14,6 +14,7 @@ from repro.bench.runner import (
 )
 from repro.cli import main
 from repro.errors import ReproError
+from repro.perf.profile import PROFILE_SCHEMA, run_profile
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +31,6 @@ class TestRunSuite:
         assert len(doc["corpus"]["families"]) >= 3
         assert len(doc["corpus"]["templates"]) >= 3
         assert doc["totals"]["expected_mismatches"] == []
-        # sharding config is part of the document identity (default: off)
-        assert doc["shards"] == 1
-        assert all("shards" not in row for row in doc["scenarios"])
 
     def test_rows_carry_perf_counters(self, smoke_document):
         rows = smoke_document["scenarios"]
@@ -59,39 +57,35 @@ class TestRunSuite:
         with pytest.raises(ReproError):
             load_bench(str(path))
 
-    def test_shards_require_a_pool(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="--shards"):
-            run_suite("smoke", quick=True, workers=0, shards=4)
-
     def test_unknown_suite_raises(self):
         with pytest.raises(ReproError):
             run_suite("no-such-suite")
 
 
-class TestMemoizeFlag:
-    def test_document_records_memoize_and_counters(self, smoke_document):
-        assert smoke_document["memoize"] is True
-        assert "memo_pruned" in smoke_document["totals"]
-        done_rows = [
-            r for r in smoke_document["scenarios"] if r["status"] == "done"
-        ]
-        assert all("memo_probes" in r for r in done_rows)
-        assert "verdict_memo" in smoke_document["service"]
+class TestProfileHarness:
+    def test_profile_document_schema_and_phases(self):
+        document = run_profile("smoke", quick=True)
+        assert document["schema"] == PROFILE_SCHEMA
+        totals = document["totals"]
+        assert totals["scenarios"] == len(document["scenarios"])
+        assert set(totals["phases"]) == {
+            "labeling",
+            "sat_ordering",
+            "wait_removal",
+            "other",
+        }
+        for row in document["scenarios"]:
+            assert row["status"] in ("done", "infeasible", "timeout")
+            if "phases" in row:
+                # attributed phases never exceed the measured wall time
+                attributed = sum(
+                    v for k, v in row["phases"].items() if k != "other"
+                )
+                assert attributed <= row["seconds"] + 1e-6
 
-    def test_memo_off_produces_identical_verdicts_and_plan_shapes(
-        self, smoke_document
-    ):
-        off = run_suite("smoke", quick=True, workers=0, timeout=60.0, memoize=False)
-        assert off["memoize"] is False
-        on_rows = {r["id"]: r for r in smoke_document["scenarios"]}
-        for row in off["scenarios"]:
-            base = on_rows[row["id"]]
-            assert row["status"] == base["status"], row["id"]
-            for field in ("plan_commands", "plan_updates", "plan_waits"):
-                assert row.get(field) == base.get(field), row["id"]
-            assert "memo_probes" not in row
+    def test_profile_unknown_suite(self):
+        with pytest.raises(ReproError):
+            run_profile("no-such-suite")
 
 
 class TestCompare:

@@ -241,10 +241,8 @@ class TestBoundedState:
         """Flip one fan back and forth 200 times: the retained state stays
         within its bound, as does the one engine's atom cache."""
         first = onboarding_fan_problems(2, 1, 2)[0]
-        # every step executes (no plan cache), and labels its final
-        # structure: with the verdict memo on, a reverted final's verdict is
-        # memoized, so nothing is labeled and the next step starts cold
-        options = SynthesisOptions(use_plan_cache=False, memoize=False)
+        # every step executes (no plan cache)
+        options = SynthesisOptions(use_plan_cache=False)
         service = SynthesisService(workers=0, default_options=options)
         try:
             job = service.submit(first, job_id="step000")

@@ -10,7 +10,7 @@ from test_server import fig1_problem
 class TestPlanCacheGate:
     def test_gate_is_not_identity(self):
         # bypassing the plan cache must not change what the job *is*:
-        # coalescing and the memo scope still key on the same fingerprint
+        # coalescing still keys on the same fingerprint
         on = SynthesisJob(
             job_id="a", problem=fig1_problem(),
             options=SynthesisOptions(use_plan_cache=True),
@@ -23,7 +23,7 @@ class TestPlanCacheGate:
 
 
 class TestLoadtest:
-    def test_report_schema_and_warm_memo(self):
+    def test_report_schema(self):
         report = run_loadtest(suite="smoke", clients=3, rounds=2, max_jobs=6)
         assert report["schema"] == LOADTEST_SCHEMA == "repro-loadtest/1"
         assert report["ok"], report["failures"]
@@ -35,14 +35,9 @@ class TestLoadtest:
                 "latency_p50_s",
                 "latency_p99_s",
                 "throughput_jobs_per_s",
-                "memo",
                 "plan_cache",
             ):
                 assert key in entry
-        cold, warm = report["rounds"]
-        # the repeated round re-synthesizes (plan cache bypassed) against
-        # the verdict memo the cold round filled
-        assert warm["memo"]["hit_rate"] > cold["memo"]["hit_rate"]
 
     def test_targets_a_running_server(self):
         with ReproServer(port=0, workers=0) as srv:

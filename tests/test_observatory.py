@@ -185,7 +185,6 @@ class TestBuildReport:
         run = document["runs"][0]
         assert run["scenarios"] == smoke_document["totals"]["scenarios"]
         assert 0.0 <= run["cache_hit_rate"] <= 1.0
-        assert 0.0 <= run["memo_hit_rate"] <= 1.0
         # one trend slot per run, for every scenario and family
         for series in document["trends"]["scenarios"].values():
             assert len(series["seconds"]) == 2

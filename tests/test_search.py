@@ -9,7 +9,7 @@ from repro.mc import make_checker
 from repro.net.commands import is_careful
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
-from repro.synthesis import SearchShard, order_update
+from repro.synthesis import order_update
 from repro.synthesis.pruning import WrongConfigs, make_formula
 from repro.topo import double_diamond, mini_datacenter, ring_diamond
 
@@ -170,82 +170,6 @@ class TestInfeasible:
             ks = KripkeStructure(sc.topology, config, sc.ingresses)
             assert make_checker("incremental", ks, sc.spec).full_check().ok
         assert config == sc.final
-
-
-class TestSearchShards:
-    def test_first_units_partition_the_unit_list(self):
-        units = ["u0", "u1", "u2", "u3", "u4"]
-        slices = [SearchShard(i, 3).first_units(units) for i in range(3)]
-        assert set().union(*slices) == set(units)
-        for i, left in enumerate(slices):
-            for right in slices[i + 1 :]:
-                assert not left & right
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            SearchShard(0, 0)
-        with pytest.raises(ValueError):
-            SearchShard(2, 2)
-        with pytest.raises(ValueError):
-            SearchShard(-1, 2)
-
-    def test_shard_union_covers_feasible_search(self):
-        """Racing all shards must find a plan: the winning first unit lives
-        in exactly one slice, the other slices report reason="shard"."""
-        topo, init, final = fig1()
-        spec = specs.reachability(TC, "H3")
-        total = 2
-        plans, exhausted = [], 0
-        for index in range(total):
-            try:
-                plan = order_update(
-                    topo, init, final, {TC: ["H1"]}, spec,
-                    shard=SearchShard(index, total),
-                )
-            except UpdateInfeasibleError as err:
-                assert err.reason == "shard"
-                exhausted += 1
-            else:
-                assert plan.stats.shards == total
-                assert_plan_valid(topo, init, final, {TC: ["H1"]}, spec, plan)
-                plans.append(plan)
-        assert plans  # at least one slice holds a viable first unit
-        assert len(plans) + exhausted == total
-
-    def test_sharded_exhaustion_is_not_a_global_proof(self):
-        """An infeasible instance splits into per-shard "slice exhausted"
-        verdicts (reason="shard"), never a claim about the whole space."""
-        sc = double_diamond(8, seed=1)
-        for index in range(2):
-            with pytest.raises(UpdateInfeasibleError) as err:
-                order_update(
-                    sc.topology, sc.init, sc.final, sc.ingresses, sc.spec,
-                    use_early_termination=False,
-                    shard=SearchShard(index, 2),
-                )
-            assert err.value.reason == "shard"
-
-    def test_endpoint_violation_stays_global_under_sharding(self):
-        """A violating final configuration refutes the whole problem, not
-        one slice: the reason must not degrade to "shard"."""
-        topo, init, final = fig1()
-        spec = specs.waypoint(TC, "C1", "H3")  # green final avoids C1
-        for index in range(2):
-            with pytest.raises(UpdateInfeasibleError) as err:
-                order_update(
-                    topo, init, final, {TC: ["H1"]}, spec,
-                    shard=SearchShard(index, 2),
-                )
-            assert err.value.reason != "shard"
-
-    def test_single_shard_total_behaves_unsharded(self):
-        topo, init, final = fig1()
-        spec = specs.reachability(TC, "H3")
-        sharded = order_update(
-            topo, init, final, {TC: ["H1"]}, spec, shard=SearchShard(0, 1)
-        )
-        plain = order_update(topo, init, final, {TC: ["H1"]}, spec)
-        assert plan_order(sharded) == plan_order(plain)
 
 
 class TestPruningUnits:

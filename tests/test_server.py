@@ -286,6 +286,19 @@ class TestProtocolErrors:
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"]["code"] == "parse"
 
+    def test_nan_timeout_is_400(self, server):
+        # Python's json reads NaN; a NaN budget must not run unbounded
+        from repro.api import SynthesisRequest
+
+        data = SynthesisRequest(problem=fig1_problem()).to_dict()
+        data["options"] = {"timeout": float("nan")}
+        body = json.dumps(data).encode()
+        assert b"NaN" in body
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server, body)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"]["code"] == "parse"
+
     def test_unknown_job_is_404_envelope(self, server):
         client = ReproClient(server.url)
         with pytest.raises(KeyError):
@@ -435,7 +448,7 @@ class TestProtocolErrors:
         health = client.healthz()
         assert health["ok"] is True and health["api"] == API_VERSION
         metrics = client.metrics_dict()
-        for gauge in ("queue_depth", "in_flight", "memo_scopes", "uptime_seconds"):
+        for gauge in ("queue_depth", "in_flight", "uptime_seconds"):
             assert gauge in metrics["gauges"]
         stats = client.cache_stats()
         assert "entries" in stats and "hits" in stats

@@ -188,6 +188,26 @@ class TestFingerprintIdentity:
         assert clone._json is None
         assert clone.canonical_json() == encoded
 
+    def test_pickling_strips_cached_hashes(self):
+        """Cached hashes are process-salt-specific; pickles must drop them
+        so the receiving process rehashes equal objects consistently."""
+        import pickle
+
+        from repro.kripke.structure import KripkeStructure
+
+        problem = fig1_problem()
+        table = problem.init.table("T1")
+        hash(table)  # populate the cache
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone._hash is None
+        assert clone == table and hash(clone) == hash(table)
+        structure = KripkeStructure(problem.topology, problem.init, problem.ingresses)
+        state = structure.initial_states[0]
+        hash(state)
+        state_clone = pickle.loads(pickle.dumps(state))
+        assert "_hash" not in state_clone.__dict__
+        assert state_clone == state and hash(state_clone) == hash(state)
+
 
 # ----------------------------------------------------------------------
 # plan (de)serialization
@@ -206,11 +226,11 @@ class TestPlanRoundTrip:
 
     def test_plan_roundtrip(self):
         plan = self.make_plan()
-        plan.stats.shards = 4
+        plan.stats.warm_units = 4
         clone = plan_from_dict(plan_to_dict(plan), {TC.name: TC})
         assert clone.granularity == "rule"
         assert clone.commands == plan.commands
-        assert clone.stats.shards == 4
+        assert clone.stats.warm_units == 4
 
     def test_unknown_class_falls_back_to_nameonly(self):
         data = command_to_dict(RuleGranUpdate("A1", TC, Table([])))
@@ -428,14 +448,10 @@ class TestServicePool:
         result = service.run()[0]
         assert result.status is JobStatus.INFEASIBLE
 
-    def test_pool_memo_sharing_matches_serial(self):
-        """Regression: pool-mode payloads must carry the service's verdict
-        memo — workers used to run memo-blind while the serial path shared.
-
-        A 2-job batch on one memo scope (same topology, ingresses, spec;
-        forward and reverse updates) must report the same plans and non-zero
-        memo hit counters whether it runs serially or on the pool.
-        """
+    def test_pool_plans_match_serial(self):
+        """A 2-job batch on one topology, ingress map and spec (forward
+        and reverse updates) must report the same plans whether it runs
+        serially or on the pool."""
         from repro.scenarios import generate_corpus
 
         records = generate_corpus("smoke", quick=True)
@@ -460,91 +476,11 @@ class TestServicePool:
             results = {r.job_id: r for r in service.stream()}
             for result in results.values():
                 assert result.status is JobStatus.DONE
-                assert result.plan.stats.memo_hits > 0, (
-                    f"workers={workers}: job ran memo-blind"
-                )
             plans[workers] = {
                 job_id: (result.plan.granularity, list(result.plan.commands))
                 for job_id, result in results.items()
             }
         assert plans[0] == plans[2]
-
-    def test_pool_merges_worker_deltas_into_service_memo(self):
-        """Workers return their learned memo delta; the engine folds it into
-        the service pool, so service-level counters see worker activity and
-        later-dispatched jobs inherit earlier jobs' verdicts."""
-        from repro.scenarios import generate_corpus
-
-        records = generate_corpus("smoke", quick=True)
-        record = next(
-            r for r in records if r.scenario_id == "diamond/chained2x2/chain/baseline"
-        )
-        forward = record.problem
-        reverse = Problem(
-            topology=forward.topology,
-            ingresses=forward.ingresses,
-            init=forward.final,
-            final=forward.init,
-            spec=forward.spec,
-            spec_text=forward.spec_text,
-        )
-        service = SynthesisService(workers=2)
-        opts = SynthesisOptions(granularity=record.granularity)
-        service.submit(forward, job_id="fwd", options=opts)
-        service.submit(reverse, job_id="rev", options=opts)
-        # same problem under a different budget: a third group on the same
-        # memo scope, dispatched after a slot frees up — it starts from the
-        # merged deltas of whichever sibling finished first
-        service.submit(forward, job_id="warm", options=opts, timeout=120.0)
-        results = {r.job_id: r for r in service.stream()}
-        assert all(r.status is JobStatus.DONE for r in results.values())
-        memo = service.metrics_dict()["verdict_memo"]
-        assert memo["merged"] > 0, "no worker delta reached the service pool"
-        assert memo["hits"] > 0
-        assert memo["scopes"] == 1
-
-
-class TestServiceShards:
-    def test_sharded_job_finds_a_valid_plan(self):
-        service = SynthesisService(workers=2)
-        service.submit(
-            scenario_problem(ring_diamond(8, seed=2)),
-            job_id="hard",
-            options=SynthesisOptions(shards=4),
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 4
-        assert result.plan.num_updates() > 0
-
-    def test_single_sharded_job_uses_the_pool(self):
-        # one job, one backend, shards=4 → 4 tasks: worth spinning up the
-        # pool even though there is only one job (the point of sharding)
-        service = SynthesisService(workers=2)
-        service.submit(
-            fig1_problem(), options=SynthesisOptions(shards=4)
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 4
-
-    def test_all_shards_exhausted_is_global_infeasibility(self):
-        service = SynthesisService(workers=2)
-        service.submit(
-            scenario_problem(double_diamond(8, seed=1)),
-            job_id="impossible",
-            options=SynthesisOptions(shards=3, use_early_termination=False),
-        )
-        result = service.run()[0]
-        assert result.status is JobStatus.INFEASIBLE
-        assert "shard" in result.message
-
-    def test_serial_path_ignores_sharding(self):
-        service = SynthesisService(workers=0)
-        service.submit(fig1_problem(), options=SynthesisOptions(shards=4))
-        result = service.run()[0]
-        assert result.status is JobStatus.DONE
-        assert result.plan.stats.shards == 0  # ran unsharded
 
 
 class TestServicePoolFailures:
@@ -729,7 +665,6 @@ class TestContinuousScheduler:
         gauges = metrics["gauges"]
         assert gauges["queue_depth"] == 0
         assert gauges["in_flight"] == 0
-        assert gauges["memo_scopes"] == 1
         assert gauges["uptime_seconds"] >= 0.0
         json.dumps(metrics)  # the whole document must be JSON-safe
 
@@ -941,26 +876,6 @@ class TestBatchCli:
         with pytest.raises(SystemExit):
             main(["batch", path, "--portfolio", "increnemtal"])
         assert "unknown backend" in capsys.readouterr().err
-
-    def test_batch_shards_flag(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--workers", "2", "--shards", "2"]) == 0
-        entry = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert entry["status"] == "done"
-        assert entry["plan"]["stats"]["shards"] == 2
-
-    def test_batch_rejects_bad_shards(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--shards", "0"]) == 4
-        assert "--shards" in capsys.readouterr().err
-
-    def test_batch_serial_shards_warns(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--serial", "--shards", "2",
-                     "--no-plans"]) == 0
-        captured = capsys.readouterr()
-        assert "running unsharded" in captured.err
-        assert json.loads(captured.out.splitlines()[0])["status"] == "done"
 
     def test_batch_portfolio_accepts_spaces(self, tmp_path, capsys):
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])

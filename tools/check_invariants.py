@@ -40,7 +40,6 @@ SRC = REPO / "src"
 
 #: modules whose outputs must be stable across processes (rule 1)
 WIRE_MODULES = (
-    "src/repro/perf/fingerprint.py",
     "src/repro/service/fingerprint.py",
     "src/repro/api/schema.py",
     "src/repro/scenarios/corpus.py",

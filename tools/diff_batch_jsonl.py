@@ -11,8 +11,8 @@ between runs are normalized away before comparison:
 * ``seconds`` / ``cached`` / ``backend`` — timing, cache temperature and
   portfolio-race winners are run-specific;
 * ``message`` — may carry coalescing attribution ("coalesced with ...");
-* plan ``stats`` — search counters vary with verdict-memo temperature and
-  scheduling order; the plan's *content* (granularity + command sequence)
+* plan ``stats`` — timings and search counters vary with scheduling order
+  and warm starts; the plan's *content* (granularity + command sequence)
   is what must match.
 
 Exit status: 0 when equivalent, 1 on any mismatch (differences printed).

@@ -45,3 +45,27 @@ def test_fig8g_scaling(once):
     for row in by_prop["reachability"]:
         assert row.waits_after <= 2
     assert waits["removed_fraction"] > 0.8
+
+
+def test_fig8g_paper_scale_reachability(once):
+    """Reachability at the paper's scale: ring_diamond(1024) updates 1,023
+    switches, about the paper's 1,015.  The search never backtracks or
+    meets a counterexample, so it checks each update once, plus the
+    initial and final configurations."""
+    rows = once(
+        experiments.fig8g_scaling, sizes=(1024, 2048), props=("reachability",)
+    )
+    print()
+    print(
+        format_table(
+            "Fig 8(g) reachability at paper scale (incremental backend)",
+            ["switches", "updates", "model checks", "seconds", "waits kept"],
+            [
+                (r.switches, r.updates, r.model_checks, r.seconds, r.waits_after)
+                for r in rows
+            ],
+        )
+    )
+    for row in rows:
+        assert row.model_checks == row.updates + 2
+        assert row.waits_after <= 2

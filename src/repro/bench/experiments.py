@@ -246,6 +246,7 @@ class ScalingRow:
     waits_before: int = 0
     waits_after: int = 0
     wait_seconds: float = 0.0
+    model_checks: int = 0
 
 
 def fig8g_scaling(
@@ -278,6 +279,7 @@ def fig8g_scaling(
                     waits_before=slim.stats.waits_before_removal,
                     waits_after=slim.stats.waits_after_removal,
                     wait_seconds=slim.stats.wait_removal_seconds,
+                    model_checks=plan.stats.model_checks,
                 )
             )
     return rows

@@ -31,7 +31,10 @@ Every update costs what it changes, not the size of the structure:
   new successors and then loses its old ones, and only 0<->1 transitions
   propagate further.  Reference counting is exact on a DAG.  Each class
   keeps ``{switch: reachable loc-state count}``, so
-  :meth:`KripkeStructure.reachable_switches` is a read of its keys;
+  :meth:`KripkeStructure.reachable_switches` is a read of its keys.
+  Every (switch, class) pair whose reach has changed since a consumer last
+  cleared :attr:`KripkeStructure.reach_flips` is in that record, so a
+  consumer can follow reach at the cost of the flips;
 * an update that creates a forwarding loop is rolled back before it
   touches ranks or counts: the previous configuration, the old transitions
   and the state set come back, and the loop is raised.  So a loop never
@@ -128,6 +131,16 @@ class KripkeStructure:
         ingresses: for each traffic class, the hosts where its packets enter
             the network.  The initial Kripke states are the switch ports those
             hosts attach to.
+
+    Attributes:
+        reach_flips: ``{(switch, class name): reachable now}`` for every
+            pair whose membership in :meth:`reachable_switches` differs from
+            when the record was last cleared.  A pair that flips back drops
+            out, so the record never holds more than switches x classes
+            entries, drained or not, and each value is the pair's current
+            state.  A class is named as in a rule-granularity unit, so
+            class names must be distinct.  Consumers read and clear the
+            record; the structure only writes it.
     """
 
     def __init__(
@@ -455,6 +468,7 @@ class KripkeStructure:
         self._reach: Dict[TrafficClass, Dict[NodeId, int]] = {
             tc: {} for tc in self._ingresses
         }
+        self.reach_flips: Dict[Tuple[NodeId, str], bool] = {}
         for state in self._initial:
             self._shift(state, 1)
 
@@ -487,9 +501,11 @@ class KripkeStructure:
         """Add ``delta`` (+1 or -1) to ``state``'s reach count.
 
         A 0<->1 transition (the state becomes reachable or unreachable)
-        carries on to its successors.
+        carries on to its successors.  When it moves a switch in or out of
+        its class's reach, the pair is toggled in :attr:`reach_flips`.
         """
         refs = self._refs
+        flips = self.reach_flips
         turn = 1 if delta > 0 else 0
         stack = [state]
         while stack:
@@ -508,6 +524,13 @@ class KripkeStructure:
                     per_switch[state.node] = held
                 else:
                     del per_switch[state.node]
+                if held == turn:
+                    # flips of one pair alternate: a second one cancels
+                    key = (state.node, state.tc.name)
+                    if key in flips:
+                        del flips[key]
+                    else:
+                        flips[key] = bool(turn)
             succ = edges[state] if edges and state in edges else self._succ[state]
             stack.extend(child for child in succ if child is not state)
 

@@ -890,7 +890,7 @@ class SynthesisService:
         One task is one (group, backend) pair; a single task runs in
         process, since a pool cannot beat it.
         """
-        with self.metrics.time_batch():
+        with self.metrics.time_batch() as timer:
             tasks = sum(len(group[0].options.backends()) for group in groups.values())
             runner = (
                 self._execute_serial
@@ -908,6 +908,9 @@ class SynthesisService:
                 # lock, like the cache lookups in _plan_batch
                 results = self._settle_group(group, payload)
                 with self._cv:
+                    # credit the wall time before waking readers: one woken
+                    # by the batch's last result must read the whole batch
+                    timer.lap()
                     for result in results:
                         self.metrics.observe(result)
                         self._publish_locked(result)

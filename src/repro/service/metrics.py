@@ -137,5 +137,11 @@ class _BatchTimer:
         self._start = time.perf_counter()
         return self
 
+    def lap(self) -> None:
+        """Credit the time since entry or the last lap to ``wall_seconds``."""
+        now = time.perf_counter()
+        self._metrics.wall_seconds += now - self._start
+        self._start = now
+
     def __exit__(self, *exc_info: Any) -> None:
-        self._metrics.wall_seconds += time.perf_counter() - self._start
+        self.lap()

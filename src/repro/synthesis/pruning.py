@@ -5,40 +5,46 @@ by the §4.1 search.
 
 A *configuration key* identifies an intermediate configuration by the set of
 update units already applied (a unit is a switch at switch granularity, or a
-``(switch, class)`` pair at rule granularity).
+``(switch, class)`` pair at rule granularity).  The search numbers its units
+once, so a key is an int bitmask: bit ``i`` is set iff unit ``i`` has been
+updated.
 
 ``makeFormula(cex)`` abstracts a counterexample trace into the set of units
 it mentions, each flagged with whether it was updated at the time: any future
 configuration agreeing on those flags would reproduce the same violating
-trace, so it can be pruned without a model-checker call.
+trace, so it can be pruned without a model-checker call.  The flags are kept
+as two masks, the units required to be updated and the units required not
+to be, so matching a key is two int operations.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Sequence, Set, Tuple
+from typing import Hashable, Mapping, Sequence, Set, Tuple
 
 from repro.kripke.structure import KState
 
 # a unit is a switch id (switch granularity) or (switch, class name)
 Unit = Hashable
-ConfigKey = FrozenSet[Unit]
+#: bitmask over the search's unit numbering
+ConfigKey = int
 
-#: a wrong-configuration pattern: (unit, was_updated) flags
-Pattern = FrozenSet[Tuple[Unit, bool]]
+#: a wrong-configuration pattern: (required-updated mask, required-not mask)
+Pattern = Tuple[ConfigKey, ConfigKey]
 
 
 def make_formula(
     cex: Sequence[KState],
     updated: ConfigKey,
-    units: FrozenSet[Unit],
+    index: Mapping[Unit, int],
     rule_granularity: bool,
 ) -> Pattern:
     """Abstract counterexample ``cex`` into a wrong-configuration pattern.
 
-    Only units that *can still change* (members of ``units``) are included:
-    switches the update never touches contribute nothing to pruning.
+    ``index`` numbers the units that *can still change*; only those are
+    included: switches the update never touches contribute nothing to
+    pruning.
     """
-    flags: Set[Tuple[Unit, bool]] = set()
+    required = forbidden = 0
     for state in cex:
         if state.kind not in ("loc", "drop"):
             continue
@@ -46,33 +52,31 @@ def make_formula(
             unit: Unit = (state.node, state.tc.name)
         else:
             unit = state.node
-        if unit in units:
-            flags.add((unit, unit in updated))
-    return frozenset(flags)
+        position = index.get(unit)
+        if position is None:
+            continue
+        bit = 1 << position
+        if updated & bit:
+            required |= bit
+        else:
+            forbidden |= bit
+    return required, forbidden
 
 
 class WrongConfigs:
-    """The ``W`` set: patterns of configurations known to violate the spec.
-
-    Each pattern is stored once, as the units it requires to be updated and
-    the units it requires not to be, so matching is two set operations.
-    """
+    """The ``W`` set: patterns of configurations known to violate the spec."""
 
     def __init__(self) -> None:
-        self._patterns: Set[Tuple[ConfigKey, ConfigKey]] = set()
+        self._patterns: Set[Pattern] = set()
 
     def add(self, pattern: Pattern) -> None:
-        if not pattern:
-            return
-        self._patterns.add((
-            frozenset(unit for unit, flag in pattern if flag),
-            frozenset(unit for unit, flag in pattern if not flag),
-        ))
+        if pattern[0] or pattern[1]:
+            self._patterns.add(pattern)
 
     def matches(self, config: ConfigKey) -> bool:
         """Would ``config`` reproduce a known-violating trace?"""
         return any(
-            required <= config and forbidden.isdisjoint(config)
+            config & required == required and not config & forbidden
             for required, forbidden in self._patterns
         )
 

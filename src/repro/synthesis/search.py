@@ -4,7 +4,7 @@ Depth-first search over simple update sequences (each unit updated at most
 once), model checking every intermediate configuration with a pluggable
 backend, and pruning with:
 
-* ``V`` — configurations already visited (memoized subsets);
+* ``V`` — configurations already visited;
 * ``W`` — wrong-configuration patterns learned from counterexamples
   (:mod:`repro.synthesis.pruning`, §4.2.A);
 * early termination — ordering constraints checked after every
@@ -12,6 +12,16 @@ backend, and pruning with:
   behind it (:mod:`repro.synthesis.ordering`, §4.2.B);
 * a reachability heuristic that tries currently-unreachable switches first
   (they can never break a trace-based property).
+
+Each step costs what it changes, not the number of units.  The units are
+numbered once, in ``str`` order (in update-list order when the heuristic is
+off), and a configuration is the int bitmask of the units it has updated:
+that is the key of ``V`` and ``W``.  A DFS frame
+is a hint and a mask of the units it has tried.  It draws the lowest free
+bit among the cold units, else among the hot ones, so it yields the
+``(hot, str)`` order without building a list.  Hotness is kept as a mask,
+moved by the reach flips the Kripke structure records
+(:attr:`~repro.kripke.structure.KripkeStructure.reach_flips`).
 
 Backtracking re-applies the previous table, which is just another
 incremental update, so the checker's labeling stays warm in both directions.
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set
 
 from repro.errors import ForwardingLoopError, SynthesisTimeout, UpdateInfeasibleError
 from repro.kripke.structure import KripkeStructure, rule_covers_class
@@ -157,20 +167,25 @@ def order_update(
             raise err
 
     units = _compute_units(init, final, classes, granularity)
-    all_units: FrozenSet[Unit] = frozenset(units)
+    # number the units in frame order; a configuration key is the mask of
+    # the units it has updated, and a frame draws the lowest free bit
+    order = sorted(units, key=str) if use_reachability_heuristic else units
+    index: Dict[Unit, int] = {unit: i for i, unit in enumerate(order)}
+    full = (1 << len(order)) - 1
 
     # warm start: the base plan's order, restricted to units this problem
     # actually updates (a patch may have added or removed some)
-    warm_units: List[Unit] = []
+    warm_bits: List[int] = []
     if warm_order:
-        seen_warm: Set[Unit] = set()
+        seen_warm: Set[int] = set()
         for warm_unit in warm_order:
             if isinstance(warm_unit, list):  # wire form of a rule-gran unit
                 warm_unit = tuple(warm_unit)
-            if warm_unit in all_units and warm_unit not in seen_warm:
-                warm_units.append(warm_unit)
-                seen_warm.add(warm_unit)
-        stats.warm_units = len(warm_units)
+            i = index.get(warm_unit)
+            if i is not None and i not in seen_warm:
+                warm_bits.append(1 << i)
+                seen_warm.add(i)
+        stats.warm_units = len(warm_bits)
 
     # one labeling engine for both endpoint checks and the whole search:
     # engines are structure-independent and carry the atom/mask memos
@@ -231,22 +246,27 @@ def order_update(
 
     wrong = WrongConfigs()
     ordering = OrderingConstraints()
-    visited: Set[FrozenSet[Unit]] = set()
-    updated: Set[Unit] = set()
+    visited: Set[int] = set()
+    updated = 0
     path: List[Unit] = []
+    warm_depth = 0  # length of the prefix of `path` that follows `warm_bits`
     rule_gran = granularity == "rule"
 
-    # per-class reachability for the candidate heuristic; an entry is
-    # dropped whenever an update dirties a state of that class (no other
-    # update can change the class's walk)
-    reach_cache: Dict[str, FrozenSet[NodeId]] = {}
-
-    def reachable(tc: TrafficClass) -> FrozenSet[NodeId]:
-        reach = reach_cache.get(tc.name)
-        if reach is None:
-            reach = structure.reachable_switches(tc)
-            reach_cache[tc.name] = reach
-        return reach
+    # hot units: the switch is reachable (at rule granularity, by the unit's
+    # class) in the current configuration.  `holders[i]` counts the classes
+    # that make unit i hot; the structure's reach-flip record keeps them
+    # current, and a handed-over structure's stale record is replaced here.
+    holders = [0] * len(order)
+    hot = 0
+    flips = structure.reach_flips
+    flips.clear()
+    if use_reachability_heuristic:
+        for tc in classes:
+            for node in structure.reachable_switches(tc):
+                i = index.get((node, tc.name) if rule_gran else node)
+                if i is not None:
+                    holders[i] += 1
+                    hot |= 1 << i
 
     # ------------------------------------------------------------------
     def apply_unit(unit: Unit, target: Configuration) -> List:
@@ -254,25 +274,20 @@ def order_update(
         if rule_gran:
             switch, tc_name = unit
             tc = class_by_name[tc_name]
-            dirty = structure.update_class_rules(switch, tc, target.table(switch))
-        else:
-            dirty = structure.update_switch(unit, target.table(unit))
-        for state in dirty:
-            reach_cache.pop(state.tc.name, None)
-        return dirty
+            return structure.update_class_rules(switch, tc, target.table(switch))
+        return structure.update_switch(unit, target.table(unit))
 
-    def handle_violation(cex, key: FrozenSet[Unit]) -> None:
+    def handle_violation(cex, key: int) -> None:
         if cex is None or not use_counterexamples:
             return
         stats.counterexamples += 1
-        pattern = make_formula(cex, key, all_units, rule_gran)
+        pattern = make_formula(cex, key, index, rule_gran)
         wrong.add(pattern)
         if use_early_termination:
             phase_start = time.perf_counter()
             try:
                 ordering.add_counterexample(
-                    [u for u, flag in pattern if flag],
-                    [u for u, flag in pattern if not flag],
+                    _units_of(pattern[0], order), _units_of(pattern[1], order)
                 )
                 if not ordering.feasible():
                     stats.sat_terminated = True
@@ -285,59 +300,62 @@ def order_update(
             finally:
                 stats.sat_seconds += time.perf_counter() - phase_start
 
-    # the heuristic frame order is (hot, str(unit)): sort by str once, then
-    # each frame is the stable partition cold-then-hot of what remains
-    by_name = sorted(units, key=str)
+    def new_frame() -> List[int]:
+        """A frame ``[hint, tried]`` for the configuration just reached.
 
-    def candidates() -> List[Unit]:
-        if not use_reachability_heuristic:
-            return [u for u in units if u not in updated]
-        remaining = [u for u in by_name if u not in updated]
-        if rule_gran:
-            reach_by_name = {tc.name: reachable(tc) for tc in classes}
-            hot = {u for u in remaining if u[0] in reach_by_name[u[1]]}
-        else:
-            hot = set().union(*(reachable(tc) for tc in classes))
-        return [u for u in remaining if u not in hot] + [
-            u for u in remaining if u in hot
-        ]
-
-    def prefer_warm(frame: List[Unit]) -> List[Unit]:
-        """Front-load the warm hint while the path still follows it.
-
-        The frame for depth ``d`` is built right after the ``d``-th unit is
-        accepted, so ``path`` is exactly the prefix the frame extends; once
-        the path has deviated from the warm order (or outrun it) the frame
-        is returned untouched and the heuristic order stands.
+        While the path still follows the warm order, the base plan's next
+        unit is the hint and is drawn first; after it, the frame draws its
+        untried free units cold before hot, each part in ``str`` order.
         """
         depth = len(path)
-        if depth >= len(warm_units) or path != warm_units[:depth]:
-            return frame
-        hint = warm_units[depth]
-        if hint in frame:
+        if warm_depth == depth < len(warm_bits):
             stats.warm_hits += 1
-            frame.remove(hint)
-            frame.insert(0, hint)
-        return frame
+            return [warm_bits[depth], 0]
+        return [0, 0]
 
     # ------------------------------------------------------------------
-    stack: List[List[Unit]] = [prefer_warm(candidates())]
+    # A frame draws only while the structure holds its configuration (every
+    # deeper unit has been reverted), so its hot units are read live.
+    stack: List[List[int]] = [new_frame()]
     while stack:
         check_deadline()
         frame = stack[-1]
-        if not frame:
-            stack.pop()
-            if path:
-                unit = path.pop()
-                updated.discard(unit)
-                dirty = apply_unit(unit, init)
-                phase_start = time.perf_counter()
-                backend.apply_update(dirty)
-                stats.labeling_seconds += time.perf_counter() - phase_start
-                stats.backtracks += 1
-            continue
-        unit = frame.pop(0)
-        key = frozenset(updated | {unit})
+        bit, tried = frame
+        if bit:
+            frame[0] = 0
+        else:
+            free = full & ~updated & ~tried
+            if not free:
+                stack.pop()
+                if path:
+                    unit = path.pop()
+                    updated &= ~(1 << index[unit])
+                    warm_depth = min(warm_depth, len(path))
+                    dirty = apply_unit(unit, init)
+                    phase_start = time.perf_counter()
+                    backend.apply_update(dirty)
+                    stats.labeling_seconds += time.perf_counter() - phase_start
+                    stats.backtracks += 1
+                continue
+            if flips and use_reachability_heuristic:
+                for flip, on in flips.items():
+                    i = index.get(flip if rule_gran else flip[0])
+                    if i is None:
+                        continue
+                    if on:
+                        holders[i] += 1
+                        if holders[i] == 1:
+                            hot |= 1 << i
+                    else:
+                        holders[i] -= 1
+                        if not holders[i]:
+                            hot &= ~(1 << i)
+                flips.clear()
+            pick = free & ~hot or free
+            bit = pick & -pick
+        frame[1] = tried | bit
+        unit = order[bit.bit_length() - 1]
+        key = updated | bit
         if key in visited:
             stats.pruned_visited += 1
             continue
@@ -367,17 +385,29 @@ def order_update(
             backend.apply_update(revert_dirty)
             stats.labeling_seconds += time.perf_counter() - phase_start
             continue
-        updated.add(unit)
+        if warm_depth == len(path) < len(warm_bits) and warm_bits[warm_depth] == bit:
+            warm_depth += 1
+        updated = key
         path.append(unit)
-        if len(updated) == len(all_units):
+        if updated == full:
             stats.synthesis_seconds = time.monotonic() - start
             return UpdatePlan(_build_commands(path, final, class_by_name, rule_gran), granularity, stats)
-        stack.append(prefer_warm(candidates()))
+        stack.append(new_frame())
 
     stats.synthesis_seconds = time.monotonic() - start
     raise _infeasible(
         "exhausted the space of simple careful update sequences", stats
     )
+
+
+def _units_of(mask: int, order: Sequence[Unit]) -> List[Unit]:
+    """The units whose bits are set in ``mask``, in numbering order."""
+    out: List[Unit] = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _build_commands(

@@ -241,42 +241,49 @@ def reference_reach(topo, config, ingresses, tc):
     return frozenset(switch for switch, _ in seen)
 
 
+def two_class_ring(seed):
+    """ring_diamond(12)'s structure with a second, opposite class."""
+    sc = ring_diamond(12, seed=seed)
+    (forth,) = sc.ingresses
+    back = TrafficClass.make("back", src="Hdst", dst="Hsrc")
+    ingresses = {forth: ["Hsrc"], back: ["Hdst"]}
+    return KripkeStructure(sc.topology, sc.init, ingresses), ingresses
+
+
+def random_table(rng, topo, classes, switch):
+    """Random per-class rules for ``switch``: unicast or multicast, some
+    matching an in-port.  Per-class rules only (a wildcard rule would let a
+    class-rule update move another class's forwarding); in-port rules let a
+    packet cross one switch twice without a loop."""
+    rules = []
+    for priority in range(rng.randint(0, 4)):
+        owner = rng.choice(classes)
+        width = rng.choice([1, 1, 2])
+        ports = tuple(
+            Forward(topo.port_to(switch, peer))
+            for peer in rng.sample(topo.neighbors(switch), width)
+        )
+        in_port = rng.choice([None, rng.choice(topo.ports(switch))])
+        rules.append(Rule(priority, Pattern(in_port, owner.fields), ports))
+    return Table(rules)
+
+
 class TestReachDifferential:
     """Reach counts against a walk of the configuration, step by step."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_walk(self, seed):
         rng = random.Random(seed)
-        sc = ring_diamond(12, seed=seed)
-        topo = sc.topology
-        (forth,) = sc.ingresses
-        back = TrafficClass.make("back", src="Hdst", dst="Hsrc")
-        ingresses = {forth: ["Hsrc"], back: ["Hdst"]}
-        classes = [forth, back]
-        ks = KripkeStructure(topo, sc.init, ingresses)
+        ks, ingresses = two_class_ring(seed)
+        topo = ks.topology
+        classes = list(ingresses)
         switches = sorted(topo.switches)
-
-        def random_table(switch):
-            # per-class rules only (a wildcard rule would let a class-rule
-            # update move another class's forwarding); in-port rules let a
-            # packet cross one switch twice without a loop
-            rules = []
-            for priority in range(rng.randint(0, 4)):
-                owner = rng.choice(classes)
-                width = rng.choice([1, 1, 2])  # unicast or multicast
-                ports = tuple(
-                    Forward(topo.port_to(switch, peer))
-                    for peer in rng.sample(topo.neighbors(switch), width)
-                )
-                in_port = rng.choice([None, rng.choice(topo.ports(switch))])
-                rules.append(Rule(priority, Pattern(in_port, owner.fields), ports))
-            return Table(rules)
 
         loops = 0
         for step in range(200):
             where = f"seed={seed} step={step}"
             switch = rng.choice(switches)
-            table = random_table(switch)
+            table = random_table(rng, topo, classes, switch)
             tc = rng.choice(classes + [None])
             before = snapshot(ks)
             old = ks.config.table(switch)
@@ -294,6 +301,74 @@ class TestReachDifferential:
                 expected = reference_reach(topo, ks.config, ingresses, cls)
                 assert ks.reachable_switches(cls) == expected, f"{where} class={cls.name}"
         assert loops > 0, f"seed={seed}: the walk never met a loop"
+
+
+class TestReachFlips:
+    """The reach-flip record against :meth:`reachable_switches`."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_replayed_flips_track_reach(self, seed):
+        rng = random.Random(seed)
+        ks, ingresses = two_class_ring(seed)
+        topo = ks.topology
+        classes = list(ingresses)
+        by_name = {tc.name: tc for tc in classes}
+        switches = sorted(topo.switches)
+        # a consumer's view, built from the record's first drain
+        view = {tc: set() for tc in classes}
+
+        def drain(where):
+            for (switch, name), on in ks.reach_flips.items():
+                held = view[by_name[name]]
+                # each entry is a change: the view must not hold it already
+                assert (switch in held) != on, f"{where} {switch} {name}"
+                if on:
+                    held.add(switch)
+                else:
+                    held.remove(switch)
+            ks.reach_flips.clear()
+            for tc in classes:
+                assert view[tc] == ks.reachable_switches(tc), f"{where} {tc.name}"
+
+        drain("construction")
+        loops = 0
+        for step in range(300):
+            where = f"seed={seed} step={step}"
+            switch = rng.choice(switches)
+            old = ks.config.table(switch)
+            tc = rng.choice(classes + [None])
+            table = random_table(rng, topo, classes, switch)
+            flips_before = dict(ks.reach_flips)
+            try:
+                if tc is None:
+                    ks.update_switch(switch, table)
+                else:
+                    ks.update_class_rules(switch, tc, table)
+            except ForwardingLoopError:
+                loops += 1
+                # a rolled-back update records nothing
+                assert ks.reach_flips == flips_before, where
+            if rng.random() < 0.3:
+                ks.update_switch(switch, old)  # revert, as the search does
+            if rng.random() < 0.5:  # drain only sometimes: flips pile up
+                drain(where)
+        drain("end")
+        assert loops > 0, f"seed={seed}: the walk never met a loop"
+
+    def test_undrained_record_is_bounded(self):
+        rng = random.Random(0)
+        ks, ingresses = two_class_ring(0)
+        topo = ks.topology
+        classes = list(ingresses)
+        switches = sorted(topo.switches)
+        for _ in range(1000):
+            switch = rng.choice(switches)
+            try:
+                ks.update_switch(switch, random_table(rng, topo, classes, switch))
+            except ForwardingLoopError:
+                pass
+        assert ks.reach_flips
+        assert len(ks.reach_flips) <= len(switches) * len(classes)
 
 
 class TestUpdateCost:

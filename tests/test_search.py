@@ -181,29 +181,29 @@ class TestPruningUnits:
             KState("loc", "B", 1, TC),
             KState("drop", "C", 1, TC),
         ]
-        units = frozenset({"A", "B", "C"})
-        pattern = make_formula(cex, frozenset({"A"}), units, rule_granularity=False)
-        assert ("A", True) in pattern
-        assert ("B", False) in pattern
-        assert ("C", False) in pattern
+        index = {"A": 0, "B": 1, "C": 2}
+        required, forbidden = make_formula(cex, 0b001, index, rule_granularity=False)
+        assert required == 0b001  # A was updated
+        assert forbidden == 0b110  # B and C were not
 
     def test_make_formula_ignores_unmanaged_switches(self):
         from repro.kripke.structure import KState
 
         cex = [KState("loc", "X", 1, TC)]
-        pattern = make_formula(cex, frozenset(), frozenset({"A"}), False)
-        assert pattern == frozenset()
+        pattern = make_formula(cex, 0, {"A": 0}, False)
+        assert pattern == (0, 0)
 
     def test_wrong_configs_matching(self):
+        a, b, c = 0b001, 0b010, 0b100
         wrong = WrongConfigs()
-        wrong.add(frozenset({("A", True), ("B", False)}))
-        assert wrong.matches(frozenset({"A"}))
-        assert wrong.matches(frozenset({"A", "C"}))
-        assert not wrong.matches(frozenset({"A", "B"}))
-        assert not wrong.matches(frozenset())
+        wrong.add((a, b))  # A updated, B not
+        assert wrong.matches(a)
+        assert wrong.matches(a | c)
+        assert not wrong.matches(a | b)
+        assert not wrong.matches(0)
 
     def test_empty_pattern_never_added(self):
         wrong = WrongConfigs()
-        wrong.add(frozenset())
+        wrong.add((0, 0))
         assert len(wrong) == 0
-        assert not wrong.matches(frozenset({"A"}))
+        assert not wrong.matches(0b1)

@@ -836,6 +836,17 @@ class TestBatchCli:
         assert by_id["slow"]["status"] == "timeout"
         assert all("plan" not in entry for entry in lines)
 
+    @pytest.mark.parametrize("mode", [["--serial"], ["--workers", "2"]])
+    def test_batch_stats_count_the_finished_batch(self, tmp_path, capsys, mode):
+        # the last result is published inside the batch timer; the stats
+        # read after the stream must still include the batch's wall time
+        path = self.write_jsonl(tmp_path, self.batch_docs()[:2])
+        assert main(["batch", path, *mode, "--no-plans", "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err)
+        assert stats["completed"] == 2
+        assert stats["wall_seconds"] > 0
+        assert stats["throughput_jobs_per_s"] > 0
+
     def test_batch_includes_plans_and_warm_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])

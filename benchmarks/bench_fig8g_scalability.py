@@ -69,3 +69,23 @@ def test_fig8g_paper_scale_reachability(once):
     for row in rows:
         assert row.model_checks == row.updates + 2
         assert row.waits_after <= 2
+
+
+def test_fig8g_paper_scale_waypoint(once):
+    """Waypointing at paper scale: chained diamonds of 320 and 640 switches.
+    The counts are exact: the search meets the same counterexamples and
+    checks the same configurations on every run."""
+    rows = once(experiments.fig8g_scaling, sizes=(320, 640), props=("waypoint",))
+    print()
+    print(
+        format_table(
+            "Fig 8(g) waypointing at paper scale (incremental backend)",
+            ["switches", "updates", "model checks", "seconds", "waits kept"],
+            [
+                (r.switches, r.updates, r.model_checks, r.seconds, r.waits_after)
+                for r in rows
+            ],
+        )
+    )
+    assert [row.model_checks for row in rows] == [2117, 9537]
+    assert [row.waits_after for row in rows] == [35, 71]

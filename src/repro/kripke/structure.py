@@ -21,8 +21,16 @@ implements ``swUpdate``: it recomputes the transitions of the updated
 switch's states and returns the set of *dirty* states (changed or newly
 created) that an incremental checker must relabel.
 
+A state is interned: there is one :class:`KState` object per value, held
+weakly, so the label maps, pred sets and worklists that key on states hash
+and compare by identity, in C.  Sets of states therefore iterate in address
+order; nothing that decides a plan may depend on that order.
+
 Every update costs what it changes, not the size of the structure:
 
+* the structure owns its tables as one private dict and an update sets one
+  entry; :attr:`KripkeStructure.config` is an O(switches) snapshot, read at
+  handover and by tools, and :meth:`KripkeStructure.table` reads one switch;
 * loc states are indexed by switch (``_at``, in creation order), so an
   update finds the states it retargets without scanning ``Q``;
 * each state counts its reachable predecessors, plus one per ingress it is
@@ -36,14 +44,16 @@ Every update costs what it changes, not the size of the structure:
   cleared :attr:`KripkeStructure.reach_flips` is in that record, so a
   consumer can follow reach at the cost of the flips;
 * an update that creates a forwarding loop is rolled back before it
-  touches ranks or counts: the previous configuration, the old transitions
+  touches ranks or counts: the switch's old table, the old transitions
   and the state set come back, and the loop is raised.  So a loop never
   leaves stale counts or half-built states behind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError
 from typing import (
     Dict,
     FrozenSet,
@@ -55,44 +65,79 @@ from typing import (
     Set,
     Tuple,
 )
+from weakref import KeyedRef
 
 from repro.errors import ConfigurationError, ForwardingLoopError
-from repro.net.config import Configuration, next_hops
+from repro.net.config import Configuration, table_hops
 from repro.net.fields import TrafficClass
-from repro.net.rules import Table
+from repro.net.rules import EMPTY_TABLE, Table
 from repro.net.topology import NodeId, Port, Topology
 
 
-@dataclass(frozen=True)
+#: each KState value -> a weak reference to the one object with that value
+_interned: Dict[Tuple, KeyedRef] = {}
+_intern_lock = threading.Lock()
+
+
+def _forget_state(ref: KeyedRef) -> None:
+    # runs when a state dies, in whatever thread freed it; the C helper
+    # deletes the entry only while it is still this dead reference, so it
+    # never drops a live state re-interned under the same value meanwhile
+    _remove_dead_weakref(_interned, ref.key)
+
+
 class KState:
     """A Kripke state: a packet location for one traffic class.
 
     Provides the state-view attributes (``node``, ``port``, ``tc``,
     ``dropped``) that atomic propositions evaluate against.
+
+    States are interned: constructing a value that exists returns the
+    existing object, so equality and hashing are ``object``'s (identity,
+    at C speed) and still mean "same location".  The intern table holds
+    weak references, so a state lives only as long as something (usually
+    a structure) holds it.  Pickling and copying re-intern.  Attributes
+    are read-only.
     """
+
+    __slots__ = ("kind", "node", "port", "tc", "__weakref__")
 
     kind: str  # "loc" | "host" | "drop"
     node: NodeId
     port: Optional[Port]
     tc: TrafficClass
 
-    def __hash__(self) -> int:
-        # states are hashed millions of times as dict keys across the label
-        # maps and pred sets; cache the (immutable) hash
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.kind, self.node, self.port, self.tc))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self):
-        # drop the cached hash: it is salt-specific to this process
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
+    def __new__(
+        cls, kind: str, node: NodeId, port: Optional[Port], tc: TrafficClass
+    ) -> "KState":
+        key = (kind, node, port, tc)
+        ref = _interned.get(key)
+        state = ref() if ref is not None else None
+        if state is not None:
+            return state
+        # the miss path is serialized, so two threads can never create two
+        # objects for one value
+        with _intern_lock:
+            ref = _interned.get(key)
+            state = ref() if ref is not None else None
+            if state is None:
+                state = object.__new__(cls)
+                init = object.__setattr__
+                init(state, "kind", kind)
+                init(state, "node", node)
+                init(state, "port", port)
+                init(state, "tc", tc)
+                _interned[key] = KeyedRef(state, _forget_state, key)
         return state
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (KState, (self.kind, self.node, self.port, self.tc))
 
     @property
     def dropped(self) -> bool:
@@ -101,6 +146,12 @@ class KState:
     @property
     def is_sink(self) -> bool:
         return self.kind in ("host", "drop")
+
+    def __repr__(self) -> str:
+        return (
+            f"KState(kind={self.kind!r}, node={self.node!r}, "
+            f"port={self.port!r}, tc={self.tc!r})"
+        )
 
     def __str__(self) -> str:
         if self.kind == "host":
@@ -150,7 +201,8 @@ class KripkeStructure:
         ingresses: Mapping[TrafficClass, Sequence[NodeId]],
     ):
         self.topology = topology
-        self._config = config
+        # edited in place by updates; never holds an empty table
+        self._tables: Dict[NodeId, Table] = dict(config.tables())
         self._ingresses: Dict[TrafficClass, Tuple[NodeId, ...]] = {
             tc: tuple(hosts) for tc, hosts in ingresses.items()
         }
@@ -173,7 +225,16 @@ class KripkeStructure:
     # ------------------------------------------------------------------
     @property
     def config(self) -> Configuration:
-        return self._config
+        """A snapshot of the current configuration (O(switches))."""
+        return Configuration(self._tables)
+
+    def table(self, switch: NodeId) -> Table:
+        """``switch``'s current table."""
+        return self._tables.get(switch, EMPTY_TABLE)
+
+    def has_config(self, config: Configuration) -> bool:
+        """Does the structure currently hold ``config``?  No snapshot."""
+        return config.tables() == self._tables
 
     @property
     def initial_states(self) -> Tuple[KState, ...]:
@@ -211,7 +272,9 @@ class KripkeStructure:
         """Successors of ``state`` under the current configuration."""
         if state.is_sink:
             return (state,)
-        hops = next_hops(self.topology, self._config, state.node, state.tc, state.port)
+        hops = table_hops(
+            self.topology, self.table(state.node), state.node, state.tc, state.port
+        )
         if not hops:
             return (_drop(state.node, state.port, state.tc),)
         out: List[KState] = []
@@ -285,7 +348,7 @@ class KripkeStructure:
         cycle = [entry]
         for frame in reversed(stack):
             cycle.append(frame[0])
-            if frame[0] is entry or frame[0] == entry:
+            if frame[0] is entry:
                 break
         cycle.reverse()
         return cycle
@@ -356,13 +419,12 @@ class KripkeStructure:
         Dirty states are the existing ``loc`` states of ``switch`` whose
         outgoing transitions changed, plus any newly created states.  If the
         new configuration contains a forwarding loop, the update is rolled
-        back (configuration, transitions, ranks, created states) and
+        back (the switch's table, transitions, ranks, created states) and
         :class:`ForwardingLoopError` is raised; reverting to the old table
         afterwards is then a no-op.
         """
-        previous = self._config
-        self._config = previous.with_table(switch, table)
-        return self._retarget(list(self._at.get(switch, ())), previous)
+        previous = self._set_table(switch, table)
+        return self._retarget(list(self._at.get(switch, ())), switch, previous)
 
     def update_class_rules(
         self, switch: NodeId, tc: TrafficClass, class_table: Table
@@ -372,22 +434,27 @@ class KripkeStructure:
         ``class_table`` supplies the new rules for the class; rules of other
         classes on the switch are kept.
         """
-        previous = self._config
-        old = previous.table(switch)
-        kept = old.restrict(lambda r: not rule_covers_class(r, tc))
-        new_rules = [r for r in class_table if rule_covers_class(r, tc)]
-        merged = Table(tuple(kept) + tuple(new_rules))
-        self._config = previous.with_table(switch, merged)
+        merged = merge_class_rules(self.table(switch), tc, class_table)
+        previous = self._set_table(switch, merged)
         affected = [s for s in self._at.get(switch, ()) if s.tc == tc]
-        return self._retarget(affected, previous)
+        return self._retarget(affected, switch, previous)
+
+    def _set_table(self, switch: NodeId, table: Table) -> Table:
+        """Install ``table`` on ``switch``; return the table it replaces."""
+        previous = self._tables.get(switch, EMPTY_TABLE)
+        if len(table):
+            self._tables[switch] = table
+        else:
+            self._tables.pop(switch, None)
+        return previous
 
     def _retarget(
-        self, affected: Sequence[KState], previous: Configuration
+        self, affected: Sequence[KState], switch: NodeId, previous: Table
     ) -> List[KState]:
         """Recompute transitions of ``affected``; return dirty states.
 
         If the update fails (a forwarding loop, or a rewrite across classes)
-        the structure is restored, configuration ``previous`` included,
+        the structure is restored, ``switch``'s ``previous`` table included,
         before the error propagates.
         """
         dirty: List[KState] = []
@@ -412,7 +479,7 @@ class KripkeStructure:
             for state, old_succ in reversed(changed):
                 self._relink(state, self._succ[state], old_succ)
             self._forget(created)
-            self._config = previous
+            self._set_table(switch, previous)
             raise
         if changed:
             self._propagate_ranks([state for state, _ in changed])
@@ -581,3 +648,12 @@ def rule_covers_class(rule, tc: TrafficClass) -> bool:
         if key in tc_fields and tc_fields[key] != value:
             return False
     return True
+
+
+def merge_class_rules(table: Table, tc: TrafficClass, class_table: Table) -> Table:
+    """``table`` after a rule-granularity update of class ``tc``: the rules
+    not covering ``tc`` stay, and ``class_table``'s rules covering ``tc``
+    replace the rest."""
+    kept = table.restrict(lambda r: not rule_covers_class(r, tc))
+    new_rules = [r for r in class_table if rule_covers_class(r, tc)]
+    return Table(tuple(kept) + tuple(new_rules))

@@ -130,7 +130,7 @@ class NetPlumberChecker:
                 self.graph.add_source(f"{tc.name}@{host}", tc, host)
         self.policies: List[Policy] = self._translate(formula)
         for switch in structure.topology.switches:
-            self.graph.set_table(switch, structure.config.table(switch))
+            self.graph.set_table(switch, structure.table(switch))
         self.check_count = 0
 
     def _class_ingresses(self):
@@ -194,13 +194,13 @@ class NetPlumberChecker:
     # ------------------------------------------------------------------
     def full_check(self) -> CheckResult:
         for switch in self.structure.topology.switches:
-            self.graph.set_table(switch, self.structure.config.table(switch))
+            self.graph.set_table(switch, self.structure.table(switch))
         return self._verdict()
 
     def apply_update(self, dirty: Sequence[KState]) -> CheckResult:
         switches: Set[str] = {s.node for s in dirty if s.kind == "loc"}
         for switch in switches:
-            self.graph.set_table(switch, self.structure.config.table(switch))
+            self.graph.set_table(switch, self.structure.table(switch))
         return self._verdict()
 
     def _verdict(self) -> CheckResult:

@@ -12,6 +12,7 @@ along a host-to-host path, which is how all the paper's experiment workloads
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -35,6 +36,10 @@ class Configuration:
 
     def table(self, switch: NodeId) -> Table:
         return self._tables.get(switch, EMPTY_TABLE)
+
+    def tables(self) -> Mapping[NodeId, Table]:
+        """A read-only view of the non-empty tables, by switch."""
+        return MappingProxyType(self._tables)
 
     def switches(self) -> FrozenSet[NodeId]:
         """Switches with a non-empty table."""
@@ -151,9 +156,20 @@ def next_hops(
     hardware behaviour.  Packet rewrites produce a class with the same name
     (the Kripke builder currently rejects rewrites; see builder docs).
     """
+    return table_hops(topology, config.table(switch), switch, tc, in_port)
+
+
+def table_hops(
+    topology: Topology,
+    table: Table,
+    switch: NodeId,
+    tc: TrafficClass,
+    in_port: Port,
+) -> List[Tuple[NodeId, Port, TrafficClass]]:
+    """:func:`next_hops` with ``table`` as ``switch``'s table."""
     results: List[Tuple[NodeId, Port, TrafficClass]] = []
     packet = packet_for_class(tc)
-    for out_packet, out_port in config.process(switch, packet, in_port):
+    for out_packet, out_port in table.process(packet, in_port):
         peer = topology.peer(switch, out_port)
         if peer is None:
             continue

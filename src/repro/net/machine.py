@@ -42,7 +42,7 @@ from repro.net.config import Configuration
 from repro.net.fields import Packet, TrafficClass
 from repro.net.rules import Table
 from repro.net.topology import Location, NodeId, Port, Topology
-from repro.kripke.structure import rule_covers_class
+from repro.kripke.structure import merge_class_rules
 
 
 @dataclass
@@ -187,9 +187,7 @@ class NetworkMachine:
             self.switches[command.switch].table = command.table
         elif isinstance(command, RuleGranUpdate):
             old = self._tables[command.switch]
-            kept = old.restrict(lambda r: not rule_covers_class(r, command.tc))
-            new = [r for r in command.table if rule_covers_class(r, command.tc)]
-            merged = Table(tuple(kept) + tuple(new))
+            merged = merge_class_rules(old, command.tc, command.table)
             self._tables[command.switch] = merged
             self.switches[command.switch].table = merged
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.kripke.structure import rule_covers_class
+from repro.kripke.structure import merge_class_rules
 from repro.net.commands import Command, RuleGranUpdate, SwitchUpdate, Wait, is_update
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
-from repro.net.rules import Table
 from repro.net.topology import NodeId, Topology
 from repro.runtime.openflow import FlowMod
 from repro.runtime.simulator import ProbeStats, TickSimulator
@@ -105,10 +104,9 @@ class OrderedStrategy(Strategy):
         if isinstance(command, SwitchUpdate):
             agent.enqueue_atomic_replacement(command.table)
         elif isinstance(command, RuleGranUpdate):
-            current = agent.table
-            kept = current.restrict(lambda r: not rule_covers_class(r, command.tc))
-            new = [r for r in command.table if rule_covers_class(r, command.tc)]
-            agent.enqueue_atomic_replacement(Table(tuple(kept) + tuple(new)))
+            agent.enqueue_atomic_replacement(
+                merge_class_rules(agent.table, command.tc, command.table)
+            )
         self._installing = command.switch
 
     def step(self, sim: TickSimulator) -> None:

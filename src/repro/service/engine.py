@@ -973,7 +973,7 @@ class SynthesisService:
             backend == "incremental"
             and job.patch is not None
             and not job.patch.touches_scope()
-            and job.problem.init == base.structure.config
+            and base.structure.has_config(job.problem.init)
         ):
             handover.start = self._starts.pop(job.base)
         return handover

@@ -27,7 +27,7 @@ from repro.net.failures import FailedLink, fail_link, links_used
 from repro.net.fields import TrafficClass
 from repro.net.topology import NodeId, Topology
 from repro.synthesis.plan import UpdatePlan
-from repro.synthesis.waits import _apply
+from repro.synthesis.waits import apply_command
 
 
 @dataclass
@@ -112,7 +112,7 @@ def robustness_report(
     configs: List[Configuration] = [init]
     for command in plan.commands:
         if is_update(command):
-            configs.append(_apply(configs[-1], command))
+            configs.append(apply_command(configs[-1], command))
 
     if links is None:
         candidates: List[FailedLink] = []

@@ -31,6 +31,11 @@ set is built once, when the class's window opens; after that every update
 adds only its switch's new edges, and a wait is kept iff the updated switch
 is downstream for an affected class.  A plan costs O(switches + edges) per
 window rather than per update.
+
+The walk keeps the plan's current configuration as one mutable table dict
+and edits the updated switch's entry in place, so an update costs O(1) on
+top of its switch's edges.  A retained wait snapshots the dict: the window
+opening after it needs the tables the wait flushed under.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ import time
 from collections import deque
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.kripke.structure import rule_covers_class
-from repro.net.commands import Command, RuleGranUpdate, SwitchUpdate, Wait, is_update
+from repro.kripke.structure import merge_class_rules, rule_covers_class
+from repro.net.commands import Command, RuleGranUpdate, Wait, is_update
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
-from repro.net.rules import Forward, Table
+from repro.net.rules import EMPTY_TABLE, Forward, Table
 from repro.net.topology import NodeId, Topology
 from repro.synthesis.plan import UpdatePlan
 
@@ -87,11 +92,12 @@ def _switch_class_edges(
 
 def _class_edges(
     topology: Topology,
-    config: Configuration,
+    tables: Mapping[NodeId, Table],
     tc: Optional[TrafficClass],
     cache: Optional[_EdgeCache] = None,
 ) -> Set[Tuple[NodeId, NodeId]]:
-    """Directed switch-to-switch edges class ``tc`` can be forwarded along.
+    """Directed switch-to-switch edges class ``tc`` can be forwarded along
+    under a configuration's ``tables``.
 
     ``tc=None`` means "any class" (the class-agnostic fallback).  Port- and
     in-port-agnostic, hence conservative.  ``cache`` memoizes per-switch
@@ -99,40 +105,45 @@ def _class_edges(
     steps through.
     """
     edges: Set[Tuple[NodeId, NodeId]] = set()
-    for switch in config.switches():
-        edges |= _switch_class_edges(topology, switch, config.table(switch), tc, cache)
+    for switch, table in tables.items():
+        edges |= _switch_class_edges(topology, switch, table, tc, cache)
     return edges
 
 
-def _apply(config: Configuration, command: Command) -> Configuration:
-    if isinstance(command, SwitchUpdate):
-        return config.with_table(command.switch, command.table)
+def _command_table(table: Table, command: Command) -> Table:
+    """The updated switch's table after ``command``, given its ``table``
+    before."""
     if isinstance(command, RuleGranUpdate):
-        old = config.table(command.switch)
-        kept = old.restrict(lambda r: not rule_covers_class(r, command.tc))
-        new = [r for r in command.table if rule_covers_class(r, command.tc)]
-        return config.with_table(command.switch, Table(tuple(kept) + tuple(new)))
-    return config
+        return merge_class_rules(table, command.tc, command.table)
+    return command.table
+
+
+def apply_command(config: Configuration, command: Command) -> Configuration:
+    """The configuration after ``command`` (unchanged by a wait)."""
+    if not is_update(command):
+        return config
+    switch = command.switch
+    return config.with_table(switch, _command_table(config.table(switch), command))
 
 
 def _affected_classes(
     command: Command,
-    before: Configuration,
-    after: Configuration,
-    classes: Sequence[TrafficClass],
+    before: Table,
+    after: Table,
+    classes: Sequence[Optional[TrafficClass]],
 ) -> List[Optional[TrafficClass]]:
-    """The traffic classes whose forwarding this update can change."""
+    """The traffic classes whose forwarding this update can change, given
+    the updated switch's tables ``before`` and ``after`` it."""
     if isinstance(command, RuleGranUpdate) and None not in classes:
         return [command.tc]
-    switch = command.switch
     affected: List[Optional[TrafficClass]] = []
     for tc in classes:
         if tc is None:
-            if before.table(switch) != after.table(switch):
+            if before != after:
                 affected.append(None)
             continue
-        old_rules = [r for r in before.table(switch) if rule_covers_class(r, tc)]
-        new_rules = [r for r in after.table(switch) if rule_covers_class(r, tc)]
+        old_rules = [r for r in before if rule_covers_class(r, tc)]
+        new_rules = [r for r in after if rule_covers_class(r, tc)]
         if old_rules != new_rules:
             affected.append(tc)
     return affected
@@ -228,7 +239,8 @@ def remove_waits(
         }
 
     commands: List[Command] = []
-    config = init
+    # the current configuration, edited in place
+    tables: Dict[NodeId, Table] = dict(init.tables())
     edge_cache: _EdgeCache = {}
     # the open windows: a class's window opens at the first update changing
     # its rules and closes (for every class) at each retained wait
@@ -236,41 +248,45 @@ def remove_waits(
     # a retained wait flushes the network under its configuration, so a
     # window opening later also covers the edges that configuration had on
     # the switches updated since
-    wait_config: Optional[Configuration] = None
+    wait_tables: Optional[Dict[NodeId, Table]] = None
     since_wait: Set[NodeId] = set()
     kept = 0
     for index, update in enumerate(updates):
         switch = update.switch
-        after = _apply(config, update)
-        affected = _affected_classes(update, config, after, classes)
+        before = tables.get(switch, EMPTY_TABLE)
+        after = _command_table(before, update)
+        affected = _affected_classes(update, before, after, classes)
         if index > 0 and any(
             tc in windows and switch in windows[tc].downstream for tc in affected
         ):
             commands.append(Wait())
             kept += 1
             windows = {}
-            wait_config = config
+            wait_tables = dict(tables)
             since_wait = set()
         for tc in affected:
             window = windows.get(tc)
             if window is None:
-                edges = _class_edges(topology, config, tc, edge_cache)
-                if wait_config is not None:
+                edges = _class_edges(topology, tables, tc, edge_cache)
+                if wait_tables is not None:
                     for moved in since_wait:
                         edges |= _switch_class_edges(
-                            topology, moved, wait_config.table(moved), tc, edge_cache
+                            topology,
+                            moved,
+                            wait_tables.get(moved, EMPTY_TABLE),
+                            tc,
+                            edge_cache,
                         )
                 window = windows[tc] = _Window(edges, ingress_of[tc])
             window.add_unit(switch)
         commands.append(update)
         since_wait.add(switch)
-        config = after
+        tables[switch] = after
         # the union only grows: add the updated switch's new edges for every
         # open window (a rule-granularity update can change a wildcard rule
         # other classes share)
-        table = config.table(switch)
         for tc, window in windows.items():
-            for a, b in _switch_class_edges(topology, switch, table, tc, edge_cache):
+            for a, b in _switch_class_edges(topology, switch, after, tc, edge_cache):
                 window.add_edge(a, b)
 
     new_plan = UpdatePlan(commands, plan.granularity, plan.stats)

@@ -1,12 +1,24 @@
 """Tests for the Kripke structure builder and incremental updates."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from repro.errors import ForwardingLoopError
-from repro.kripke.structure import KripkeStructure, rule_covers_class
+from repro.kripke import structure as structure_module
+from repro.kripke.structure import (
+    KState,
+    KripkeStructure,
+    merge_class_rules,
+    rule_covers_class,
+)
 from repro.ltl import specs
 from repro.mc.interface import make_checker
 from repro.net.config import Configuration, next_hops
@@ -386,6 +398,199 @@ class TestUpdateCost:
         sc = ring_diamond(640)
         order_update(sc.topology, sc.init, sc.final, sc.ingresses, sc.spec)
         assert calls and set(calls.values()) == {1}
+
+
+class TestInterning:
+    """One object per state value, so hashing and equality are identity."""
+
+    def test_identity_hash_and_equality(self):
+        assert KState.__hash__ is object.__hash__
+        assert KState.__eq__ is object.__eq__
+
+    def test_structures_on_one_problem_share_states(self, topo):
+        one, two = build(topo, RED), build(topo, RED)
+        by_value = {(s.kind, s.node, s.port, s.tc): s for s in one.states()}
+        assert len(by_value) == one.num_states() == two.num_states()
+        for state in two.states():
+            assert by_value[(state.kind, state.node, state.port, state.tc)] is state
+
+    def test_constructed_state_is_the_structures(self, topo):
+        ks = build(topo, RED)
+        (init,) = ks.initial_states
+        made = KState("loc", init.node, init.port, TrafficClass.make("f13", src="H1", dst="H3"))
+        assert made is init
+        assert made in ks and ks.succ(made) == ks.succ(init)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_return_the_interned_state(self, topo, round_trip):
+        ks = build(topo, RED)
+        for state in ks.states():
+            assert round_trip(state) is state
+
+    def test_attributes_are_read_only(self, topo):
+        (init,) = build(topo, RED).initial_states
+        with pytest.raises(FrozenInstanceError):
+            init.node = "A1"
+        with pytest.raises(FrozenInstanceError):
+            del init.port
+        with pytest.raises(AttributeError):
+            init.label = "x"  # no __dict__ either
+        assert init.node == "T1"
+
+    def test_value_semantics_in_repr_and_str(self, topo):
+        (init,) = build(topo, RED).initial_states
+        assert repr(init) == f"KState(kind='loc', node='T1', port={init.port!r}, tc={TC!r})"
+        assert str(init) == f"<f13@T1:{init.port}>"
+        assert not init.dropped and not init.is_sink
+
+    def test_classes_differing_in_fields_give_distinct_states(self):
+        other = TrafficClass.make("f13", src="H2", dst="H3")
+        assert other != TC
+        assert KState("loc", "T1", 1, TC) is not KState("loc", "T1", 1, other)
+        assert KState("loc", "T1", 1, TC) != KState("loc", "T1", 1, other)
+
+    def test_intern_table_drops_states_with_their_structures(self, topo):
+        gc.collect()
+        baseline = len(structure_module._interned)
+        built = 0
+        for index in range(100):
+            tc = TrafficClass.make(f"tmp{index}", src="H1", dst="H3")
+            config = Configuration.from_paths(topo, {tc: RED})
+            built += KripkeStructure(topo, config, {tc: ["H1"]}).num_states()
+        assert built >= 600
+        gc.collect()
+        assert len(structure_module._interned) == baseline
+
+    def test_racing_threads_get_one_object_per_value(self):
+        scenario = ring_diamond(64, seed=5)
+
+        def build():
+            return KripkeStructure(scenario.topology, scenario.init, scenario.ingresses)
+
+        built = race(lambda k: build())
+        objects = {}
+        for ks in built:
+            for state in ks.states():
+                value = (state.kind, state.node, state.port, state.tc)
+                objects.setdefault(value, set()).add(id(state))
+        assert objects and all(len(ids) == 1 for ids in objects.values())
+
+    def test_racing_constructors_agree(self):
+        """Threads building one structure walk it in step, so the leader
+        makes every state.  Here each thread makes fresh values in its own
+        order, so two threads often miss on one value at once."""
+        tc = TrafficClass.make("race", src="H1", dst="H3")
+        values = [("loc", f"S{i}", port, tc) for i in range(500) for port in (1, 2)]
+        orders = [random.Random(k).sample(values, len(values)) for k in range(8)]
+
+        def make(k):
+            return {value: KState(*value) for value in orders[k]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            for _ in range(10):
+                made = race(make)
+                for value in values:
+                    assert len({id(states[value]) for states in made}) == 1, value
+                del made
+                gc.collect()  # the next round makes every value anew
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def race(work, threads=8):
+    """Run ``work(k)`` in threads ``k = 0, 1, ...`` released at once; return
+    its results."""
+    barrier = threading.Barrier(threads)
+    results = []
+
+    def run(k):
+        barrier.wait(timeout=60)
+        results.append(work(k))
+
+    pool = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(results) == threads
+    return results
+
+
+class TestTablesInPlace:
+    def test_config_is_a_snapshot(self, topo):
+        ks = build(topo, RED)
+        red = Configuration.from_paths(topo, {TC: RED})
+        green = Configuration.from_paths(topo, {TC: GREEN})
+        snapshot_before = ks.config
+        ks.update_switch("A1", green.table("A1"))
+        assert snapshot_before == red
+        assert ks.table("A1") == green.table("A1")
+        assert ks.config == red.with_table("A1", green.table("A1"))
+        assert ks.has_config(ks.config) and not ks.has_config(red)
+
+    def test_empty_table_leaves_the_config(self, topo):
+        ks = build(topo, RED)
+        ks.update_switch("C1", Table())
+        assert "C1" not in ks.config.switches()
+        assert len(ks.table("C1")) == 0
+
+    def test_rolled_back_update_restores_the_switch_table(self):
+        topo = Topology()
+        topo.add_switches(["A", "B"])
+        topo.add_host("H")
+        topo.add_host("H2")
+        topo.add_link("H", "A")
+        topo.add_link("A", "B")
+        topo.add_link("B", "H2")
+        config = Configuration.from_paths(topo, {TC: ["H", "A", "B", "H2"]})
+        ks = KripkeStructure(topo, config, {TC: ["H"]})
+        with pytest.raises(ForwardingLoopError):
+            ks.update_switch("B", Table([forward(topo, "B", "A")]))
+        assert ks.has_config(config)
+        with pytest.raises(ForwardingLoopError):
+            ks.update_class_rules("B", TC, Table([forward(topo, "B", "A")]))
+        assert ks.has_config(config)
+
+    def test_search_and_wait_removal_copy_no_configuration(self, monkeypatch):
+        """Every search apply and revert, and every wait-removal step, edits
+        one table in place: none builds a whole new configuration."""
+        from repro.synthesis import remove_waits
+
+        sc = ring_diamond(160, seed=2)
+
+        def refuse(self, switch, table):
+            raise AssertionError("Configuration.with_table on the hot path")
+
+        monkeypatch.setattr(Configuration, "with_table", refuse)
+        for granularity in ("switch", "rule"):
+            plan = order_update(
+                sc.topology, sc.init, sc.final, sc.ingresses, sc.spec,
+                granularity=granularity,
+            )
+            slim = remove_waits(sc.topology, sc.init, plan, sc.ingresses)
+            assert slim.num_updates() == plan.num_updates() > 0
+
+
+class TestMergeClassRules:
+    def test_keeps_other_classes_and_takes_the_class_rules(self):
+        other = TrafficClass.make("f31", src="H3", dst="H1")
+        mine = Rule(10, Pattern(None, TC.fields), (Forward(1),))
+        theirs = Rule(10, Pattern(None, other.fields), (Forward(2),))
+        wildcard = Rule(1, Pattern.make(), (Forward(3),))
+        replacement = Rule(10, Pattern(None, TC.fields), (Forward(4),))
+        merged = merge_class_rules(
+            Table([mine, theirs, wildcard]), TC, Table([replacement, theirs])
+        )
+        # the wildcard covers TC, so it goes; the other class's rule stays
+        # once: class_table's copy of it does not cover TC
+        assert merged == Table([theirs, replacement])
 
 
 class TestMaximalPaths:

@@ -12,7 +12,7 @@ from repro.net.fields import TrafficClass
 from repro.net.rules import Forward, Pattern, Rule, Table
 from repro.synthesis import order_update, remove_waits, waits
 from repro.synthesis.plan import UpdatePlan
-from repro.synthesis.waits import _affected_classes, _apply, _class_edges
+from repro.synthesis.waits import _affected_classes, _class_edges, apply_command
 from repro.topo import (
     chained_diamond,
     double_diamond,
@@ -91,22 +91,24 @@ def reference_remove_waits(topology, init, plan, ingresses=None):
     window = {tc: [] for tc in classes}
     union = {tc: set() for tc in classes}
     for index, update in enumerate(updates):
-        after = _apply(config, update)
-        affected = _affected_classes(update, config, after, classes)
+        after = apply_command(config, update)
+        affected = _affected_classes(
+            update, config.table(update.switch), after.table(update.switch), classes
+        )
         if index > 0 and needs_wait(update.switch, affected):
             commands.append(Wait())
             for tc in classes:
                 window[tc] = []
-                union[tc] = _class_edges(topology, config, tc)
+                union[tc] = _class_edges(topology, config.tables(), tc)
         for tc in affected:
             if not window[tc]:
-                union[tc] |= _class_edges(topology, config, tc)
+                union[tc] |= _class_edges(topology, config.tables(), tc)
             window[tc].append(update.switch)
         commands.append(update)
         config = after
         for tc in classes:
             if window[tc]:
-                union[tc] |= _class_edges(topology, config, tc)
+                union[tc] |= _class_edges(topology, config.tables(), tc)
     return commands
 
 
@@ -114,7 +116,7 @@ class TestEdgesAndReachability:
     def test_forwarding_edges_follow_config(self):
         topo = mini_datacenter()
         config = Configuration.from_paths(topo, {TC: RED})
-        edges = _class_edges(topo, config, None)
+        edges = _class_edges(topo, config.tables(), None)
         assert ("T1", "A1") in edges
         assert ("A1", "C1") in edges
         assert ("T3", "A1") not in edges  # T3 forwards to H3 (a host)

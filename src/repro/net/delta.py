@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.errors import ParseError, TopologyError
 from repro.ltl.parser import parse
 from repro.net.rules import Table
-from repro.net.serialize import Problem, rule_from_dict, rule_to_dict
+from repro.net.serialize import Problem, link_from_dict, rule_to_dict, table_from_dict
 from repro.net.topology import NodeId
 
 #: The editable pieces of a problem, in the wire document's vocabulary.
@@ -76,16 +76,12 @@ def _parse_link(entry: Any, *, key: str) -> Tuple:
             f"patch {key!r} entries must be [node_a, node_b] or "
             f"[node_a, node_b, port_a, port_b], got {entry!r}"
         )
-    if len(entry) == 2:
-        return (str(entry[0]), str(entry[1]), None, None)
-    a, b, pa, pb = entry
-    for port in (pa, pb):
-        if isinstance(port, bool) or not isinstance(port, int):
-            raise ParseError(f"patch {key!r} ports must be integers, got {entry!r}")
-    return (str(a), str(b), pa, pb)
+    return link_from_dict(entry, where=f"patch {key!r}")
 
 
-def _parse_tables(data: Any, *, key: str) -> Dict[NodeId, Table]:
+def _parse_tables(
+    data: Any, memo: Dict[bytes, Table], *, key: str
+) -> Dict[NodeId, Table]:
     if not isinstance(data, Mapping):
         raise ParseError(f"patch {key!r} must be an object of switch tables")
     tables: Dict[NodeId, Table] = {}
@@ -95,8 +91,8 @@ def _parse_tables(data: Any, *, key: str) -> Dict[NodeId, Table]:
                 f"patch {key!r}[{switch!r}] must be a list of rules"
             )
         try:
-            tables[str(switch)] = Table(rule_from_dict(r) for r in rules)
-        except (ParseError, TypeError, AttributeError) as err:
+            tables[str(switch)] = table_from_dict(rules, memo)
+        except (ParseError, TypeError, ValueError, AttributeError) as err:
             raise ParseError(
                 f"patch {key!r}[{switch!r}] has a bad rule: {err}"
             ) from err
@@ -192,12 +188,15 @@ class ProblemPatch:
         spec = data.get("spec")
         if spec is not None and not isinstance(spec, str):
             raise ParseError(f"patch 'spec' must be a string, got {spec!r}")
+        tables: Dict[bytes, Table] = {}  # both sides share their equal tables
         return cls(
             links_add=links_add,
             links_remove=links_remove,
-            init_tables=_parse_tables(data.get("init_tables", {}), key="init_tables"),
+            init_tables=_parse_tables(
+                data.get("init_tables", {}), tables, key="init_tables"
+            ),
             final_tables=_parse_tables(
-                data.get("final_tables", {}), key="final_tables"
+                data.get("final_tables", {}), tables, key="final_tables"
             ),
             ingresses=ingresses,
             spec=spec,

@@ -26,8 +26,9 @@ Example problem file::
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParseError
 from repro.ltl.parser import parse
@@ -36,7 +37,7 @@ from repro.net.commands import Command, RuleGranUpdate, SwitchUpdate, Wait
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
 from repro.net.rules import Action, Forward, Pattern, Rule, SetField, Table
-from repro.net.topology import NodeId, Topology
+from repro.net.topology import NodeId, Port, Topology
 from repro.synthesis.plan import UpdatePlan
 
 
@@ -54,21 +55,47 @@ def topology_to_dict(topology: Topology) -> Dict[str, Any]:
     }
 
 
+def link_from_dict(
+    entry: Any, *, where: str = "link"
+) -> Tuple[NodeId, NodeId, Optional[Port], Optional[Port]]:
+    """One wire link entry as ``(node_a, node_b, port_a, port_b)``.
+
+    An entry is ``[node_a, node_b]`` or ``[node_a, node_b, port_a, port_b]``.
+    Node ids are strings; a port is an integer >= 1, or ``null`` to take
+    the node's next free port.  Anything else raises
+    :class:`~repro.errors.ParseError`, whose message starts with ``where``.
+    """
+    if isinstance(entry, (list, tuple)) and len(entry) == 4:
+        node_a, node_b, port_a, port_b = entry
+    elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+        (node_a, node_b), port_a, port_b = entry, None, None
+    else:
+        raise ParseError(f"bad {where} entry {entry!r}")
+    if not (isinstance(node_a, str) and isinstance(node_b, str)):
+        raise ParseError(f"{where} node ids must be strings, got {entry!r}")
+    if not (_is_port(port_a) and _is_port(port_b)):
+        if all(port is None or type(port) is int for port in (port_a, port_b)):
+            raise ParseError(f"{where} ports must be >= 1, got {entry!r}")
+        raise ParseError(f"{where} ports must be integers, got {entry!r}")
+    return node_a, node_b, port_a, port_b
+
+
+def _is_port(port: Any) -> bool:
+    """A wire port: ``null``, or a JSON integer (not a boolean) >= 1."""
+    return port is None or (type(port) is int and port >= 1)
+
+
 def topology_from_dict(data: Mapping[str, Any]) -> Topology:
     topology = Topology()
     for switch in data.get("switches", []):
+        if not isinstance(switch, str):
+            raise ParseError(f"switch ids must be strings, got {switch!r}")
         topology.add_switch(switch)
     for host in data.get("hosts", []):
+        if not isinstance(host, str):
+            raise ParseError(f"host ids must be strings, got {host!r}")
         topology.add_host(host)
-    for entry in data.get("links", []):
-        if len(entry) == 2:
-            a, b = entry
-            topology.add_link(a, b)
-        elif len(entry) == 4:
-            a, b, pa, pb = entry
-            topology.add_link(a, b, port_a=pa, port_b=pb)
-        else:
-            raise ParseError(f"bad link entry {entry!r}")
+    topology.add_links(map(link_from_dict, data.get("links", [])))
     return topology
 
 
@@ -103,13 +130,63 @@ def rule_to_dict(rule: Rule) -> Dict[str, Any]:
     return out
 
 
+def _match_value(field: Any, value: Any) -> str:
+    if isinstance(value, (list, tuple, dict)):
+        raise ParseError(
+            f"rule match value of {field!r} must not be a list or object, got {value!r}"
+        )
+    return str(value)
+
+
 def rule_from_dict(data: Mapping[str, Any]) -> Rule:
     pattern = Pattern(
         data.get("in_port"),
-        tuple(sorted((str(k), str(v)) for k, v in data.get("match", {}).items())),
+        tuple(sorted((str(k), _match_value(k, v)) for k, v in data.get("match", {}).items())),
     )
-    actions = tuple(_action_from_dict(a) for a in data.get("actions", []))
-    return Rule(int(data.get("priority", 0)), pattern, actions)
+    actions = data.get("actions", [])
+    if not isinstance(actions, (list, tuple)):
+        raise ParseError(f"rule actions must be a list, got {actions!r}")
+    return Rule(
+        int(data.get("priority", 0)), pattern, tuple(_action_from_dict(a) for a in actions)
+    )
+
+
+def table_from_dict(
+    rules: Sequence[Mapping[str, Any]], memo: Dict[bytes, Table]
+) -> Table:
+    """Decode one wire rule list, sharing the result with identical lists.
+
+    ``memo`` maps each rule list decoded so far to its :class:`Table`, by
+    the list's :mod:`marshal` encoding.  That key is exact: equal bytes
+    mean the same values of the same types, so ``true``, ``1`` and
+    ``1.0``, which compare equal in Python but decode to different match
+    values, key apart.  A list marshal cannot encode decodes without the
+    memo, and a malformed list raises as it would without it.  Identical
+    lists thus decode and validate once, and every switch holding one
+    shares its cached hash and
+    :meth:`~repro.net.rules.Table.canonical_json`.
+
+    Two switches with the same wire table get one :class:`Table`; a
+    table whose match value is ``true`` instead of ``"H2"`` gets its own:
+
+    >>> rules = '[{"priority": 1, "match": {"dst": "H2"}, "actions": [{"fwd": 2}]}]'
+    >>> wire = json.loads('{"S1": %s, "S2": %s}' % (rules, rules))
+    >>> memo = {}
+    >>> config = config_from_dict(wire, memo)
+    >>> config.table("S1") is config.table("S2")
+    True
+    >>> other = json.loads(rules.replace('"H2"', "true"))
+    >>> table_from_dict(other, memo) is config.table("S1"), len(memo)
+    (False, 2)
+    """
+    try:
+        key = marshal.dumps(rules)
+    except ValueError:  # not plain JSON data
+        return Table(rule_from_dict(r) for r in rules)
+    table = memo.get(key)
+    if table is None:
+        table = memo[key] = Table(rule_from_dict(r) for r in rules)
+    return table
 
 
 def config_to_dict(config: Configuration) -> Dict[str, List[Dict[str, Any]]]:
@@ -119,9 +196,16 @@ def config_to_dict(config: Configuration) -> Dict[str, List[Dict[str, Any]]]:
     }
 
 
-def config_from_dict(data: Mapping[str, Sequence[Mapping[str, Any]]]) -> Configuration:
+def config_from_dict(
+    data: Mapping[str, Sequence[Mapping[str, Any]]],
+    memo: Optional[Dict[bytes, Table]] = None,
+) -> Configuration:
+    """Decode a configuration; ``memo`` (see :func:`table_from_dict`) lets
+    the configurations of one problem share their identical tables."""
+    if memo is None:
+        memo = {}
     return Configuration(
-        {switch: Table(rule_from_dict(r) for r in rules) for switch, rules in data.items()}
+        {switch: table_from_dict(rules, memo) for switch, rules in data.items()}
     )
 
 
@@ -171,11 +255,12 @@ def problem_from_dict(data: Mapping[str, Any]) -> Problem:
         )
         ingresses[tc] = [str(h) for h in entry.get("ingress", [])]
     spec_text = data.get("spec", "true")
+    tables: Dict[bytes, Table] = {}  # init and final share their equal tables
     return Problem(
         topology=topology,
         ingresses=ingresses,
-        init=config_from_dict(data.get("init", {})),
-        final=config_from_dict(data.get("final", {})),
+        init=config_from_dict(data.get("init", {}), tables),
+        final=config_from_dict(data.get("final", {}), tables),
         spec=parse(spec_text),
         spec_text=spec_text,
     )

@@ -11,8 +11,8 @@ packet queue per direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+import json
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 
@@ -20,10 +20,19 @@ NodeId = str
 Port = int
 Location = Tuple[NodeId, Port]
 
+#: compact, key-sorted JSON, as for tables (:mod:`repro.net.rules`)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-@dataclass(frozen=True)
-class Link:
-    """An undirected link between ``(node_a, port_a)`` and ``(node_b, port_b)``."""
+_new_tuple = tuple.__new__
+
+
+class Link(NamedTuple):
+    """An undirected link between ``(node_a, port_a)`` and ``(node_b, port_b)``.
+
+    A named tuple, because one is built per link of every request and a
+    tuple is the cheapest immutable record to build.  It compares and
+    hashes as the plain tuple of its four fields.
+    """
 
     node_a: NodeId
     port_a: Port
@@ -66,6 +75,8 @@ class Topology:
         self._ports: Dict[NodeId, List[Port]] = {}
         # (node_a, node_b) -> port on node_a facing node_b
         self._port_to: Dict[Tuple[NodeId, NodeId], Port] = {}
+        # canonical_json(), until the next edit
+        self._json: Optional[str] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -73,6 +84,7 @@ class Topology:
     def add_switch(self, node: NodeId) -> NodeId:
         if node in self._hosts:
             raise TopologyError(f"{node!r} already registered as a host")
+        self._json = None
         self._switches.add(node)
         self._next_port.setdefault(node, 1)
         self._ports.setdefault(node, [])
@@ -81,6 +93,7 @@ class Topology:
     def add_host(self, node: NodeId) -> NodeId:
         if node in self._switches:
             raise TopologyError(f"{node!r} already registered as a switch")
+        self._json = None
         self._hosts.add(node)
         self._next_port.setdefault(node, 1)
         self._ports.setdefault(node, [])
@@ -118,6 +131,7 @@ class Topology:
             raise TopologyError(f"self-link on {node_a!r}")
         if (node_a, node_b) in self._port_to:
             raise TopologyError(f"duplicate link {node_a!r} <-> {node_b!r}")
+        self._json = None
         port_a = self._claim_port(node_a, port_a)
         port_b = self._claim_port(node_b, port_b)
         link = Link(node_a, port_a, node_b, port_b)
@@ -127,6 +141,61 @@ class Topology:
         self._port_to[(node_a, node_b)] = port_a
         self._port_to[(node_b, node_a)] = port_b
         return link
+
+    def add_links(
+        self,
+        links: Iterable[Tuple[NodeId, NodeId, Optional[Port], Optional[Port]]],
+    ) -> None:
+        """Wire every ``(node_a, node_b, port_a, port_b)`` link in one pass.
+
+        Same checks, errors and resulting indexes (port order, next free
+        ports, link order) as one :meth:`add_link` per link, but each
+        node's port list is sorted once, after the last link, instead of
+        once per link.  The wire decoder builds request topologies this way.
+        """
+        self._json = None
+        peer, port_to, ports, next_port = self._peer, self._port_to, self._ports, self._next_port
+        wired = self._links
+        try:
+            for node_a, node_b, port_a, port_b in links:
+                if node_a == node_b:
+                    raise TopologyError(f"self-link on {node_a!r}")
+                pair = (node_a, node_b)
+                if pair in port_to:
+                    raise TopologyError(f"duplicate link {node_a!r} <-> {node_b!r}")
+                # _claim_port for each end, minus the sort
+                free = next_port.get(node_a)
+                if free is None:
+                    raise TopologyError(f"unknown node {node_a!r}")
+                if port_a is None:
+                    port_a = free
+                end_a = (node_a, port_a)
+                if end_a in peer:
+                    raise TopologyError(f"port {port_a} on {node_a!r} already wired")
+                if port_a >= free:
+                    next_port[node_a] = port_a + 1
+                ports[node_a].append(port_a)
+                free = next_port.get(node_b)
+                if free is None:
+                    raise TopologyError(f"unknown node {node_b!r}")
+                if port_b is None:
+                    port_b = free
+                end_b = (node_b, port_b)
+                if end_b in peer:
+                    raise TopologyError(f"port {port_b} on {node_b!r} already wired")
+                if port_b >= free:
+                    next_port[node_b] = port_b + 1
+                ports[node_b].append(port_b)
+                # Link(...) without the Python-level __new__ frame
+                wired.append(_new_tuple(Link, (node_a, port_a, node_b, port_b)))
+                peer[end_a] = end_b
+                peer[end_b] = end_a
+                port_to[pair] = port_a
+                port_to[(node_b, node_a)] = port_b
+        finally:
+            # sorting an already sorted list is one linear scan
+            for node_ports in ports.values():
+                node_ports.sort()
 
     def remove_link(self, node_a: NodeId, node_b: NodeId) -> Link:
         """Unwire the link between ``node_a`` and ``node_b``.
@@ -138,6 +207,7 @@ class Topology:
         """
         if (node_a, node_b) not in self._port_to:
             raise TopologyError(f"no link {node_a!r} <-> {node_b!r} to remove")
+        self._json = None
         port_a = self._port_to.pop((node_a, node_b))
         port_b = self._port_to.pop((node_b, node_a))
         link = Link(node_a, port_a, node_b, port_b)
@@ -162,7 +232,34 @@ class Topology:
         clone._peer = dict(self._peer)
         clone._ports = {node: list(ports) for node, ports in self._ports.items()}
         clone._port_to = dict(self._port_to)
+        clone._json = self._json
         return clone
+
+    def canonical_json(self) -> str:
+        """The topology as compact, key-sorted JSON, order-insensitive:
+        switches and hosts sorted, each link oriented so its smaller
+        ``(node, port)`` endpoint comes first, and the links sorted.
+
+        This is the topology's share of a problem fingerprint
+        (:mod:`repro.service.fingerprint`).  It is computed once per
+        topology and kept until the next edit, so resubmitting a problem,
+        or a delta that moves no link, does not re-sort the links.
+        """
+        if self._json is None:
+            # a link's two nodes differ, so its smaller endpoint is the one
+            # with the smaller node id; JSON writes each tuple as a list
+            links = sorted(
+                link if link[0] < link[2] else (link[2], link[3], link[0], link[1])
+                for link in self._links
+            )
+            self._json = _CANONICAL.encode(
+                {
+                    "switches": sorted(self._switches),
+                    "hosts": sorted(self._hosts),
+                    "links": links,
+                }
+            )
+        return self._json
 
     # ------------------------------------------------------------------
     # queries

@@ -23,9 +23,11 @@ Canonicalization rules (on top of :mod:`repro.net.serialize`):
 
 The fingerprint is the SHA-256 hex digest of the compact, key-sorted
 canonical JSON.  Each table's share of it is cached on the table
-(:meth:`~repro.net.rules.Table.canonical_json`), so a problem that shares
-tables with one fingerprinted before (a delta and its base) encodes only
-its new tables.
+(:meth:`~repro.net.rules.Table.canonical_json`), and the topology's on the
+topology (:meth:`~repro.net.topology.Topology.canonical_json`), so a
+problem that shares tables with one fingerprinted before (a delta and its
+base), or with another switch of the same problem, encodes only its new
+tables.
 """
 
 from __future__ import annotations
@@ -37,26 +39,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
 from repro.net.serialize import Problem
-from repro.net.topology import NodeId, Topology
+from repro.net.topology import NodeId
 
 
 #: compact, key-sorted JSON (one encoder: ``json.dumps`` with options
 #: builds a new one per call)
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def canonical_topology(topology: Topology) -> Dict[str, Any]:
-    """Order-insensitive dict form of a topology."""
-    links: List[List[Any]] = []
-    for link in topology.links:
-        a = [link.node_a, link.port_a]
-        b = [link.node_b, link.port_b]
-        links.append(a + b if a <= b else b + a)
-    return {
-        "switches": sorted(topology.switches),
-        "hosts": sorted(topology.hosts),
-        "links": sorted(links),
-    }
 
 
 def canonical_classes(
@@ -118,6 +106,6 @@ def problem_fingerprint(
     # the parsed formula's printed form, not the raw text: immune to
     # whitespace/parenthesization differences in the input
     members.append(("spec", _canonical_json(str(problem.spec))))
-    members.append(("topology", _canonical_json(canonical_topology(problem.topology))))
+    members.append(("topology", problem.topology.canonical_json()))
     text = "{" + ",".join(f'"{key}":{value}' for key, value in members) + "}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

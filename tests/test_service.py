@@ -112,10 +112,21 @@ def reference_fingerprint(problem, options=None):
     import hashlib
 
     from repro.net.serialize import rule_to_dict
-    from repro.service.fingerprint import canonical_topology
 
     def canonical_json(value):
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    def canonical_topology(topology):
+        links = []
+        for link in topology.links:
+            a = [link.node_a, link.port_a]
+            b = [link.node_b, link.port_b]
+            links.append(a + b if a <= b else b + a)
+        return {
+            "switches": sorted(topology.switches),
+            "hosts": sorted(topology.hosts),
+            "links": sorted(links),
+        }
 
     def canonical_config(config):
         return {
@@ -151,7 +162,9 @@ def reference_fingerprint(problem, options=None):
 
 class TestFingerprintIdentity:
     """Byte-identical to the single-dict encoding, on every corpus suite
-    and along delta chains that share tables with their bases."""
+    and along delta chains that share tables with their bases, for
+    problems built in process and for the same problems decoded from
+    their wire documents (whose equal tables are one object)."""
 
     @pytest.mark.parametrize("suite", ["smoke", "full", "zoo", "churn"])
     def test_every_corpus_suite(self, suite):
@@ -159,20 +172,29 @@ class TestFingerprintIdentity:
 
         for record in generate_corpus(suite):
             options = SynthesisOptions(granularity=record.granularity).identity_dict()
+            parsed = problem_from_dict(json.loads(json.dumps(problem_to_dict(record.problem))))
             for opts in (None, options, {"timeout": 5}):
-                assert problem_fingerprint(record.problem, opts) == reference_fingerprint(
-                    record.problem, opts
-                ), record.scenario_id
+                expected = reference_fingerprint(record.problem, opts)
+                assert problem_fingerprint(record.problem, opts) == expected, record.scenario_id
+                assert problem_fingerprint(parsed, opts) == expected, record.scenario_id
+                assert reference_fingerprint(parsed, opts) == expected, record.scenario_id
 
     def test_delta_chain(self):
+        from repro.net.delta import ProblemPatch
         from repro.scenarios.churn import generate_churn
 
         for trace in generate_churn():
             problem = trace.records[0].problem
+            parsed = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
             problem_fingerprint(problem)  # warm the base's table encodings
+            problem_fingerprint(parsed)
             for patch in trace.patches:
                 problem = patch.apply_to(problem)
-                assert problem_fingerprint(problem) == reference_fingerprint(problem)
+                wire = json.loads(json.dumps(patch.to_dict()))
+                parsed = ProblemPatch.from_dict(wire).apply_to(parsed)
+                expected = reference_fingerprint(problem)
+                assert problem_fingerprint(problem) == expected
+                assert problem_fingerprint(parsed) == expected
 
     def test_cached_table_encoding_does_not_cross_pickle(self):
         import pickle

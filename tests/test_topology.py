@@ -66,6 +66,36 @@ class TestConstruction:
         with pytest.raises(TopologyError):
             topo.add_link("A", "C", port_a=1)
 
+    def test_canonical_json_follows_every_edit(self):
+        from repro.net.serialize import topology_from_dict, topology_to_dict
+
+        def fresh(topo):
+            return topology_from_dict(topology_to_dict(topo)).canonical_json()
+
+        topo = line_topology()
+        edits = [
+            lambda: topo.add_switch("S4"),
+            lambda: topo.add_host("H3"),
+            lambda: topo.add_link("S3", "S4"),
+            lambda: topo.add_links([("S4", "H3", None, 7)]),
+            lambda: topo.remove_link("S1", "S2"),
+        ]
+        for edit in edits:
+            before = topo.canonical_json()
+            edit()
+            assert topo.canonical_json() != before
+            assert topo.canonical_json() == fresh(topo)
+        assert topo.copy().canonical_json() == topo.canonical_json()
+
+    def test_link_is_a_named_tuple_of_its_fields(self):
+        link = Link("A", 1, "B", 2)
+        assert repr(link) == "Link(node_a='A', port_a=1, node_b='B', port_b=2)"
+        assert str(link) == "A:1<->B:2"
+        assert link.endpoints() == (("A", 1), ("B", 2))
+        assert hash(link) == hash(("A", 1, "B", 2)) and link == Link("A", 1, "B", 2)
+        with pytest.raises(AttributeError):
+            link.port_a = 3
+
 
 class TestQueries:
     def test_peer_and_port_to(self):

@@ -48,7 +48,8 @@ def _problems(quick):
 
 def _run(service, problems):
     start = time.perf_counter()
-    results = service.run_problems(problems)
+    jobs = service.submit_many(problems)
+    results = list(service.as_completed(job.job_id for job in jobs))
     seconds = time.perf_counter() - start
     hits = sum(1 for r in results if r.cached)
     return seconds, hits / len(results), results

@@ -45,9 +45,7 @@ def collect_meta() -> Dict[str, Any]:
     the full HEAD commit of the working tree the run executed in (``None``
     outside a git checkout); ``hostname`` identifies the machine, which
     matters because cross-machine wall-clock comparisons measure hardware,
-    not code.  The observatory history layer
-    (:mod:`repro.observatory.history`) lifts these fields into each
-    trajectory line so ``repro report`` can label runs.
+    not code.
     """
     sha: Optional[str] = None
     try:
@@ -100,7 +98,7 @@ def run_suite(
         )
     start = time.perf_counter()
     rows: List[Dict[str, Any]] = []
-    for result in service.stream():
+    for result in service.as_completed([r.scenario_id for r in records]):
         record = by_id[result.job_id]
         row: Dict[str, Any] = {
             "id": record.scenario_id,
@@ -128,19 +126,6 @@ def run_suite(
                 plan_updates=result.plan.num_updates(),
                 plan_waits=result.plan.num_waits(),
             )
-            if record.perturbation == "robust":
-                # dataset robustness axis: quantify the plan's single-link
-                # failure blast radius alongside its timings
-                from repro.synthesis.robust import robustness_report
-
-                problem = record.problem
-                row["robustness"] = robustness_report(
-                    problem.topology,
-                    problem.init,
-                    result.plan,
-                    problem.ingresses,
-                    problem.spec,
-                ).summary()
         rows.append(row)
     wall = time.perf_counter() - start
     rows.sort(key=lambda row: row["id"])
@@ -177,10 +162,6 @@ def run_suite(
             "busy_seconds": round(sum(row["seconds"] for row in rows), 6),
             "cache_hits": sum(1 for row in rows if row["cached"]),
             "model_checks": sum(row.get("model_checks", 0) for row in rows),
-            "robust_probed": sum(1 for row in rows if "robustness" in row),
-            "fully_robust": sum(
-                1 for row in rows if row.get("robustness", {}).get("fully_robust")
-            ),
         },
         "service": service.metrics_dict(),
         "scenarios": rows,

@@ -25,10 +25,6 @@ Subcommands:
 * ``demo NAME`` — write a ready-made problem file (``fig1-green``,
   ``fig1-blue``, ``double-diamond``) to stdout, for experimenting with the
   other subcommands.
-* ``experiment NAME`` — run one of the paper-figure experiment drivers
-  (``fig2a``, ``fig2b``, ``fig7-zoo``, ``fig7-fattree``, ``fig7-smallworld``,
-  ``fig7-netplumber``, ``fig8g``, ``fig8h``, ``fig8i``, ``ablations``) and
-  print its table.
 * ``batch PROBLEMS.jsonl`` — run many problems through the
   :mod:`repro.service` batch engine (worker pool + content-addressed plan
   cache) and stream one JSON result object
@@ -51,18 +47,7 @@ Subcommands:
   shared exit-code taxonomy (statically-proven infeasible → 2, parse
   problems → 4, other errors → 1).
 * ``corpus --suite NAME`` — generate a deterministic scenario corpus
-  (:mod:`repro.scenarios`) in the ``batch`` JSONL format.  ``--suite
-  dataset:DIR`` replays a built dataset directory instead.
-* ``dataset build|list|verify`` — the versioned dataset registry
-  (:mod:`repro.datasets`): ``build`` ingests topology sources (builtin
-  zoo, synthetic zoo-scale WANs, ``--gml-dir`` directories of Topology
-  Zoo GML), derives role-keyed specs validated with the static analyzer,
-  and writes ``problems.jsonl`` plus a sealed ``repro-dataset/1``
-  manifest; ``verify`` recomputes every content hash and fails on drift;
-  ``list`` summarizes the datasets under a directory.  Built datasets run
-  through ``batch``/``bench``/``analyze``/``judge`` as ``dataset:DIR``
-  suites, and their ``robust``-perturbation rows carry a single-link
-  failure robustness summary on the result line.
+  (:mod:`repro.scenarios`) in the ``batch`` JSONL format.
 * ``bench --suite NAME`` — run a scenario suite through the service engine
   and write a schema-versioned ``BENCH_<suite>.json`` (per-scenario wall
   time, model-checker calls, cache hits, plan shape);
@@ -72,24 +57,12 @@ Subcommands:
   two-pass delta benchmark (:mod:`repro.bench.churn`): every churn trace
   replayed cold and as chained deltas, self-gated on the median delta
   speedup (exit 1 below target).
-  ``--history PATH`` additionally appends the finished run to a
-  ``repro-bench-history/1`` JSONL trajectory, so runs accumulate instead
-  of overwriting each other.
-* ``report HISTORY`` — read a bench history file and render trend tables
-  (per-scenario seconds, plan-cache hit rates, per-family
-  scaling) plus a regression summary of the latest run against an anchor
-  run (``--anchor`` / ``--anchor-sha``); exits non-zero when the latest
-  run regressed past the noise floor.  ``--json`` emits the
-  ``repro-report/1`` document.
 * ``judge --suite NAME`` — replay a scenario suite across checker
   backends (default: incremental, batch, netplumber, symbolic) and fail
   (non-zero exit, scenario named) if any backends disagree on the verdict
   or the normalized plan; also flags portfolio-race picks that were
   measurably slower than a losing backend.  ``--json`` emits the
   ``repro-judge/1`` document.
-* ``profile --suite NAME`` — run a suite in-process and write a
-  schema-versioned ``PROFILE_<suite>.json`` attributing wall time to
-  phases (labeling, SAT ordering, wait removal).
 * ``cache-stats DIR`` — summarize an on-disk plan cache directory
   (entry count, bytes, cumulative hit/miss counters).  With
   ``--server URL`` it asks a running server instead.
@@ -113,7 +86,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
@@ -327,106 +299,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_FAILURE
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.bench import experiments
-    from repro.bench.report import format_series, format_table
-
-    name = args.name
-    if name == "fig2a":
-        for strategy, series in experiments.fig2a_probe_series().items():
-            print(format_series(f"Fig 2(a) — {strategy}", series))
-    elif name == "fig2b":
-        overhead = experiments.fig2b_rule_overhead()
-        switches = sorted(set().union(*overhead.values()))
-        print(
-            format_table(
-                "Fig 2(b) rule overhead",
-                ["switch"] + list(overhead),
-                [
-                    [sw] + [overhead[s].get(sw, 0.0) for s in overhead]
-                    for sw in switches
-                ],
-            )
-        )
-    elif name in ("fig7-zoo", "fig7-fattree", "fig7-smallworld"):
-        family = name.split("-", 1)[1]
-        rows, means = experiments.fig7_solvers(family)
-        print(
-            format_table(
-                f"Fig 7 ({family})",
-                ["scenario", "switches", "incremental", "batch", "automaton", "symbolic"],
-                [
-                    (
-                        r.name,
-                        r.switches,
-                        r.seconds.get("incremental"),
-                        r.seconds.get("batch"),
-                        r.seconds.get("automaton"),
-                        r.seconds.get("symbolic"),
-                    )
-                    for r in rows
-                ],
-            )
-        )
-        print("geomean speedups:", means)
-    elif name == "fig7-netplumber":
-        rows, means = experiments.fig7_netplumber()
-        print(
-            format_table(
-                "Fig 7(d-f)",
-                ["scenario", "switches", "incremental", "netplumber"],
-                [
-                    (r.name, r.switches, r.seconds["incremental"], r.seconds["netplumber"])
-                    for r in rows
-                ],
-            )
-        )
-        print("geomean speedups:", means)
-    elif name == "fig8g":
-        rows = experiments.fig8g_scaling()
-        print(
-            format_table(
-                "Fig 8(g)",
-                ["property", "switches", "updates", "seconds", "waits"],
-                [(r.prop, r.switches, r.updates, r.seconds, r.waits_after) for r in rows],
-            )
-        )
-    elif name == "fig8h":
-        rows = experiments.fig8h_infeasible()
-        print(
-            format_table(
-                "Fig 8(h)",
-                ["switches", "updating", "seconds", "feasible", "reason"],
-                [(r.switches, r.updates, r.seconds, r.feasible, r.reason) for r in rows],
-            )
-        )
-    elif name == "ablations":
-        rows = experiments.ablation_optimizations()
-        print(
-            format_table(
-                "Ablation: search optimizations",
-                ["variant", "seconds", "model checks", "cex", "backtracks"],
-                [
-                    (r.variant, r.seconds, r.model_checks, r.counterexamples, r.backtracks)
-                    for r in rows
-                ],
-            )
-        )
-    elif name == "fig8i":
-        rows = experiments.fig8i_rule_granularity()
-        print(
-            format_table(
-                "Fig 8(i)",
-                ["switches", "updates", "seconds", "waits"],
-                [(r.switches, r.updates, r.seconds, r.waits_after) for r in rows],
-            )
-        )
-        print("waits summary:", experiments.waits_summary(rows))
-    else:
-        raise ReproError(f"unknown experiment {name!r}")
-    return 0
-
-
 def _portfolio_arg(value: str):
     """argparse type for ``--portfolio``: comma-separated checker backends."""
     backends = tuple(entry.strip() for entry in value.split(",") if entry.strip())
@@ -458,10 +330,6 @@ class BatchJob:
     base_id: Optional[str] = None
     patch: Optional["ProblemPatch"] = None
     lineno: int = 0  # 1-based source line, for path:lineno error messages
-    # lines tagged robust (a top-level "robust": true, or dataset rows with
-    # meta.perturbation == "robust") get a RobustnessReport summary attached
-    # to their result line after synthesis
-    robust: bool = False
 
 
 def _load_batch_jobs(path: str) -> "List[BatchJob]":
@@ -502,10 +370,6 @@ def _load_batch_jobs(path: str) -> "List[BatchJob]":
                     f"{path}:{lineno}: 'granularity' must be 'switch' or "
                     f"'rule', got {granularity!r}"
                 )
-            meta = data.get("meta")
-            robust = bool(data.get("robust")) or (
-                isinstance(meta, dict) and meta.get("perturbation") == "robust"
-            )
             if "base" in data:
                 base_id = data.get("base")
                 if not isinstance(base_id, str) or not base_id:
@@ -544,7 +408,6 @@ def _load_batch_jobs(path: str) -> "List[BatchJob]":
                     granularity,
                     problem=problem,
                     lineno=lineno,
-                    robust=robust,
                 )
             )
     finally:
@@ -656,28 +519,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 job_id=job.job_id,
                 timeout=job.timeout,
             )
-    robust_jobs = {
-        job.job_id: job for job in jobs if job.robust and job.problem is not None
-    }
     errored = False
-    for result in engine.stream():
+    # ids in line order; each result prints as it settles
+    for result in engine.as_completed(job.job_id for job in jobs):
         errored = errored or result.status.value == "error"
-        doc = result.to_dict(include_plan=not args.no_plans)
-        robust_job = robust_jobs.get(result.job_id)
-        if robust_job is not None and result.ok and result.plan is not None:
-            # the robustness axis: quantify the plan's single-link-failure
-            # blast radius and carry the digest on the result line
-            from repro.synthesis.robust import robustness_report
-
-            problem = robust_job.problem
-            doc["robustness"] = robustness_report(
-                problem.topology,
-                problem.init,
-                result.plan,
-                problem.ingresses,
-                problem.spec,
-            ).summary()
-        json.dump(doc, sys.stdout)
+        json.dump(result.to_dict(include_plan=not args.no_plans), sys.stdout)
         sys.stdout.write("\n")
         sys.stdout.flush()
     if not args.server:
@@ -873,85 +719,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
-    from repro.datasets import (
-        build_dataset,
-        dataset_suite_name,
-        list_datasets,
-        verify_dataset,
-    )
-
-    if args.dataset_cmd == "build":
-        sources = args.source or ["builtin", "synthetic"]
-        out_dir = args.out or os.path.join("datasets", args.name)
-        result = build_dataset(
-            args.name,
-            sources,
-            out_dir,
-            gml_dir=args.gml_dir or "",
-            synthetic_count=args.synthetic_count,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        manifest = result.manifest
-        if args.json:
-            json.dump(manifest, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-            return EXIT_OK
-        counts = manifest["counts"]
-        print(f"dataset {manifest['name']!r} v{manifest['version']} -> {out_dir}")
-        print(
-            f"  topologies: {counts['topologies_ingested']} ingested, "
-            f"{counts['topologies_covered']} covered"
-        )
-        perturbations = manifest["distributions"]["perturbations"]
-        pert_text = ", ".join(f"{k} {v}" for k, v in sorted(perturbations.items()))
-        print(f"  problems: {counts['problems']} ({pert_text})")
-        for stage in ("ingest", "derivation"):
-            dropped = manifest["drops"][stage]
-            total = sum(dropped.values())
-            detail = ", ".join(f"{k} {v}" for k, v in sorted(dropped.items()) if v)
-            print(f"  {stage} drops: {total}" + (f" ({detail})" if detail else ""))
-        print(f"  manifest_hash: {manifest['manifest_hash']}")
-        print(f"  run it: repro batch <(repro corpus --suite {dataset_suite_name(out_dir)})")
-        return EXIT_OK
-    if args.dataset_cmd == "list":
-        rows = list_datasets(args.root)
-        if args.json:
-            json.dump(rows, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-            return EXIT_OK
-        if not rows:
-            print(f"no datasets under {args.root!r}")
-            return EXIT_OK
-        for row in rows:
-            if "error" in row:
-                print(f"{row['directory']}: ERROR {row['error']}")
-            else:
-                print(
-                    f"{row['directory']}: {row['name']} v{row['version']} — "
-                    f"{row['problems']} problems over {row['topologies']} "
-                    f"topologies [{row['manifest_hash']}]"
-                )
-        return EXIT_OK
-    # verify: recompute content hashes and report drift
-    findings = verify_dataset(args.directory)
-    if args.json:
-        json.dump(
-            {"directory": args.directory, "ok": not findings, "findings": findings},
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        sys.stdout.write("\n")
-    elif findings:
-        for finding in findings:
-            print(f"{args.directory}: {finding}")
-    else:
-        print(f"{args.directory}: ok")
-    return EXIT_OK if not findings else EXIT_FAILURE
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.runner import (
         compare_runs,
@@ -1001,7 +768,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         out_path = args.out or "BENCH_churn.json"
         write_bench(document, out_path)
-        _append_bench_history(args, document)
         if args.json:
             json.dump(document, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
@@ -1019,7 +785,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     out_path = args.out or f"BENCH_{args.suite}.json"
     write_bench(document, out_path)
-    _append_bench_history(args, document)
     if args.json:
         json.dump(document, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
@@ -1029,41 +794,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if document["totals"]["statuses"].get("error"):
         return EXIT_FAILURE
     return EXIT_OK
-
-
-def _append_bench_history(args: argparse.Namespace, document) -> None:
-    """Record a completed bench run in the observatory trajectory file."""
-    if not args.history:
-        return
-    from repro.observatory import append_history
-
-    append_history(document, args.history)
-    print(f"appended to history {args.history}", file=sys.stderr)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.observatory import build_report, format_report, load_history
-
-    entries = load_history(args.history, suite=args.suite)
-    document = build_report(
-        entries,
-        anchor=args.anchor,
-        anchor_sha=args.anchor_sha,
-        threshold=args.threshold,
-        min_seconds=args.min_seconds,
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(format_report(document))
-        if args.out:
-            print(f"wrote {args.out}", file=sys.stderr)
-    return EXIT_OK if document["ok"] else EXIT_FAILURE
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
@@ -1094,26 +824,6 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         if args.out:
             print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK if document["totals"]["ok"] else EXIT_FAILURE
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.perf.profile import format_profile_summary, run_profile, write_profile
-
-    document = run_profile(
-        args.suite,
-        quick=args.quick,
-        base_seed=args.seed,
-        timeout=args.timeout,
-    )
-    out_path = args.out or f"PROFILE_{args.suite}.json"
-    write_profile(document, out_path)
-    if args.json:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(format_profile_summary(document))
-        print(f"wrote {out_path}")
-    return EXIT_OK
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
@@ -1321,51 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print a coverage summary to stderr")
     p_corpus.set_defaults(fn=_cmd_corpus)
 
-    p_dataset = sub.add_parser(
-        "dataset",
-        help="build, list, and verify reproducible benchmark datasets "
-             "(repro-dataset/1)",
-    )
-    dsub = p_dataset.add_subparsers(dest="dataset_cmd", required=True)
-    d_build = dsub.add_parser(
-        "build", help="ingest topology sources and build a sealed dataset"
-    )
-    d_build.add_argument("--name", default="zoo",
-                         help="dataset name recorded in the manifest "
-                              "(default zoo)")
-    d_build.add_argument("--out", "-o", default=None, metavar="DIR",
-                         help="dataset directory (default datasets/<name>)")
-    d_build.add_argument("--source", action="append", default=None,
-                         choices=["builtin", "synthetic", "gml"],
-                         help="topology source; repeatable (default: "
-                              "builtin + synthetic)")
-    d_build.add_argument("--gml-dir", default=None, metavar="DIR",
-                         help="directory of Topology Zoo .gml files "
-                              "(needed by --source gml)")
-    d_build.add_argument("--synthetic-count", type=int, default=64,
-                         help="synthetic zoo size (default 64; quick caps "
-                              "it at 12)")
-    d_build.add_argument("--seed", type=int, default=0,
-                         help="derivation base seed (default 0)")
-    d_build.add_argument("--quick", action="store_true",
-                         help="CI-sized build (small synthetic zoo)")
-    d_build.add_argument("--json", action="store_true",
-                         help="emit the manifest to stdout")
-    d_build.set_defaults(fn=_cmd_dataset)
-    d_list = dsub.add_parser("list", help="summarize datasets under a directory")
-    d_list.add_argument("root", nargs="?", default="datasets",
-                        help="registry root to scan (default datasets)")
-    d_list.add_argument("--json", action="store_true",
-                        help="emit the summaries as JSON")
-    d_list.set_defaults(fn=_cmd_dataset)
-    d_verify = dsub.add_parser(
-        "verify", help="recompute a dataset's content hashes and fail on drift"
-    )
-    d_verify.add_argument("directory", help="dataset directory to verify")
-    d_verify.add_argument("--json", action="store_true",
-                          help="emit the findings as JSON")
-    d_verify.set_defaults(fn=_cmd_dataset)
-
     p_bench = sub.add_parser(
         "bench", help="run a scenario-suite benchmark / compare two BENCH runs"
     )
@@ -1395,37 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="noise floor for --compare timings (default 0.02)")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the document/comparison as JSON to stdout")
-    p_bench.add_argument("--history", default=None, metavar="PATH",
-                         help="append this run to a repro-bench-history/1 "
-                              "JSONL trajectory (read by `repro report`)")
     p_bench.set_defaults(fn=_cmd_bench)
-
-    p_report = sub.add_parser(
-        "report",
-        help="render trend tables + a regression summary from a bench history",
-    )
-    p_report.add_argument("history",
-                          help="path to a repro-bench-history/1 JSONL file "
-                               "(grow one with `repro bench --history`)")
-    p_report.add_argument("--suite", default=None,
-                          help="report only this suite's runs (a shared "
-                               "history file may interleave several)")
-    p_report.add_argument("--anchor", type=int, default=0,
-                          help="index of the run to compare the latest run "
-                               "against (default 0: the oldest; negative "
-                               "counts from the end)")
-    p_report.add_argument("--anchor-sha", default=None, metavar="SHA",
-                          help="anchor on the most recent run of this git "
-                               "commit (prefix match) instead of an index")
-    p_report.add_argument("--threshold", type=float, default=2.0,
-                          help="regression factor vs the anchor (default 2.0)")
-    p_report.add_argument("--min-seconds", type=float, default=0.02,
-                          help="noise floor for timing comparisons (default 0.02)")
-    p_report.add_argument("--out", "-o", default=None,
-                          help="also write the repro-report/1 document here")
-    p_report.add_argument("--json", action="store_true",
-                          help="emit the repro-report/1 document to stdout")
-    p_report.set_defaults(fn=_cmd_report)
 
     p_judge = sub.add_parser(
         "judge",
@@ -1456,23 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the repro-judge/1 document to stdout")
     p_judge.set_defaults(fn=_cmd_judge)
 
-    p_profile = sub.add_parser(
-        "profile", help="attribute a suite's wall time to synthesis phases"
-    )
-    p_profile.add_argument("--suite", required=True,
-                           help="suite to profile (smoke, full, zoo)")
-    p_profile.add_argument("--quick", action="store_true",
-                           help="use the suite's scaled-down CI sizes")
-    p_profile.add_argument("--seed", type=int, default=0,
-                           help="base seed for scenario generation (default 0)")
-    p_profile.add_argument("--timeout", type=float, default=120.0,
-                           help="per-scenario timeout in seconds (default 120)")
-    p_profile.add_argument("--out", default=None,
-                           help="output path (default PROFILE_<suite>.json)")
-    p_profile.add_argument("--json", action="store_true",
-                           help="emit the document as JSON to stdout")
-    p_profile.set_defaults(fn=_cmd_profile)
-
     p_cache = sub.add_parser(
         "cache-stats",
         help="summarize an on-disk plan cache directory (or a live server's)",
@@ -1487,9 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", help="fig1-green | fig1-blue | double-diamond")
     p_demo.set_defaults(fn=_cmd_demo)
 
-    p_exp = sub.add_parser("experiment", help="run a paper-figure experiment")
-    p_exp.add_argument("name", help="fig2a | fig2b | fig7-* | fig8g | fig8h | fig8i")
-    p_exp.set_defaults(fn=_cmd_experiment)
     return parser
 
 

@@ -21,7 +21,7 @@ class ConfigurationError(ReproError):
 
 
 class ParseError(ReproError):
-    """Raised when parsing LTL formulas or GML topology files fails."""
+    """Raised when parsing LTL formulas or wire documents fails."""
 
 
 class ModelCheckError(ReproError):

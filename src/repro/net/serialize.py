@@ -112,7 +112,10 @@ def _action_to_dict(action: Action) -> Dict[str, Any]:
 
 def _action_from_dict(data: Mapping[str, Any]) -> Action:
     if "fwd" in data:
-        return Forward(int(data["fwd"]))
+        port = data["fwd"]
+        if port is None or not _is_port(port):
+            raise ParseError(f"rule fwd port must be an integer >= 1, got {port!r}")
+        return Forward(port)
     if "set" in data:
         field, value = data["set"]
         return SetField(str(field), str(value))
@@ -139,16 +142,24 @@ def _match_value(field: Any, value: Any) -> str:
 
 
 def rule_from_dict(data: Mapping[str, Any]) -> Rule:
+    """Decode one wire rule.  ``priority`` must be a JSON integer, and
+    ``in_port`` (optional) and each ``fwd`` port an integer >= 1; a
+    boolean, float or string there raises :class:`~repro.errors.ParseError`
+    rather than being coerced."""
+    in_port = data.get("in_port")
+    if not _is_port(in_port):
+        raise ParseError(f"rule in_port must be an integer >= 1 or null, got {in_port!r}")
+    priority = data.get("priority", 0)
+    if type(priority) is not int:
+        raise ParseError(f"rule priority must be an integer, got {priority!r}")
     pattern = Pattern(
-        data.get("in_port"),
+        in_port,
         tuple(sorted((str(k), _match_value(k, v)) for k, v in data.get("match", {}).items())),
     )
     actions = data.get("actions", [])
     if not isinstance(actions, (list, tuple)):
         raise ParseError(f"rule actions must be a list, got {actions!r}")
-    return Rule(
-        int(data.get("priority", 0)), pattern, tuple(_action_from_dict(a) for a in actions)
-    )
+    return Rule(priority, pattern, tuple(_action_from_dict(a) for a in actions))
 
 
 def table_from_dict(

@@ -190,7 +190,7 @@ def _race_suite(
             ),
         )
     picks: Dict[str, Dict[str, Any]] = {}
-    for result in service.stream():
+    for result in service.as_completed([r.scenario_id for r in records]):
         picks[result.job_id] = {
             "status": result.status.value,
             "winner": result.backend,

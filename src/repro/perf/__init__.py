@@ -1,9 +1,6 @@
-"""Profiling: the ``repro profile`` harness.
-
-* :mod:`repro.perf.profile` — per-phase wall time attribution (labeling,
-  SAT ordering, wait removal) emitted as a schema-versioned
-  ``PROFILE_<suite>.json``.
+"""Performance support.
 
 :mod:`repro.perf.memo` is an empty placeholder kept for an import in
-``perfbench/tracing.py``.
+``perfbench/tracing.py``.  Per-layer timings come from perfbench's traced
+runs (``python3 perfbench/run.py --trace 1``).
 """

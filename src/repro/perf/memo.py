@@ -9,4 +9,4 @@ keeps that import working; it has no methods, so the benchmark's
 
 class VerdictMemo:
     """Empty stand-in that exists only for ``perfbench/tracing.py``'s
-    import; it is deleted by the benchmark-kind PR of ROADMAP item 6."""
+    import; it is deleted by the benchmark-kind PR of ROADMAP item 4."""

@@ -3,8 +3,8 @@ drivers, and the benchmark scripts.
 
 These used to live as private helpers inside :mod:`repro.bench.experiments`;
 they are the single source of update-synthesis workloads now, so every
-consumer (corpus generator, ``repro experiment``, ``benchmarks/bench_fig*``)
-draws from the same scenario pool.
+consumer (corpus generator, ``benchmarks/bench_fig*``) draws from the same
+scenario pool.
 """
 
 from __future__ import annotations

@@ -276,16 +276,6 @@ def generate_corpus(
     records in the same order; distinct ``base_seed`` values choose
     different diamond endpoints, rewirings, and failed links.
     """
-    if isinstance(suite, str) and suite.startswith("dataset:"):
-        # a built dataset directory (see repro.datasets): records come off
-        # disk as manifested, so base_seed is already baked in; quick takes
-        # a deterministic diversity-preserving subsample
-        from repro.datasets.build import load_dataset_records
-
-        records = load_dataset_records(suite[len("dataset:") :])
-        if quick and len(records) > 24:
-            records = sample_records(records, 24)
-        return records
     if isinstance(suite, str):
         suite = get_suite(suite)
     if suite.name == "churn":

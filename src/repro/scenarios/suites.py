@@ -13,10 +13,8 @@ from typing import Any, Dict, Tuple
 
 from repro.errors import ReproError
 
-#: perturbations the generator understands; "robust" rows (emitted by
-#: dataset builds, see repro.datasets) additionally get a single-link
-#: failure RobustnessReport summary attached to their synthesized plan
-PERTURBATIONS = ("baseline", "linkfail", "rulegran", "robust")
+#: perturbations the generator understands
+PERTURBATIONS = ("baseline", "linkfail", "rulegran")
 
 
 @dataclass(frozen=True)

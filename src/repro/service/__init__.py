@@ -23,8 +23,8 @@ Quickstart (in-process batch)::
     from repro.service import SynthesisService, SynthesisOptions
 
     service = SynthesisService(workers=4, cache_dir=".plan-cache")
-    service.submit_many(problems, options=SynthesisOptions(timeout=30.0))
-    for result in service.stream():
+    jobs = service.submit_many(problems, options=SynthesisOptions(timeout=30.0))
+    for result in service.as_completed(job.job_id for job in jobs):
         print(result.job_id, result.status.value, result.cached)
     print(service.metrics_dict())
 

@@ -1,8 +1,8 @@
 """Thin client: the :class:`SynthesisService` surface over HTTP.
 
 :class:`ReproClient` mirrors the in-process scheduler API —
-``submit`` / ``submit_many`` / ``result`` / ``poll`` / ``cancel`` /
-``stream`` / ``run`` / ``drain`` plus the introspection calls — against a
+``submit`` / ``submit_many`` / ``result`` / ``as_completed`` / ``poll`` /
+``cancel`` / ``drain`` plus the introspection calls — against a
 running ``repro serve`` instance, speaking ``repro-api/1``
 (:mod:`repro.api`) over stdlib :mod:`urllib`.  Results come back as the
 same :class:`~repro.service.jobs.JobResult` objects the local service
@@ -28,7 +28,7 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from urllib.parse import quote
 
 from repro.api import (
@@ -84,15 +84,13 @@ class ReproClient:
         self.max_retries = max(0, max_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         # per submitted job: the traffic classes needed to rehydrate plans,
-        # and the submission order backing stream()/run().  _base_problems
+        # and the submission order backing drain().  _base_problems
         # keeps each submitted problem by its server-side fingerprint so
         # submit_delta can fall back to a cold submission when the server
         # no longer retains the base.
         self._classes: Dict[str, Dict[str, TrafficClass]] = {}
         self._base_problems: Dict[str, Problem] = {}
         self._order: List[str] = []
-        self._delivered: set = set()
-        self._last_order: List[str] = []
 
     # ------------------------------------------------------------------
     # transport
@@ -323,7 +321,7 @@ class ReproClient:
         base: Optional[str] = None,
     ) -> None:
         """Track a submission: classes for plan rehydration, order for
-        ``stream``/``run``, and the problem under its fingerprint for delta
+        ``drain``, and the problem under its fingerprint for delta
         fallback.  A delta whose base problem the client never saw has
         ``problem=None`` — its plan rehydrates with name-only classes
         inherited from the base's record when available."""
@@ -379,6 +377,23 @@ class ReproClient:
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id!r} still open")
 
+    def as_completed(self, job_ids: Iterable[str]) -> Iterator[JobResult]:
+        """Yield each listed job's result (each id once) as it settles,
+        mirroring :meth:`SynthesisService.as_completed`."""
+        remaining = list(dict.fromkeys(job_ids))
+        while remaining:
+            still_open: List[str] = []
+            for index, job_id in enumerate(remaining):
+                # long-poll only the first open job; siblings get a quick
+                # look so whichever settles first is surfaced promptly
+                wait = _POLL_CHUNK_SECONDS if index == 0 else 0.0
+                result = self._fetch(job_id, wait=wait)
+                if result is not None:
+                    yield result
+                else:
+                    still_open.append(job_id)
+            remaining = still_open
+
     def poll(self) -> Dict[str, JobStatus]:
         """Status snapshot of every job the server remembers."""
         document = self._request("GET", "/v1/jobs")
@@ -403,42 +418,7 @@ class ReproClient:
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
             results.append(self.result(job_id, timeout=remaining))
-        self._delivered.update(self._order)
         return results
-
-    # ------------------------------------------------------------------
-    # batch-compatibility views (mirror SynthesisService)
-    # ------------------------------------------------------------------
-    def stream(self) -> Iterator[JobResult]:
-        """Yield this client's undelivered results as they settle."""
-        claimed = [
-            job_id for job_id in self._order if job_id not in self._delivered
-        ]
-        self._delivered.update(claimed)
-        self._last_order = list(claimed)
-        remaining = list(claimed)
-        while remaining:
-            still_open: List[str] = []
-            for index, job_id in enumerate(remaining):
-                # long-poll only the first open job; siblings get a quick
-                # look so whichever settles first is surfaced promptly
-                wait = _POLL_CHUNK_SECONDS if index == 0 else 0.0
-                result = self._fetch(job_id, wait=wait)
-                if result is not None:
-                    yield result
-                else:
-                    still_open.append(job_id)
-            remaining = still_open
-
-    def run(self) -> List[JobResult]:
-        """Settle this client's undelivered jobs; submission order."""
-        results = {result.job_id: result for result in self.stream()}
-        return [results[job_id] for job_id in self._last_order]
-
-    def run_problems(self, problems: List[Problem], **kwargs: Any) -> List[JobResult]:
-        """Convenience: submit + run in one call."""
-        self.submit_many(problems, **kwargs)
-        return self.run()
 
     # ------------------------------------------------------------------
     # introspection

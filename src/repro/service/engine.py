@@ -20,18 +20,16 @@ Jobs flow through three stages:
 Scheduling is **continuous**: :meth:`SynthesisService.submit` is legal at
 any time, including while execution is in flight.  A single scheduler
 thread drains the submission queue in micro-batches; it starts lazily on
-the first consumer call (:meth:`stream`, :meth:`run`, :meth:`result`,
+the first consumer call (:meth:`as_completed`, :meth:`result`,
 :meth:`drain`) and exits once the queue runs dry, or is started
 explicitly via :meth:`start` (what the HTTP server does) and then stays
 resident until :meth:`close`.  While no scheduler is running,
-submissions simply queue — which keeps the classic ``submit_many →
-stream()`` batch idiom fully deterministic: every job is pending when
-the stream begins, so duplicates coalesce exactly as they did when the
-service was batch-only, and a dropped batch-style service leaks no
-thread.  ``run``/``stream``
-are now *views* over the scheduler: they claim the caller's undelivered
-jobs and surface each result as it settles.  :meth:`result` waits on one
-job, :meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
+submissions simply queue — which keeps the ``submit`` → ``as_completed``
+batch idiom fully deterministic: every job is pending when the scheduler
+starts, so duplicates coalesce the same way on every run, and a dropped
+batch-style service leaks no thread.  :meth:`as_completed` yields the
+listed jobs' results as they settle, :meth:`result` waits on one job,
+:meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
 still-queued job, and :meth:`drain` blocks until the service is idle.
 
 In-process (serial) execution passes objects end to end: the job's
@@ -107,8 +105,9 @@ _GroupKey = Tuple[str, Optional[float]]
 
 #: Settled results retained for ``result()``/``GET /v1/jobs/{id}`` lookups.
 #: A long-lived server must not grow memory with every job ever served;
-#: beyond this many known jobs, the oldest *delivered* settled results are
-#: evicted (a later lookup of an evicted id raises ``KeyError``).
+#: beyond this many known jobs, the oldest settled results nobody is
+#: waiting on are evicted (a later lookup of an evicted id raises
+#: ``KeyError``).
 RESULT_RETENTION = 4096
 
 #: Base problems retained for delta resolution (:meth:`SynthesisService.
@@ -280,13 +279,9 @@ class SynthesisService:
         self._jobs: Dict[str, SynthesisJob] = {}
         self._results: Dict[str, JobResult] = {}
         self._order: List[str] = []
-        # delivered = claimed by a stream()/drain() (drives what the next
-        # stream picks up); consumed = actually handed to a caller (drives
-        # eviction: a claimed-but-unread result must never be evicted)
-        self._delivered: Set[str] = set()
-        self._consumed: Set[str] = set()
-        # ids with a blocked result() waiter (refcounted): never evicted,
-        # or the waiter could hang on a result that vanished under it
+        # ids a result() or as_completed() caller is waiting on
+        # (refcounted): never evicted, or the waiter could hang on a result
+        # that vanished under it
         self._watchers: Dict[str, int] = {}
         # (fingerprint, timeout) groups currently executing; submissions
         # matching one attach to it instead of queueing a second execution
@@ -307,7 +302,6 @@ class SynthesisService:
         # dropped batch-style service leaks no parked thread
         self._persistent = False
         self._closed = False
-        self._last_order: List[str] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -315,7 +309,7 @@ class SynthesisService:
     def start(self, *, persistent: bool = True) -> "SynthesisService":
         """Start the scheduler thread (idempotent).
 
-        ``stream``/``run``/``result``/``drain`` call this implicitly with
+        ``as_completed``/``result``/``drain`` call this implicitly with
         ``persistent=False`` — the thread then parks only while work is
         pending and exits once the queue runs dry (so classic batch users
         leak nothing).  An explicit ``start()`` (the HTTP server at boot)
@@ -521,10 +515,7 @@ class SynthesisService:
         with self._cv:
             if job_id not in self._jobs:
                 raise KeyError(job_id)
-            result = self._results.get(job_id)
-            if result is not None:
-                self._consumed.add(job_id)
-            return result
+            return self._results.get(job_id)
 
     def result(self, job_id: str, *, timeout: Optional[float] = None) -> JobResult:
         """Block until ``job_id`` settles and return its result.
@@ -538,10 +529,7 @@ class SynthesisService:
         # Register the watcher BEFORE starting the scheduler: a started
         # scheduler may settle the job and evict its result in the gap,
         # and the watcher is what makes the result eviction-proof.
-        with self._cv:
-            if job_id not in self._jobs:
-                raise KeyError(job_id)
-            self._watchers[job_id] = self._watchers.get(job_id, 0) + 1
+        self._watch([job_id])
         try:
             self.start(persistent=False)
             with self._cv:
@@ -554,10 +542,54 @@ class SynthesisService:
                         if remaining <= 0:
                             raise TimeoutError(f"job {job_id!r} still open")
                     self._cv.wait(remaining)
-                self._consumed.add(job_id)
                 return self._results[job_id]
         finally:
-            with self._cv:
+            self._unwatch([job_id])
+
+    def as_completed(self, job_ids: Iterable[str]) -> Iterator[JobResult]:
+        """Yield each listed job's result (each id once) as it settles.
+
+        Results already settled come first, in the given order; the rest
+        follow in completion order.  Raises ``KeyError`` for an id that
+        was never submitted (or has been evicted).  Every id not yet
+        yielded is watched, like a blocked :meth:`result`, so its result
+        cannot be evicted; closing the iterator early releases the rest.
+        Starts the scheduler if needed.
+        """
+        held = dict.fromkeys(job_ids)  # watched and not yet yielded, in order
+        self._watch(held)
+        try:
+            self.start(persistent=False)
+            while held:
+                with self._cv:
+                    while not any(job_id in self._results for job_id in held):
+                        self._cv.wait()
+                    ready = [
+                        (job_id, self._results[job_id])
+                        for job_id in held
+                        if job_id in self._results
+                    ]
+                for job_id, result in ready:
+                    del held[job_id]
+                    self._unwatch([job_id])
+                    yield result
+        finally:
+            self._unwatch(held)
+
+    def _watch(self, job_ids: Iterable[str]) -> None:
+        """Protect ``job_ids`` from eviction (``KeyError`` if any is
+        unknown, before any is watched)."""
+        with self._cv:
+            job_ids = list(job_ids)
+            for job_id in job_ids:
+                if job_id not in self._jobs:
+                    raise KeyError(job_id)
+            for job_id in job_ids:
+                self._watchers[job_id] = self._watchers.get(job_id, 0) + 1
+
+    def _unwatch(self, job_ids: Iterable[str]) -> None:
+        with self._cv:
+            for job_id in job_ids:
                 count = self._watchers.get(job_id, 0) - 1
                 if count <= 0:
                     self._watchers.pop(job_id, None)
@@ -598,8 +630,7 @@ class SynthesisService:
             return True
 
     def wait_idle(self, *, timeout: Optional[float] = None) -> None:
-        """Block until no job is queued or running, without touching the
-        delivery bookkeeping — a read-only observer's ``drain``.
+        """Block until no job is queued or running.
 
         Raises ``TimeoutError`` when ``timeout`` seconds elapse first.
         """
@@ -628,62 +659,11 @@ class SynthesisService:
         """
         self.wait_idle(timeout=timeout)
         with self._cv:
-            results = [
+            return [
                 self._results[job_id]
                 for job_id in self._order
                 if job_id in self._results
             ]
-            self._delivered.update(result.job_id for result in results)
-            self._consumed.update(result.job_id for result in results)
-            return results
-
-    # ------------------------------------------------------------------
-    # batch-compatibility views
-    # ------------------------------------------------------------------
-    def run(self) -> List[JobResult]:
-        """Settle the caller's undelivered jobs; results in submission order."""
-        results = {res.job_id: res for res in self.stream()}
-        return [results[job_id] for job_id in self._last_order]
-
-    def stream(self) -> Iterator[JobResult]:
-        """Claim every undelivered job and yield each result as it settles.
-
-        Cache hits and already-settled jobs surface first; misses follow in
-        completion order.  This is the classic batch view: jobs submitted
-        after the stream begins belong to the *next* ``stream()`` call (the
-        scheduler still executes them — ``drain()`` or ``result()`` also
-        retrieves them).
-        """
-        self.start(persistent=False)
-        with self._cv:
-            claimed = [
-                job_id
-                for job_id in self._order
-                if job_id in self._jobs and job_id not in self._delivered
-            ]
-            self._delivered.update(claimed)
-        self._last_order = list(claimed)
-        remaining = set(claimed)
-        while remaining:
-            with self._cv:
-                while not any(job_id in self._results for job_id in remaining):
-                    self._cv.wait()
-                ready = [
-                    job_id
-                    for job_id in claimed
-                    if job_id in remaining and job_id in self._results
-                ]
-                remaining.difference_update(ready)
-                results = [self._results[job_id] for job_id in ready]
-                self._consumed.update(ready)
-            yield from results
-
-    def run_problems(
-        self, problems: Iterable[Problem], **kwargs: Any
-    ) -> List[JobResult]:
-        """Convenience: submit + run in one call."""
-        self.submit_many(problems, **kwargs)
-        return self.run()
 
     # ------------------------------------------------------------------
     # introspection
@@ -733,35 +713,22 @@ class SynthesisService:
         """Drop every trace of a settled job (id re-use, eviction)."""
         self._jobs.pop(job_id, None)
         self._results.pop(job_id, None)
-        self._delivered.discard(job_id)
-        self._consumed.discard(job_id)
         self._order.remove(job_id)
 
     def _evict_locked(self) -> None:
         """Bound memory: beyond :data:`RESULT_RETENTION` remembered jobs,
-        forget the oldest evictable settled results.
-
-        Evictable: already consumed (handed to a caller), or never claimed
-        at all (fire-and-forget submissions — nobody is coming back for
-        them through ``stream``).  A result a live ``stream()`` claimed
-        but has not read yet (delivered ∧ ¬consumed), or one a ``result()``
-        caller is currently blocked on, is never evicted.
+        forget the oldest settled results that nobody watches (a blocked
+        ``result()`` or an ``as_completed()`` that has not yielded them).
         """
         if len(self._order) <= RESULT_RETENTION:
             return
         kept: List[str] = []
         excess = len(self._order) - RESULT_RETENTION
         for job_id in self._order:
-            evictable = (
-                job_id in self._results
-                and job_id not in self._watchers
-                and (job_id in self._consumed or job_id not in self._delivered)
-            )
+            evictable = job_id in self._results and job_id not in self._watchers
             if excess > 0 and evictable:
                 del self._results[job_id]
                 self._jobs.pop(job_id, None)
-                self._delivered.discard(job_id)
-                self._consumed.discard(job_id)
                 excess -= 1
             else:
                 kept.append(job_id)

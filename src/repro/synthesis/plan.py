@@ -1,8 +1,8 @@
 """Update plans: the output of synthesis.
 
 Paper mapping: the command sequences of §2/§4 (updates interleaved with
-``wait``), plus the work counters the §6 evaluation and the ``repro
-profile`` harness report.
+``wait``), plus the work counters the §6 evaluation reports
+(``benchmarks/bench_fig*.py``).
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class SearchStats:
     # actually steered before the path left the warm prefix
     warm_units: int = 0
     warm_hits: int = 0
-    # per-phase wall time, attributed by the search loop and reported by
-    # the `repro profile` harness
+    # per-phase wall time, attributed by the search loop (perfbench's
+    # `--trace 1` runs time every layer at paper scale)
     labeling_seconds: float = 0.0
     sat_seconds: float = 0.0
 

@@ -29,8 +29,9 @@ The algorithm is sound (Theorem 1) and complete for simple careful sequences
 (Theorem 2); both are exercised by the test suite.
 
 The search attributes its wall time to phases (labeling, SAT ordering) in
-:class:`~repro.synthesis.plan.SearchStats`; the ``repro profile`` harness
-aggregates these per suite.
+:class:`~repro.synthesis.plan.SearchStats`, which travel with the plan;
+per-layer timings at paper scale come from perfbench's traced runs
+(``python3 perfbench/run.py --trace 1``).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _compute_units(
 
 def _infeasible(message: str, stats: SearchStats, reason: str = "search"):
     err = UpdateInfeasibleError(message, reason=reason)
-    err.stats = stats  # let harnesses (repro profile) read the phase timers
+    err.stats = stats  # callers read a failed search's counters and timers
     return err
 
 

@@ -55,7 +55,7 @@ def fig1_problem() -> Problem:
 
 
 def make_plan() -> UpdatePlan:
-    table = Table([Rule(100, Pattern((("dst", "H3"),)), (Forward(2),))])
+    table = Table([Rule(100, Pattern.make(dst="H3"), (Forward(2),))])
     return UpdatePlan([SwitchUpdate("T1", table), Wait()])
 
 

@@ -2,11 +2,13 @@
 
 import copy
 import json
+import subprocess
 
 import pytest
 
 from repro.bench.runner import (
     BENCH_SCHEMA,
+    collect_meta,
     compare_runs,
     load_bench,
     run_suite,
@@ -14,7 +16,6 @@ from repro.bench.runner import (
 )
 from repro.cli import main
 from repro.errors import ReproError
-from repro.perf.profile import PROFILE_SCHEMA, run_profile
 
 
 @pytest.fixture(scope="module")
@@ -62,30 +63,36 @@ class TestRunSuite:
             run_suite("no-such-suite")
 
 
-class TestProfileHarness:
-    def test_profile_document_schema_and_phases(self):
-        document = run_profile("smoke", quick=True)
-        assert document["schema"] == PROFILE_SCHEMA
-        totals = document["totals"]
-        assert totals["scenarios"] == len(document["scenarios"])
-        assert set(totals["phases"]) == {
-            "labeling",
-            "sat_ordering",
-            "wait_removal",
-            "other",
-        }
-        for row in document["scenarios"]:
-            assert row["status"] in ("done", "infeasible", "timeout")
-            if "phases" in row:
-                # attributed phases never exceed the measured wall time
-                attributed = sum(
-                    v for k, v in row["phases"].items() if k != "other"
-                )
-                assert attributed <= row["seconds"] + 1e-6
+def _git_head():
+    """What ``git rev-parse HEAD`` prints here, or ``None`` if it fails."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=5
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode != 0:
+        return None
+    return proc.stdout.strip() or None
 
-    def test_profile_unknown_suite(self):
-        with pytest.raises(ReproError):
-            run_profile("no-such-suite")
+
+class TestBenchMeta:
+    """Every fresh BENCH document carries provenance meta."""
+
+    def test_document_embeds_meta(self, smoke_document):
+        meta = smoke_document["meta"]
+        # UTC ISO-8601 with the explicit Z suffix
+        assert meta["generated_at"].endswith("Z")
+        assert "T" in meta["generated_at"]
+        assert meta["hostname"]
+        # the SHA of the checkout the run executed in; None outside one
+        assert meta["git_sha"] == _git_head()
+
+    def test_collect_meta_survives_no_git(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        meta = collect_meta()
+        assert meta["git_sha"] is None
+        assert meta["generated_at"].endswith("Z")
 
 
 class TestCompare:

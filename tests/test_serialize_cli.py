@@ -180,6 +180,18 @@ class TestCli:
         assert document["counterexample"], "expected a violating trace"
         assert any("DROP" in state for state in document["counterexample"])
 
+    def test_check_robust_flag(self, capsys, tmp_path):
+        _, out = self.run_cli(capsys, "demo", "fig1-green")
+        path = tmp_path / "p.json"
+        path.write_text(out)
+        code, out = self.run_cli(capsys, "check", str(path), "--robust", "--json")
+        assert code == 0
+        document = json.loads(out)
+        assert document["robustness"]["probes"] >= 1
+        code, out = self.run_cli(capsys, "check", str(path), "--robust")
+        assert code == 0
+        assert "robustness:" in out
+
     def test_unknown_demo(self, capsys):
         code = main(["demo", "nope"])
         assert code == 1

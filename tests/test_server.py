@@ -132,7 +132,8 @@ class TestRoundTrip:
                 job_id=record.scenario_id,
                 options=SynthesisOptions(granularity=record.granularity),
             )
-        local_results = {res.job_id: res for res in local.stream()}
+        ids = [record.scenario_id for record in records]
+        local_results = {res.job_id: res for res in local.as_completed(ids)}
 
         client = ReproClient(server.url)
         for record in records:
@@ -141,7 +142,7 @@ class TestRoundTrip:
                 job_id=record.scenario_id,
                 options=SynthesisOptions(granularity=record.granularity),
             )
-        remote_results = {res.job_id: res for res in client.stream()}
+        remote_results = {res.job_id: res for res in client.as_completed(ids)}
 
         assert set(remote_results) == set(local_results)
         for job_id, local_res in local_results.items():
@@ -170,7 +171,7 @@ class TestRoundTrip:
         client = ReproClient(server.url)
         views = client.submit_many([fig1_problem(), fig1_problem()])
         assert len(views) == 2
-        results = client.run()
+        results = client.drain()
         assert [r.status for r in results] == [JobStatus.DONE] * 2
         # identical problems: one execution, the sibling coalesced or cached
         real = [

@@ -360,11 +360,11 @@ class TestPlanCache:
 class TestServiceSerial:
     def test_cache_hit_on_identical_problem_different_identity(self):
         service = SynthesisService(workers=0)
-        first = service.run_problems([fig1_problem()])[0]
+        first = service.result(service.submit(fig1_problem()).job_id)
         assert first.status is JobStatus.DONE and not first.cached
         # an equal problem rebuilt from scratch (different object identity)
         clone = problem_from_dict(problem_to_dict(fig1_problem()))
-        second = service.run_problems([clone])[0]
+        second = service.result(service.submit(clone).job_id)
         assert second.status is JobStatus.DONE and second.cached
         assert second.fingerprint == first.fingerprint
         assert plan_to_dict(second.plan) == plan_to_dict(first.plan)
@@ -379,7 +379,7 @@ class TestServiceSerial:
         service.submit(
             scenario_problem(ring_diamond(8, seed=2)), job_id="slow", timeout=0.0
         )
-        results = {r.job_id: r for r in service.stream()}
+        results = {r.job_id: r for r in service.drain()}
         assert results["ok"].status is JobStatus.DONE
         assert results["impossible"].status is JobStatus.INFEASIBLE
         assert results["slow"].status is JobStatus.TIMEOUT
@@ -394,7 +394,7 @@ class TestServiceSerial:
         service = SynthesisService(workers=0)
         service.submit(fig1_problem(), job_id="a")
         service.submit(fig1_problem(), job_id="b")
-        results = {r.job_id: r for r in service.stream()}
+        results = {r.job_id: r for r in service.drain()}
         assert results["a"].status is JobStatus.DONE
         assert results["b"].status is JobStatus.DONE
         assert service.metrics.coalesced == 1
@@ -407,33 +407,42 @@ class TestServiceSerial:
         problem = scenario_problem(ring_diamond(8, seed=2))
         service.submit(problem, job_id="tiny", timeout=0.0)
         service.submit(problem, job_id="patient")
-        results = {r.job_id: r for r in service.stream()}
+        results = {r.job_id: r for r in service.drain()}
         assert results["tiny"].status is JobStatus.TIMEOUT
         assert results["patient"].status is JobStatus.DONE
         assert service.metrics.coalesced == 0
 
     def test_portfolio_takes_first_definitive(self):
         service = SynthesisService(workers=0)
-        service.submit(
+        job = service.submit(
             fig1_problem(),
             options=SynthesisOptions(portfolio=("incremental", "batch")),
         )
-        result = service.run()[0]
+        result = service.result(job.job_id)
         assert result.status is JobStatus.DONE
         assert result.backend in ("incremental", "batch")
 
-    def test_run_preserves_submission_order(self):
+    def test_as_completed_yields_settled_results_in_given_order(self):
         service = SynthesisService(workers=0)
         service.submit(scenario_problem(ring_diamond(6, seed=1)), job_id="one")
         service.submit(fig1_problem(), job_id="two")
-        assert [r.job_id for r in service.run()] == ["one", "two"]
+        # serial execution settles in submission order
+        assert [r.job_id for r in service.as_completed(["one", "two"])] == [
+            "one", "two",
+        ]
+        # once settled, the given order decides
+        assert [r.job_id for r in service.as_completed(["two", "one"])] == [
+            "two", "one",
+        ]
+        with pytest.raises(KeyError):
+            next(service.as_completed(["one", "nonexistent"]))
 
     def test_use_plan_cache_false_forces_resynthesis(self):
         service = SynthesisService(workers=0)
         options = SynthesisOptions(use_plan_cache=False)
         first = service.submit(fig1_problem(), options=options)
         second = service.submit(fig1_problem(), options=options)
-        results = {res.job_id: res for res in service.stream()}
+        results = {res.job_id: res for res in service.drain()}
         assert results[first.job_id].status is JobStatus.DONE
         repeat = results[second.job_id]
         assert repeat.status is JobStatus.DONE
@@ -454,7 +463,7 @@ class TestServicePool:
         service.submit(
             scenario_problem(ring_diamond(10, seed=4)), job_id="slow", timeout=0.0
         )
-        results = {r.job_id: r for r in service.stream()}
+        results = {r.job_id: r for r in service.drain()}
         assert results["ok"].status is JobStatus.DONE
         assert results["ring"].status is JobStatus.DONE
         assert results["impossible"].status is JobStatus.INFEASIBLE
@@ -468,7 +477,7 @@ class TestServicePool:
             scenario_problem(double_diamond(8, seed=1)),
             options=SynthesisOptions(portfolio=("incremental", "batch")),
         )
-        result = service.run()[0]
+        (result,) = service.drain()
         assert result.status is JobStatus.INFEASIBLE
 
     def test_pool_plans_match_serial(self):
@@ -496,7 +505,7 @@ class TestServicePool:
             opts = SynthesisOptions(granularity=record.granularity)
             service.submit(forward, job_id="fwd", options=opts)
             service.submit(reverse, job_id="rev", options=opts)
-            results = {r.job_id: r for r in service.stream()}
+            results = {r.job_id: r for r in service.drain()}
             for result in results.values():
                 assert result.status is JobStatus.DONE
             plans[workers] = {
@@ -525,7 +534,9 @@ class TestServicePoolFailures:
             ),
             service.submit(fig1_problem(), job_id="ok"),
         ]
-        results = {r.job_id: r for r in service.stream()}
+        results = {
+            r.job_id: r for r in service.as_completed(j.job_id for j in jobs)
+        }
         self.assert_all_settled(jobs, results)
         assert results["boom"].status is JobStatus.ERROR
         assert results["ok"].status is JobStatus.DONE
@@ -543,7 +554,9 @@ class TestServicePoolFailures:
                 options=opts,
             ),
         ]
-        results = {r.job_id: r for r in service.stream()}
+        results = {
+            r.job_id: r for r in service.as_completed(j.job_id for j in jobs)
+        }
         self.assert_all_settled(jobs, results)
         assert results["feasible"].status is JobStatus.DONE
         assert results["impossible"].status is JobStatus.INFEASIBLE
@@ -589,7 +602,9 @@ class TestServicePoolFailures:
                 scenario_problem(double_diamond(8, seed=1)), job_id="third"
             ),
         ]
-        results = {r.job_id: r for r in service.stream()}
+        results = {
+            r.job_id: r for r in service.as_completed(j.job_id for j in jobs)
+        }
         self.assert_all_settled(jobs, results)
         assert results["first"].status is JobStatus.ERROR
         assert "BrokenProcessPool" in results["first"].message
@@ -602,22 +617,22 @@ class TestServicePoolFailures:
 # ----------------------------------------------------------------------
 class TestContinuousScheduler:
     def test_submit_during_active_stream_settles_every_job(self):
-        """Acceptance: submit() while a stream is consuming is legal; the
-        late job is executed by the running scheduler and nothing is left
-        RUNNING (or QUEUED) after a drain."""
+        """Acceptance: submit() while an as_completed() iterator is
+        consuming is legal; the late job is not yielded, but the running
+        scheduler executes it and nothing is left RUNNING (or QUEUED)."""
         service = SynthesisService(workers=0)
         service.submit(fig1_problem(), job_id="early-1")
         service.submit(
             scenario_problem(ring_diamond(6, seed=1)), job_id="early-2"
         )
-        stream = service.stream()
+        stream = service.as_completed(["early-1", "early-2"])
         first = next(stream)  # the scheduler is live now
         late = service.submit(
             scenario_problem(ring_diamond(8, seed=2)), job_id="late"
         )
         streamed = [first] + list(stream)
-        # the stream claimed only the jobs present when it started
-        assert {r.job_id for r in streamed} == {"early-1", "early-2"}
+        # the iterator yields only the ids it was given
+        assert [r.job_id for r in streamed] == ["early-1", "early-2"]
         late_result = service.result("late", timeout=60)
         assert late_result.status is JobStatus.DONE
         assert late.status is JobStatus.DONE
@@ -649,8 +664,10 @@ class TestContinuousScheduler:
         assert result is not None and result.status is JobStatus.CANCELLED
         # a settled job cannot be cancelled again
         assert service.cancel("victim") is False
-        # the stream delivers the cancellation like any other verdict
-        assert [r.status for r in service.stream()] == [JobStatus.CANCELLED]
+        # as_completed delivers the cancellation like any other verdict
+        assert [r.status for r in service.as_completed(["victim"])] == [
+            JobStatus.CANCELLED
+        ]
 
     def test_duplicate_open_id_rejected_settled_id_replaced(self):
         service = SynthesisService(workers=0)
@@ -683,7 +700,7 @@ class TestContinuousScheduler:
 
     def test_metrics_gauges_serialize(self):
         service = SynthesisService(workers=0)
-        service.run_problems([fig1_problem()])
+        service.result(service.submit(fig1_problem()).job_id)
         metrics = service.metrics_dict()
         gauges = metrics["gauges"]
         assert gauges["queue_depth"] == 0
@@ -770,7 +787,7 @@ class TestContinuousScheduler:
 
         before = len(scheduler_threads())
         service = SynthesisService(workers=0)
-        service.run_problems([fig1_problem()])
+        service.result(service.submit(fig1_problem()).job_id)
         for _ in range(100):  # the thread exits asynchronously
             if len(scheduler_threads()) <= before:
                 break
@@ -791,6 +808,38 @@ class TestContinuousScheduler:
         result = service.result("watched", timeout=60)
         assert result.status is JobStatus.DONE
         service.close()
+
+    def test_unyielded_results_survive_eviction(self, monkeypatch):
+        """Every id an as_completed() iterator has not yielded yet is
+        watched: retention pressure cannot evict its result."""
+        import repro.service.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "RESULT_RETENTION", 2)
+        service = SynthesisService(workers=0)
+        ids = [f"claimed-{index}" for index in range(4)]
+        for job_id in ids:
+            service.submit(fig1_problem(), job_id=job_id)
+        stream = service.as_completed(ids)
+        first = next(stream)  # all four settled; three not yet yielded
+        for index in range(4):  # pressure: more settled jobs than retained
+            service.result(service.submit(fig1_problem()).job_id, timeout=60)
+        known = service.poll()
+        assert all(job_id in known for job_id in ids[1:])
+        assert [first.job_id] + [r.job_id for r in stream] == ids
+        service.close()
+
+    def test_abandoned_iterator_releases_its_watchers(self):
+        service = SynthesisService(workers=0)
+        for job_id in ("a", "b", "c"):
+            service.submit(fig1_problem(), job_id=job_id)
+        stream = service.as_completed(["a", "b", "c"])
+        next(stream)
+        assert set(service._watchers) == {"b", "c"}
+        stream.close()
+        assert service._watchers == {}
+        # an exhausted iterator holds nothing either
+        assert len(list(service.as_completed(["a", "b"]))) == 2
+        assert service._watchers == {}
 
     def test_in_flight_attach_coalesces_independent_submissions(self, monkeypatch):
         """A submission matching a currently-executing fingerprint attaches

@@ -1,11 +1,7 @@
-"""Tests for topology generators, the GML parser, and diamond scenarios."""
-
-import random
+"""Tests for topology generators and diamond scenarios."""
 
 import pytest
 
-from repro.errors import ParseError
-from repro.net.topology import Topology
 from repro.topo import (
     builtin_zoo,
     chained_diamond,
@@ -14,11 +10,9 @@ from repro.topo import (
     fan_diamond,
     fat_tree,
     mini_datacenter,
-    parse_gml,
     ring_diamond,
     small_world,
     synthetic_zoo,
-    to_gml,
     zoo_topology,
 )
 
@@ -85,102 +79,6 @@ class TestSmallWorld:
             small_world(2)
         with pytest.raises(ValueError):
             small_world(10, k=3)
-
-
-class TestGml:
-    GML = """
-    graph [
-      node [ id 0 label "A" ]
-      node [ id 1 label "B" ]
-      node [ id 2 label "C" ]
-      edge [ source 0 target 1 ]
-      edge [ source 1 target 2 ]
-      edge [ source 1 target 2 ]
-      edge [ source 2 target 2 ]
-    ]
-    """
-
-    def test_parse_nodes_and_edges(self):
-        topo = parse_gml(self.GML)
-        assert topo.switches == frozenset({"A", "B", "C"})
-        # duplicate edge and self-loop skipped
-        assert len(topo.links) == 2
-
-    def test_duplicate_labels_disambiguated(self):
-        text = """
-        graph [
-          node [ id 0 label "X" ]
-          node [ id 1 label "X" ]
-          edge [ source 0 target 1 ]
-        ]
-        """
-        topo = parse_gml(text)
-        assert len(topo.switches) == 2
-
-    def test_unlabeled_nodes(self):
-        text = 'graph [ node [ id 7 ] node [ id 8 ] edge [ source 7 target 8 ] ]'
-        topo = parse_gml(text)
-        assert "n7" in topo.switches
-
-    def test_bad_gml(self):
-        with pytest.raises(ParseError):
-            parse_gml("graph [ node [ id ] ]")
-        with pytest.raises(ParseError):
-            parse_gml("not gml at all [")
-
-    def test_undeclared_edge_endpoints_materialized(self):
-        # real zoo files sometimes reference ids with no node record;
-        # the parser materializes implicit n<id> switches instead of failing
-        topo = parse_gml("graph [ edge [ source 0 target 1 ] ]")
-        assert topo.switches == frozenset({"n0", "n1"})
-        assert topo.are_adjacent("n0", "n1")
-
-    def test_zoo_quirks_tolerated(self):
-        # directed/multigraph flags, duplicate ids, numeric labels
-        text = """
-        graph [
-          directed 1
-          multigraph 1
-          node [ id 0 label "A" ]
-          node [ id 0 label "Azz" ]
-          node [ id 1 label 42 ]
-          edge [ source 0 target 1 ]
-          edge [ source 1 target 0 ]
-        ]
-        """
-        topo = parse_gml(text)
-        assert topo.switches == frozenset({"A", "42"})
-        assert len(topo.links) == 1
-
-    def test_to_gml_round_trip(self):
-        topo = parse_gml(self.GML)
-        again = parse_gml(to_gml(topo, name="roundtrip"))
-        assert again.switches == topo.switches
-        for link in topo.links:
-            assert again.are_adjacent(link.node_a, link.node_b)
-
-    def test_fuzzed_round_trip(self):
-        # random graphs (with gnarly names) survive to_gml -> parse_gml
-        rng = random.Random(7)
-        for trial in range(25):
-            topo = Topology()
-            n = rng.randint(2, 12)
-            # no spaces (the parser normalizes them), but quotes and dots
-            names = [f'sw"{i}".t{trial}' for i in range(n)]
-            for name in names:
-                topo.add_switch(name)
-            edges = set()
-            for _ in range(rng.randint(1, 2 * n)):
-                a, b = rng.sample(names, 2)
-                if frozenset((a, b)) not in edges:
-                    edges.add(frozenset((a, b)))
-                    topo.add_link(a, b)
-            again = parse_gml(to_gml(topo))
-            assert again.switches == set(names)
-            adjacency = {
-                frozenset((link.node_a, link.node_b)) for link in again.links
-            }
-            assert adjacency == edges
 
 
 class TestZoo:

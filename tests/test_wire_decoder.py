@@ -233,6 +233,22 @@ BAD_TABLES = {
     "object actions": [{"priority": 1, "match": {}, "actions": {"fwd": 1}}],
     "string actions": [{"priority": 1, "match": {}, "actions": "fwd"}],
 }
+#: rule fields that must be JSON integers, never coerced
+for _name, _rule in {
+    "float fwd": {"actions": [{"fwd": 2.7}]},
+    "string fwd": {"actions": [{"fwd": "2"}]},
+    "bool fwd": {"actions": [{"fwd": True}]},
+    "zero fwd": {"actions": [{"fwd": 0}]},
+    "null fwd": {"actions": [{"fwd": None}]},
+    "bool priority": {"priority": True},
+    "string priority": {"priority": "3"},
+    "float priority": {"priority": 1.0},
+    "bool in_port": {"in_port": True},
+    "string in_port": {"in_port": "1"},
+    "float in_port": {"in_port": 1.0},
+    "zero in_port": {"in_port": 0},
+}.items():
+    BAD_TABLES[_name] = [dict({"priority": 1, "match": {}, "actions": []}, **_rule)]
 
 
 def bad_requests():

@@ -12,7 +12,7 @@ Enforces repo-specific rules generic linters can't see:
    Each ``@dataclass`` in the wire schema must have ``to_dict`` and
    ``from_dict`` members and be named in ``docs/API.md``.
 3. **No naive ``datetime.now()`` / ``utcnow()`` / ``today()``.**  Wire
-   documents and history lines carry UTC timestamps; a ``now()`` call must
+   and bench documents carry UTC timestamps; a ``now()`` call must
    pass a timezone.
 4. **No mutable default arguments** (``def f(x=[])``), anywhere under
    ``src/``.

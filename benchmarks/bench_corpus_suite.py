@@ -10,7 +10,7 @@ from repro.bench.runner import run_suite
 
 
 def test_bench_smoke_suite(once, quick):
-    document = run_suite("smoke", quick=quick, workers=0)
+    document = run_suite("smoke", quick=quick)
     totals = document["totals"]
     corpus = document["corpus"]
     print()
@@ -25,4 +25,4 @@ def test_bench_smoke_suite(once, quick):
     assert len(corpus["templates"]) >= 3
     assert totals["expected_mismatches"] == []
     assert totals["statuses"].get("error", 0) == 0
-    once(run_suite, "smoke", quick=quick, workers=0)
+    once(run_suite, "smoke", quick=quick)

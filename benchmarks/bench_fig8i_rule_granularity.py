@@ -18,8 +18,11 @@ def test_fig8i_rule_granularity(once):
     print(
         format_table(
             "Fig 8(i) rule-granularity synthesis",
-            ["switches", "updates", "seconds", "waits kept"],
-            [(r.switches, r.updates, r.seconds, r.waits_after) for r in rows],
+            ["switches", "updates", "model checks", "seconds", "waits kept"],
+            [
+                (r.switches, r.updates, r.model_checks, r.seconds, r.waits_after)
+                for r in rows
+            ],
         )
     )
     waits = experiments.waits_summary(rows)

@@ -1,17 +1,15 @@
-"""Batch service throughput: cold vs. warm-cache vs. parallel runs.
+"""Batch service throughput: cold vs. warm-cache runs.
 
 Builds a batch of ring-diamond problems of increasing size and pushes it
-through :class:`repro.service.SynthesisService` three ways:
+through :class:`repro.service.SynthesisService` two ways:
 
 * **cold-serial** — empty cache, in-process execution (the baseline: what a
   loop over ``UpdateSynthesizer.synthesize`` would cost);
 * **warm-serial** — the same batch resubmitted to the same service: every
-  feasible job should be answered from the content-addressed plan cache;
-* **cold-pool** — empty cache, multiprocessing worker pool.
+  feasible job should be answered from the content-addressed plan cache.
 
 Expected shape: the warm run reports a >=90% cache-hit rate and a much
-lower wall time than the cold run; the pool run beats cold-serial once the
-per-problem synthesis time dwarfs process-pool overhead (larger batches).
+lower wall time than the cold run.
 
 Pass ``--quick`` to shrink the workload for CI.
 """
@@ -20,7 +18,7 @@ import time
 
 from repro.bench.report import format_table
 from repro.net.serialize import Problem
-from repro.service import SynthesisService, default_worker_count
+from repro.service import SynthesisService
 from repro.topo import chained_diamond, ring_diamond
 
 
@@ -39,7 +37,7 @@ def _problems(quick):
     if quick:
         return [_as_problem(ring_diamond(n, seed=n)) for n in range(6, 12)]
     # chained diamonds are the heavy workload: hundreds of milliseconds of
-    # synthesis each, enough to amortize worker-pool startup
+    # synthesis each
     scenarios = [chained_diamond(2, length) for length in range(6, 14)]
     scenarios += [chained_diamond(3, length) for length in range(6, 14)]
     scenarios += [ring_diamond(n, seed=n) for n in (24, 32, 40, 48)]
@@ -58,12 +56,9 @@ def _run(service, problems):
 def test_service_throughput(quick):
     problems = _problems(quick)
 
-    serial = SynthesisService(workers=0)
+    serial = SynthesisService()
     cold_s, cold_rate, cold_results = _run(serial, problems)
     warm_s, warm_rate, _ = _run(serial, problems)
-    workers = max(2, default_worker_count())
-    pool = SynthesisService(workers=workers)
-    pool_s, pool_rate, _ = _run(pool, problems)
 
     jobs = len(problems)
     print()
@@ -74,7 +69,6 @@ def test_service_throughput(quick):
             [
                 ("cold-serial", jobs, cold_s, jobs / cold_s, cold_rate),
                 ("warm-serial", jobs, warm_s, jobs / warm_s, warm_rate),
-                (f"cold-pool({workers})", jobs, pool_s, jobs / pool_s, pool_rate),
             ],
         )
     )

@@ -93,7 +93,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "use_early_termination": options.use_early_termination,
         "use_reachability_heuristic": options.use_reachability_heuristic,
         "timeout": options.timeout,
-        "portfolio": list(options.portfolio),
         "use_plan_cache": options.use_plan_cache,
         "preflight": options.preflight,
     }
@@ -126,22 +125,17 @@ def options_from_dict(
     known = {
         "checker", "granularity", "remove_waits", "use_counterexamples",
         "use_early_termination", "use_reachability_heuristic", "timeout",
-        "portfolio", "use_plan_cache", "preflight",
+        "use_plan_cache", "preflight",
     }
     unknown = set(data) - known
     if unknown:
         raise ParseError(f"options: unknown fields {sorted(unknown)}")
     checker = str(data.get("checker", base.checker))
-    portfolio = data.get("portfolio", list(base.portfolio))
-    if not isinstance(portfolio, (list, tuple)):
-        raise ParseError(f"options.portfolio: expected a list, got {portfolio!r}")
-    portfolio = tuple(str(backend) for backend in portfolio)
-    for backend in (checker, *portfolio):
-        if backend not in CHECKER_NAMES:
-            raise ParseError(
-                f"options: unknown checker backend {backend!r} "
-                f"(choose from {', '.join(CHECKER_NAMES)})"
-            )
+    if checker not in CHECKER_NAMES:
+        raise ParseError(
+            f"options: unknown checker backend {checker!r} "
+            f"(choose from {', '.join(CHECKER_NAMES)})"
+        )
     granularity = str(data.get("granularity", base.granularity))
     if granularity not in ("switch", "rule"):
         raise ParseError(
@@ -172,7 +166,6 @@ def options_from_dict(
             data, "use_reachability_heuristic", base.use_reachability_heuristic
         ),
         timeout=timeout,
-        portfolio=portfolio,
         use_plan_cache=_require_bool(data, "use_plan_cache", base.use_plan_cache),
         preflight=_require_bool(data, "preflight", base.preflight),
     )

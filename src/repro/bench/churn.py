@@ -3,7 +3,7 @@
 The churn suite measures the one thing the other suites cannot: the
 *warm-start payoff* of ``repro-api/1`` delta submissions.  Every churn
 trace (:func:`repro.scenarios.churn.generate_churn`) is replayed twice,
-on two fresh serial services:
+on two fresh services:
 
 * the **cold pass** submits every step as a full problem — what a
   controller without the delta extension would send;
@@ -14,12 +14,12 @@ on two fresh serial services:
   arrives (exactly the streaming contract ``repro batch`` honours).
 
 Both passes see the same problems (the generator chains its resolved
-problems through ``patch.apply_to`` precisely as the engine does), the
-and the same serial execution, so the per-step ``speedup`` column isolates the warm start.  The
-document's ``totals.churn`` block carries the median speedup over delta
-steps and a self-gate verdict (``ok``) against ``speedup_target`` — the
-CI job fails on either the gate or a ``--compare`` regression against
-the committed baseline.
+problems through ``patch.apply_to`` precisely as the engine does) and
+the same in-process execution, so the per-step ``speedup`` column
+isolates the warm start.  The document's ``totals.churn`` block carries
+the median speedup over delta steps and a self-gate verdict (``ok``)
+against ``speedup_target`` — the CI job fails on either the gate or a
+``--compare`` regression against the committed baseline.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def run_churn_suite(
     plans_match = True
     start = time.perf_counter()
     for trace in traces:
-        cold_service = SynthesisService(workers=0)
-        delta_service = SynthesisService(workers=0)
+        cold_service = SynthesisService()
+        delta_service = SynthesisService()
         try:
             cold_results: List[JobResult] = []
             for record in trace.records:
@@ -135,7 +135,6 @@ def run_churn_suite(
         "quick": quick,
         "base_seed": base_seed,
         "checker": checker,
-        "workers": 0,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),

@@ -351,6 +351,7 @@ def fig8i_rule_granularity(
                 waits_before=slim.stats.waits_before_removal,
                 waits_after=slim.stats.waits_after_removal,
                 wait_seconds=slim.stats.wait_removal_seconds,
+                model_checks=plan.stats.model_checks,
             )
         )
     return rows

@@ -71,21 +71,15 @@ def run_suite(
     *,
     quick: bool = False,
     base_seed: int = 0,
-    workers: int = 0,
     timeout: Optional[float] = 120.0,
     checker: str = "incremental",
 ) -> Dict[str, Any]:
-    """Execute every scenario of ``suite`` and return the BENCH document.
-
-    ``workers=0`` runs in-process (the default: serial execution keeps
-    per-scenario timings comparable across runs); a positive count uses the
-    service's worker pool.
-    """
+    """Execute every scenario of ``suite`` and return the BENCH document."""
     records = generate_corpus(suite, quick=quick, base_seed=base_seed)
     if not records:
         raise ReproError(f"suite {suite!r} produced no scenarios")
     by_id = {record.scenario_id: record for record in records}
-    service = SynthesisService(workers=workers)
+    service = SynthesisService()
     for record in records:
         service.submit(
             record.problem,
@@ -145,7 +139,6 @@ def run_suite(
         "quick": quick,
         "base_seed": base_seed,
         "checker": checker,
-        "workers": workers,
         "meta": collect_meta(),
         "env": {
             "python": platform.python_version(),

@@ -14,11 +14,6 @@ Subcommands:
   (:mod:`repro.service.server`).  ``POST /v1/jobs`` accepts single and
   batch submissions; jobs from independent clients share the plan cache
   and fingerprint coalescing.
-* ``loadtest --suite NAME`` — replay a scenario corpus against a server
-  from N concurrent clients for several rounds and write a
-  ``repro-loadtest/1`` JSON report (p50/p99 latency, throughput, and
-  plan-cache hit rate per round).  Without ``--server`` it self-hosts
-  one.
 * ``submit PROBLEM.json --server URL`` — submit one problem to a running
   server and (by default) wait for the verdict; exit codes match
   ``synthesize`` exactly (0 plan, 2 infeasible, 3 timeout, 4 parse).
@@ -26,9 +21,9 @@ Subcommands:
   ``fig1-blue``, ``double-diamond``) to stdout, for experimenting with the
   other subcommands.
 * ``batch PROBLEMS.jsonl`` — run many problems through the
-  :mod:`repro.service` batch engine (worker pool + content-addressed plan
-  cache) and stream one JSON result object
-  per line to stdout.  Each input line is a problem document (the
+  :mod:`repro.service` batch engine (content-addressed plan cache,
+  in-process execution) and stream one JSON result object per line to
+  stdout.  Each input line is a problem document (the
   ``synthesize`` format), optionally with extra ``"id"``, ``"timeout"`` and
   ``"granularity"`` keys; a line with ``"base"``/``"patch"`` keys instead
   is a *delta* against an earlier line's job (``repro corpus --suite
@@ -60,9 +55,8 @@ Subcommands:
 * ``judge --suite NAME`` — replay a scenario suite across checker
   backends (default: incremental, batch, netplumber, symbolic) and fail
   (non-zero exit, scenario named) if any backends disagree on the verdict
-  or the normalized plan; also flags portfolio-race picks that were
-  measurably slower than a losing backend.  ``--json`` emits the
-  ``repro-judge/1`` document.
+  or the normalized plan.  ``--json`` emits the ``repro-judge/2``
+  document.
 * ``cache-stats DIR`` — summarize an on-disk plan cache directory
   (entry count, bytes, cumulative hit/miss counters).  With
   ``--server URL`` it asks a running server instead.
@@ -299,8 +293,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_FAILURE
 
 
-def _portfolio_arg(value: str):
-    """argparse type for ``--portfolio``: comma-separated checker backends."""
+def _backends_arg(value: str):
+    """argparse type for ``judge --backends``: comma-separated checker
+    backends."""
     backends = tuple(entry.strip() for entry in value.split(",") if entry.strip())
     if not backends:
         raise argparse.ArgumentTypeError("expected at least one backend name")
@@ -426,26 +421,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
-        portfolio=args.portfolio or (),
         preflight=args.preflight,
     )
     if args.server:
-        # thin-client mode: the scheduler (and its --workers/--cache-dir
-        # style configuration) lives in the `repro serve` process
+        # thin-client mode: the scheduler (and its --cache-dir) lives in
+        # the `repro serve` process
         from repro.api import SynthesisRequest
         from repro.service import ReproClient
 
-        for flag, name in (
-            (args.workers is not None, "--workers"),
-            (args.serial, "--serial"),
-            (args.cache_dir is not None, "--cache-dir"),
-        ):
-            if flag:
-                print(
-                    f"warning: {name} is ignored with --server "
-                    "(configure `repro serve` instead)",
-                    file=sys.stderr,
-                )
+        if args.cache_dir is not None:
+            print(
+                "warning: --cache-dir is ignored with --server "
+                "(configure `repro serve` instead)",
+                file=sys.stderr,
+            )
         engine = ReproClient(args.server, default_options=options)
         views = {}
         pending = []
@@ -487,11 +476,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
         flush()  # deltas aside, the whole batch is one POST
     else:
-        engine = SynthesisService(
-            workers=0 if args.serial else args.workers,
-            cache_dir=args.cache_dir,
-            default_options=options,
-        )
+        engine = SynthesisService(cache_dir=args.cache_dir, default_options=options)
+        # every job is watched from its submission until it prints: a
+        # delta line's engine.result(base) runs the scheduler, which may
+        # settle earlier lines long before as_completed reads them
         submitted = {}
         for job in jobs:
             opts = (
@@ -501,7 +489,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
             if job.patch is None:
                 submitted[job.job_id] = engine.submit(
-                    job.problem, job_id=job.job_id, timeout=job.timeout, options=opts
+                    job.problem,
+                    job_id=job.job_id,
+                    timeout=job.timeout,
+                    options=opts,
+                    watch=True,
                 )
                 continue
             base_job = submitted.get(job.base_id)
@@ -518,10 +510,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 options=opts,
                 job_id=job.job_id,
                 timeout=job.timeout,
+                watch=True,
             )
     errored = False
     # ids in line order; each result prints as it settles
     for result in engine.as_completed(job.job_id for job in jobs):
+        if not args.server:
+            engine.unwatch([result.job_id])
         errored = errored or result.status.value == "error"
         json.dump(result.to_dict(include_plan=not args.no_plans), sys.stdout)
         sys.stdout.write("\n")
@@ -595,12 +590,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
-        portfolio=args.portfolio or (),
     )
     server = ReproServer(
         host=args.host,
         port=args.port,
-        workers=0 if args.serial else args.workers,
         cache_dir=args.cache_dir,
         default_options=options,
         verbose=args.verbose,
@@ -610,11 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _sigterm)
-    print(
-        f"repro-api/1 serving on {server.url} "
-        f"(workers: {server.service.workers})",
-        flush=True,
-    )
+    print(f"repro-api/1 serving on {server.url}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -624,42 +613,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.close()
         server.service.cache.persist_stats()
     return EXIT_OK
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.service.loadtest import run_loadtest
-
-    report = run_loadtest(
-        suite=args.suite,
-        clients=args.clients,
-        rounds=args.rounds,
-        server_url=args.server,
-        use_plan_cache=args.use_plan_cache,
-        quick=not args.full,
-        job_timeout=args.job_timeout,
-        max_jobs=args.max_jobs,
-        base_seed=args.seed,
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json or not args.out:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    for entry in report["rounds"]:
-        print(
-            f"round {entry['round']}: {entry['completed']}/{entry['jobs']} jobs "
-            f"in {entry['wall_seconds']:.2f}s "
-            f"({entry['throughput_jobs_per_s']:.1f} jobs/s), "
-            f"p50 {entry['latency_p50_s'] * 1000:.1f}ms "
-            f"p99 {entry['latency_p99_s'] * 1000:.1f}ms, "
-            f"plan-cache hit rate {entry['plan_cache']['hit_rate']:.2f}",
-            file=sys.stderr,
-        )
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
-    return EXIT_OK if report["ok"] else EXIT_FAILURE
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -675,8 +628,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         options_data["granularity"] = args.granularity
     if args.timeout is not None:
         options_data["timeout"] = args.timeout
-    if args.portfolio is not None:
-        options_data["portfolio"] = list(args.portfolio)
     client = ReproClient(args.server)
     view = client.submit(
         problem, job_id=args.id, options_data=options_data or None
@@ -751,15 +702,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ReproError("bench needs --suite NAME (or --compare BASELINE CURRENT)")
     if args.suite == "churn":
         # the churn suite is a two-pass delta benchmark with its own
-        # (always serial) runner and a self-gated speedup target
+        # runner and a self-gated speedup target
         from repro.bench.churn import format_churn_summary, run_churn_suite
 
-        if args.workers:
-            print(
-                "warning: --workers is ignored for the churn suite "
-                "(both passes run serially for fair timing)",
-                file=sys.stderr,
-            )
         document = run_churn_suite(
             quick=args.quick,
             base_seed=args.seed,
@@ -779,7 +724,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         args.suite,
         quick=args.quick,
         base_seed=args.seed,
-        workers=0 if args.serial else args.workers,
         timeout=args.timeout,
         checker=args.checker,
     )
@@ -810,7 +754,6 @@ def _cmd_judge(args: argparse.Namespace) -> int:
         backends=args.backends or DEFAULT_BACKENDS,
         timeout=args.timeout,
         max_scenarios=args.max_scenarios,
-        race=not args.no_race,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -883,56 +826,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8421,
                          help="bind port (default 8421; 0 picks a free port)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="worker pool size (default: one per core, capped at 8)")
-    p_serve.add_argument("--serial", action="store_true",
-                         help="run jobs in-process instead of on the worker pool")
     p_serve.add_argument("--checker", default="incremental", choices=CHECKERS,
                          help="default checker for requests that don't choose one")
     p_serve.add_argument("--granularity", default="switch", choices=["switch", "rule"])
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="default per-job timeout in seconds")
-    p_serve.add_argument("--portfolio", default=None, metavar="B1,B2",
-                         type=_portfolio_arg,
-                         help="default backend portfolio raced per job")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log each HTTP request to stderr")
     p_serve.set_defaults(fn=_cmd_serve)
-
-    p_loadtest = sub.add_parser(
-        "loadtest",
-        help="replay a scenario corpus from N concurrent clients "
-             "(repro-loadtest/1 report)",
-    )
-    p_loadtest.add_argument("--suite", default="smoke",
-                            help="scenario suite to replay (default smoke)")
-    p_loadtest.add_argument("--clients", type=int, default=8,
-                            help="concurrent synthetic clients (default 8)")
-    p_loadtest.add_argument("--rounds", type=int, default=2,
-                            help="passes over the corpus (default 2)")
-    p_loadtest.add_argument("--server", default=None, metavar="URL",
-                            help="target a running server (default: self-host "
-                                 "one for the duration of the run)")
-    p_loadtest.add_argument("--use-plan-cache", action="store_true",
-                            help="let repeat rounds hit the plan cache "
-                                 "(default: bypass it so every round "
-                                 "re-synthesizes)")
-    p_loadtest.add_argument("--full", action="store_true",
-                            help="use the suite's full sizes instead of the "
-                                 "scaled-down quick ones")
-    p_loadtest.add_argument("--job-timeout", type=float, default=None,
-                            metavar="S", help="per-job client-side deadline")
-    p_loadtest.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                            help="truncate the corpus to its first N scenarios")
-    p_loadtest.add_argument("--seed", type=int, default=0,
-                            help="base seed for scenario generation (default 0)")
-    p_loadtest.add_argument("--out", "-o", default=None,
-                            help="write the report here (default: stdout)")
-    p_loadtest.add_argument("--json", action="store_true",
-                            help="also print the report to stdout with --out")
-    p_loadtest.set_defaults(fn=_cmd_loadtest)
 
     p_submit = sub.add_parser(
         "submit", help="submit one problem to a running repro serve"
@@ -949,9 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="update granularity (default: the server's)")
     p_submit.add_argument("--timeout", type=float, default=None,
                           help="per-job budget in seconds (default: the server's)")
-    p_submit.add_argument("--portfolio", default=None, metavar="B1,B2",
-                          type=_portfolio_arg,
-                          help="race these comma-separated checker backends")
     p_submit.add_argument("--no-wait", action="store_true",
                           help="print the queued job view and return immediately")
     p_submit.add_argument("--no-plans", action="store_true",
@@ -969,17 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--server", default=None, metavar="URL",
                          help="route the batch through a running `repro serve` "
                               "at this base URL instead of an in-process engine")
-    p_batch.add_argument("--workers", type=int, default=None,
-                         help="worker pool size (default: one per core, capped at 8)")
-    p_batch.add_argument("--serial", action="store_true",
-                         help="run in-process instead of on the worker pool")
     p_batch.add_argument("--checker", default="incremental", choices=CHECKERS)
     p_batch.add_argument("--granularity", default="switch", choices=["switch", "rule"])
     p_batch.add_argument("--timeout", type=float, default=None,
                          help="default per-job timeout in seconds")
-    p_batch.add_argument("--portfolio", default=None, metavar="B1,B2",
-                         type=_portfolio_arg,
-                         help="race these comma-separated checker backends per job")
     p_batch.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
     p_batch.add_argument("--preflight", action="store_true",
@@ -1042,11 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0,
                          help="base seed for scenario generation (default 0)")
     p_bench.add_argument("--checker", default="incremental", choices=CHECKERS)
-    p_bench.add_argument("--workers", type=int, default=0,
-                         help="service worker pool size (default 0: in-process, "
-                              "keeps timings comparable)")
-    p_bench.add_argument("--serial", action="store_true",
-                         help="force in-process execution")
     p_bench.add_argument("--timeout", type=float, default=120.0,
                          help="per-scenario timeout in seconds (default 120)")
     p_bench.add_argument("--out", default=None,
@@ -1073,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_judge.add_argument("--seed", type=int, default=0,
                          help="base seed for scenario generation (default 0)")
     p_judge.add_argument("--backends", default=None, metavar="B1,B2",
-                         type=_portfolio_arg,
+                         type=_backends_arg,
                          help="backends to cross-examine (default "
                               "incremental,batch,netplumber,symbolic)")
     p_judge.add_argument("--timeout", type=float, default=60.0,
@@ -1082,13 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_judge.add_argument("--max-scenarios", type=int, default=None, metavar="N",
                          help="judge a deterministic N-scenario subsample "
                               "of the suite")
-    p_judge.add_argument("--no-race", action="store_true",
-                         help="skip the portfolio-race pass (solo agreement "
-                              "checks only)")
     p_judge.add_argument("--out", "-o", default=None,
-                         help="also write the repro-judge/1 document here")
+                         help="also write the repro-judge/2 document here")
     p_judge.add_argument("--json", action="store_true",
-                         help="emit the repro-judge/1 document to stdout")
+                         help="emit the repro-judge/2 document to stdout")
     p_judge.set_defaults(fn=_cmd_judge)
 
     p_cache = sub.add_parser(

@@ -343,35 +343,6 @@ def plan_to_dict(plan: UpdatePlan) -> Dict[str, Any]:
     }
 
 
-def unit_order_to_wire(order: Sequence[Any]) -> List[Any]:
-    """A search-unit order as a JSON-safe list.
-
-    Switch-granularity units (plain node ids) pass through as strings;
-    rule-granularity units (``(switch, class_name)`` tuples) become
-    two-element lists.  Inverse: :func:`unit_order_from_wire`.
-    """
-    wire: List[Any] = []
-    for unit in order:
-        if isinstance(unit, tuple):
-            wire.append([str(unit[0]), str(unit[1])])
-        else:
-            wire.append(str(unit))
-    return wire
-
-
-def unit_order_from_wire(data: Sequence[Any]) -> List[Any]:
-    """Inverse of :func:`unit_order_to_wire` (lists back to unit tuples)."""
-    order: List[Any] = []
-    for entry in data:
-        if isinstance(entry, str):
-            order.append(entry)
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            order.append((str(entry[0]), str(entry[1])))
-        else:
-            raise ParseError(f"bad warm-order unit {entry!r}")
-    return order
-
-
 def command_from_dict(
     data: Mapping[str, Any],
     classes: Optional[Mapping[str, TrafficClass]] = None,

@@ -1,8 +1,7 @@
 """The cross-backend differential judge (``repro judge``).
 
 :mod:`.judge` replays a scenario suite across checker backends, failing
-on any verdict or normalized-plan disagreement and flagging
-portfolio-race picks that were measurably slower than a losing backend.
+on any verdict or normalized-plan disagreement.
 See the "Differential judge" section of ``docs/ARCHITECTURE.md``.
 """
 

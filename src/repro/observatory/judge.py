@@ -14,14 +14,6 @@ backend recognizes only the ``repro.ltl.specs`` shapes and raises
 :class:`~repro.errors.ModelCheckError` on anything else.  Such scenarios
 count as ``unsupported`` for that backend and are excluded from the
 agreement check (reported, never failed).
-
-The judge also watches the *portfolio race*: each scenario is replayed
-once with ``portfolio=<backends>`` through the batch service, and the
-race's recorded winner is compared against the judge's own fair solo
-timings.  A pick measurably slower than a losing backend (beyond both a
-ratio and an absolute gap, so timing noise cannot flake) is flagged —
-advisory, because racing is inherently scheduling-dependent, but visible,
-because a systematically wrong pick wastes the whole portfolio budget.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from repro.scenarios.corpus import ScenarioRecord
 from repro.synthesis import UpdateSynthesizer
 
 #: bump on any incompatible change to the judge document layout
-JUDGE_SCHEMA = "repro-judge/1"
+JUDGE_SCHEMA = "repro-judge/2"
 
 #: the backends a bare ``repro judge`` cross-examines
 DEFAULT_BACKENDS: Tuple[str, ...] = (
@@ -51,12 +43,6 @@ DEFAULT_BACKENDS: Tuple[str, ...] = (
     "netplumber",
     "symbolic",
 )
-
-#: a race pick is flagged only when the winner's fair solo time exceeds
-#: the best backend's by BOTH this factor and this absolute gap — two
-#: independent noise guards so CI timing variance cannot flake the judge
-RACE_SLACK_RATIO = 1.5
-RACE_MIN_GAP_SECONDS = 0.05
 
 
 def _execute_one(
@@ -161,77 +147,6 @@ def _judge_agreement(
     return disagreements
 
 
-def _race_suite(
-    records: Sequence[ScenarioRecord],
-    backends: Sequence[str],
-    *,
-    timeout: Optional[float],
-    workers: int = 2,
-) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
-    """Replay every record once as a portfolio race; (picks by id, metrics).
-
-    Runs through the batch service so the race uses the production
-    portfolio path (pool racing when the environment allows a pool,
-    in-order fallback otherwise).  The service's metrics — including the
-    ``by_backend`` win counters and the live gauges — ride back for the
-    judge document.
-    """
-    from repro.service import SynthesisOptions, SynthesisService
-
-    service = SynthesisService(workers=workers)
-    for record in records:
-        service.submit(
-            record.problem,
-            job_id=record.scenario_id,
-            options=SynthesisOptions(
-                portfolio=tuple(backends),
-                granularity=record.granularity,
-                timeout=timeout,
-            ),
-        )
-    picks: Dict[str, Dict[str, Any]] = {}
-    for result in service.as_completed([r.scenario_id for r in records]):
-        picks[result.job_id] = {
-            "status": result.status.value,
-            "winner": result.backend,
-            "seconds": round(result.seconds, 6),
-        }
-    return picks, service.metrics_dict()
-
-
-def _judge_race(
-    scenario_id: str,
-    pick: Optional[Dict[str, Any]],
-    outcomes: Dict[str, Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """Compare the race's pick against the fair solo timings."""
-    if pick is None or pick.get("winner") is None:
-        return None
-    winner = pick["winner"]
-    solo = {
-        backend: outcome
-        for backend, outcome in outcomes.items()
-        if outcome["status"] == pick["status"]
-    }
-    if winner not in solo or len(solo) < 2:
-        return None
-    best_backend = min(solo, key=lambda backend: solo[backend]["seconds"])
-    winner_seconds = solo[winner]["seconds"]
-    best_seconds = solo[best_backend]["seconds"]
-    flagged = (
-        winner != best_backend
-        and winner_seconds > best_seconds * RACE_SLACK_RATIO
-        and winner_seconds - best_seconds > RACE_MIN_GAP_SECONDS
-    )
-    return {
-        "winner": winner,
-        "winner_solo_seconds": winner_seconds,
-        "best_backend": best_backend,
-        "best_solo_seconds": best_seconds,
-        "flagged": flagged,
-    }
-
-
 def run_judge(
     suite: str,
     *,
@@ -240,15 +155,13 @@ def run_judge(
     backends: Sequence[str] = DEFAULT_BACKENDS,
     timeout: Optional[float] = 60.0,
     max_scenarios: Optional[int] = None,
-    race: bool = True,
 ) -> Dict[str, Any]:
     """Judge ``suite`` across ``backends``; returns the judge document.
 
     ``max_scenarios`` subsamples the suite deterministically
     (:func:`repro.scenarios.sample_records`) for CI-sized runs.  The
     document's ``totals.ok`` is False exactly when some scenario's
-    backends disagree on verdict or normalized plan; race flags are
-    advisory and never fail the judge.
+    backends disagree on verdict or normalized plan.
     """
     backends = tuple(backends)
     if len(backends) < 2:
@@ -261,14 +174,8 @@ def run_judge(
     if not records:
         raise ReproError(f"suite {suite!r} produced no scenarios")
 
-    picks: Dict[str, Dict[str, Any]] = {}
-    race_metrics: Optional[Dict[str, Any]] = None
-    if race:
-        picks, race_metrics = _race_suite(records, backends, timeout=timeout)
-
     rows: List[Dict[str, Any]] = []
     disagreements: List[str] = []
-    race_flags: List[str] = []
     unsupported: Dict[str, int] = {}
     backend_totals: Dict[str, Dict[str, Any]] = {
         backend: {"statuses": {}, "seconds": 0.0, "model_checks": 0}
@@ -290,16 +197,6 @@ def run_judge(
                 unsupported[backend] = unsupported.get(backend, 0) + 1
         scenario_disagreements = _judge_agreement(record.scenario_id, outcomes)
         disagreements.extend(scenario_disagreements)
-        verdict_race = _judge_race(
-            record.scenario_id, picks.get(record.scenario_id), outcomes
-        )
-        if verdict_race and verdict_race["flagged"]:
-            race_flags.append(
-                f"{record.scenario_id}: race picked {verdict_race['winner']} "
-                f"({verdict_race['winner_solo_seconds']:.3f}s solo) over "
-                f"{verdict_race['best_backend']} "
-                f"({verdict_race['best_solo_seconds']:.3f}s solo)"
-            )
         rows.append(
             {
                 "id": record.scenario_id,
@@ -309,7 +206,6 @@ def run_judge(
                 "expected": record.expected,
                 "backends": outcomes,
                 "disagreements": scenario_disagreements,
-                "race": verdict_race,
             }
         )
 
@@ -328,17 +224,10 @@ def run_judge(
         "totals": {
             "scenarios": len(rows),
             "disagreements": disagreements,
-            "race_flags": race_flags,
             "unsupported": dict(sorted(unsupported.items())),
             "ok": not disagreements,
         },
     }
-    if race_metrics is not None:
-        document["race_service"] = {
-            "by_backend": race_metrics.get("by_backend", {}),
-            "gauges": race_metrics.get("gauges", {}),
-            "cache_hits": race_metrics.get("cache_hits", 0),
-        }
     return document
 
 
@@ -362,11 +251,6 @@ def format_judge_summary(document: Dict[str, Any]) -> str:
         )
     if totals["unsupported"]:
         lines.append(f"  unsupported (excluded from consensus): {totals['unsupported']}")
-    race_service = document.get("race_service")
-    if race_service is not None and race_service.get("by_backend"):
-        lines.append(f"  race wins by backend: {race_service['by_backend']}")
-    for flag in totals["race_flags"]:
-        lines.append(f"  RACE FLAG: {flag}")
     for disagreement in totals["disagreements"]:
         lines.append(f"  DISAGREEMENT: {disagreement}")
     lines.append(

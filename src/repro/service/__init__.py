@@ -9,8 +9,8 @@ into a long-lived scheduler serving many update-synthesis requests:
   keyed by fingerprint;
 * :mod:`repro.service.jobs` — job/result dataclasses and the job lifecycle;
 * :mod:`repro.service.engine` — the :class:`SynthesisService` scheduler
-  core (continuous submission, cache-first, multiprocessing pool with
-  serial fallback, portfolio mode, cross-submission coalescing);
+  core (continuous submission, cache-first, in-process execution,
+  cross-submission coalescing, delta handover);
 * :mod:`repro.service.metrics` — throughput/latency/cache-rate counters
   plus the live gauges the HTTP metrics endpoint reports;
 * :mod:`repro.service.server` — :class:`ReproServer`, the ``repro-api/1``
@@ -22,7 +22,7 @@ Quickstart (in-process batch)::
 
     from repro.service import SynthesisService, SynthesisOptions
 
-    service = SynthesisService(workers=4, cache_dir=".plan-cache")
+    service = SynthesisService(cache_dir=".plan-cache")
     jobs = service.submit_many(problems, options=SynthesisOptions(timeout=30.0))
     for result in service.as_completed(job.job_id for job in jobs):
         print(result.job_id, result.status.value, result.cached)
@@ -32,7 +32,7 @@ Quickstart (server + thin client)::
 
     from repro.service import ReproClient, ReproServer
 
-    with ReproServer(port=0, workers=4) as server:
+    with ReproServer(port=0) as server:
         client = ReproClient(server.url)
         view = client.submit(problem, timeout=30.0)
         result = client.result(view.job_id)
@@ -43,7 +43,7 @@ thin CLI wrappers around this package.
 
 from repro.service.cache import CacheStats, PlanCache, disk_cache_summary
 from repro.service.client import ReproClient
-from repro.service.engine import SynthesisService, default_worker_count
+from repro.service.engine import SynthesisService
 from repro.service.fingerprint import problem_fingerprint
 from repro.service.jobs import (
     JobResult,
@@ -65,7 +65,6 @@ __all__ = [
     "SynthesisJob",
     "SynthesisOptions",
     "SynthesisService",
-    "default_worker_count",
     "disk_cache_summary",
     "problem_fingerprint",
 ]

@@ -1,4 +1,5 @@
-"""The synthesis scheduler: a persistent, cache-first core over a worker pool.
+"""The synthesis scheduler: a persistent, cache-first core that runs each
+job in process.
 
 :class:`SynthesisService` turns the one-shot
 :class:`~repro.synthesis.UpdateSynthesizer` into a long-lived scheduler.
@@ -10,12 +11,9 @@ Jobs flow through three stages:
    flight — are *coalesced* onto a single execution;
 2. **cache** — the :class:`~repro.service.cache.PlanCache` is consulted
    first, so re-submitted problems are answered without synthesis;
-3. **pool** — cache misses are executed on a ``multiprocessing`` worker pool
-   (:class:`concurrent.futures.ProcessPoolExecutor`), falling back to
-   in-process serial execution when ``workers <= 1`` or process spawning is
-   unavailable.  In *portfolio* mode each job races several checker
-   backends and the first definitive verdict (a plan, or a proof of
-   infeasibility) wins.
+3. **execute** — each cache-miss group runs one ORDERUPDATE search on the
+   scheduler thread (:func:`_execute_problem`), with the job's checker
+   backend.
 
 Scheduling is **continuous**: :meth:`SynthesisService.submit` is legal at
 any time, including while execution is in flight.  A single scheduler
@@ -32,36 +30,30 @@ listed jobs' results as they settle, :meth:`result` waits on one job,
 :meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
 still-queued job, and :meth:`drain` blocks until the service is idle.
 
-In-process (serial) execution passes objects end to end: the job's
+Execution passes objects end to end: the job's
 :class:`~repro.net.serialize.Problem` goes to the synthesizer and its
-:class:`~repro.synthesis.plan.UpdatePlan` comes back (:func:`_execute_problem`).
-Only the pool crosses a process boundary, so only the pool converts:
-problems and plans travel as JSON-safe dicts
-(:func:`~repro.net.serialize.problem_to_dict`,
-:func:`~repro.net.serialize.plan_to_dict`, :func:`_execute_payload`).
-Per-job timeouts are enforced cooperatively by the synthesizer's own
-deadline checks.
+:class:`~repro.synthesis.plan.UpdatePlan` comes back, with no dict
+conversion on the way.  Per-job timeouts are enforced cooperatively by
+the synthesizer's own deadline checks.
 
 Streaming callers can submit **deltas** instead of full problems:
 :meth:`SynthesisService.submit_delta` resolves a
 :class:`~repro.net.delta.ProblemPatch` against a retained base problem
 (every submission is kept, LRU-bounded by :data:`BASE_RETENTION`) and
 warm-starts the search from the base plan's unit order — the churn path
-of the ``repro-api/1`` delta extension (see ``docs/API.md``).  On the
-serial path a delta also starts from what its base's search verified:
-the base's label engine, and when the delta only moves rules on from the
-base's final configuration, the labeled final structure itself
+of the ``repro-api/1`` delta extension (see ``docs/API.md``).  A delta
+also starts from what its base's search verified: the base's label
+engine, and when the delta only moves rules on from the base's final
+configuration, the labeled final structure itself
 (:meth:`SynthesisService._handover`, :data:`START_RETENTION`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import (
     Any,
     Deque,
@@ -69,10 +61,8 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -80,24 +70,12 @@ from repro.errors import ReproError, SynthesisTimeout, UpdateInfeasibleError
 from repro.analysis.problem import static_infeasibility
 from repro.mc.incremental import IncrementalChecker
 from repro.net.delta import ProblemPatch
-from repro.net.serialize import (
-    Problem,
-    plan_from_dict,
-    plan_to_dict,
-    problem_from_dict,
-    problem_to_dict,
-    unit_order_from_wire,
-    unit_order_to_wire,
-)
+from repro.net.serialize import Problem
 from repro.service.cache import PlanCache
 from repro.service.jobs import JobResult, JobStatus, SynthesisJob, SynthesisOptions
 from repro.service.metrics import ServiceMetrics
 from repro.synthesis import UpdateSynthesizer
 from repro.synthesis.search import Handover
-
-#: Statuses that settle a fingerprint group in portfolio mode: a plan, or a
-#: proof that no plan exists.  ``timeout``/``error`` keep the race open.
-_DEFINITIVE = (JobStatus.DONE.value, JobStatus.INFEASIBLE.value)
 
 #: Jobs coalesce onto one execution only when both the problem fingerprint
 #: and the time budget agree (a "timeout" verdict is budget-specific).
@@ -123,43 +101,34 @@ BASE_RETENTION = 1024
 START_RETENTION = 4
 
 
-def _execute_problem(
-    problem: Problem,
-    options_data: Mapping[str, Any],
-    backend: str,
-    handover: Optional[Handover] = None,
-) -> Dict[str, Any]:
-    """Run one synthesis attempt on a live problem; never raises.
+def _execute_problem(job: SynthesisJob, handover: Handover) -> Dict[str, Any]:
+    """Run one synthesis attempt for ``job``; never raises.
 
-    The in-process entry point.  A ``done`` result carries the
-    :class:`~repro.synthesis.plan.UpdatePlan` object under ``"plan"``;
-    errors become ``status="error"``.  ``options_data`` is the
-    :meth:`~repro.service.jobs.SynthesisOptions.identity_dict` form plus
-    ``timeout`` and optionally ``warm_order`` (the delta path's base-plan
-    hint, which degrades to cold when stale).  ``handover`` lends and
-    collects labeled structures (see
-    :class:`~repro.synthesis.search.Handover`).
+    A ``done`` result carries the :class:`~repro.synthesis.plan.UpdatePlan`
+    object under ``"plan"``; errors become ``status="error"``.  The job's
+    ``warm_order`` (the delta path's base-plan hint) seeds the search and
+    degrades to cold when stale; ``handover`` lends and collects labeled
+    structures (see :class:`~repro.synthesis.search.Handover`).
     """
+    options = job.options
     start = time.perf_counter()
     try:
         synth = UpdateSynthesizer(
-            problem.topology,
-            checker=backend,
-            granularity=options_data.get("granularity", "switch"),
-            remove_waits=options_data.get("remove_waits", True),
-            use_counterexamples=options_data.get("use_counterexamples", True),
-            use_early_termination=options_data.get("use_early_termination", True),
-            use_reachability_heuristic=options_data.get(
-                "use_reachability_heuristic", True
-            ),
+            job.problem.topology,
+            checker=options.checker,
+            granularity=options.granularity,
+            remove_waits=options.remove_waits,
+            use_counterexamples=options.use_counterexamples,
+            use_early_termination=options.use_early_termination,
+            use_reachability_heuristic=options.use_reachability_heuristic,
         )
         plan = synth.synthesize(
-            problem.init,
-            problem.final,
-            problem.spec,
-            problem.ingresses,
-            timeout=options_data.get("timeout"),
-            warm_order=options_data.get("warm_order"),
+            job.problem.init,
+            job.problem.final,
+            job.problem.spec,
+            job.problem.ingresses,
+            timeout=options.timeout,
+            warm_order=job.warm_order,
             handover=handover,
         )
     except UpdateInfeasibleError as err:
@@ -171,81 +140,23 @@ def _execute_problem(
     except SynthesisTimeout as err:
         out = {"status": JobStatus.TIMEOUT.value, "message": str(err)}
     except Exception as err:  # noqa: BLE001 — a job's failure is its result
-        out = {"status": JobStatus.ERROR.value, "message": _describe(err)}
+        out = {
+            "status": JobStatus.ERROR.value,
+            "message": f"{type(err).__name__}: {err}",
+        }
     else:
         out = {"status": JobStatus.DONE.value, "plan": plan}
     out["seconds"] = time.perf_counter() - start
-    out["backend"] = backend
+    out["backend"] = options.checker
     return out
-
-
-def _execute_payload(
-    problem_data: Dict[str, Any],
-    options_data: Dict[str, Any],
-    backend: str,
-) -> Dict[str, Any]:
-    """The worker-process entry point: :func:`_execute_problem` on the
-    JSON-safe dict forms; always returns a pickle-safe result dict.
-
-    It must stay module-level (for pickling) and must never raise.  The
-    problem arrives as :func:`~repro.net.serialize.problem_to_dict`, a
-    ``warm_order`` in its wire form
-    (:func:`~repro.net.serialize.unit_order_to_wire`), and a plan leaves as
-    :func:`~repro.net.serialize.plan_to_dict`.  ``seconds`` covers the
-    conversions too.
-    """
-    start = time.perf_counter()
-    try:
-        problem = problem_from_dict(problem_data)
-        warm_order = options_data.get("warm_order")
-        if warm_order is not None:
-            options_data = dict(options_data, warm_order=unit_order_from_wire(warm_order))
-    except Exception as err:  # noqa: BLE001 — must cross the process boundary
-        out = {
-            "status": JobStatus.ERROR.value,
-            "message": _describe(err),
-            "backend": backend,
-        }
-    else:
-        out = _execute_problem(problem, options_data, backend)
-        if "plan" in out:
-            out["plan"] = plan_to_dict(out["plan"])
-    out["seconds"] = time.perf_counter() - start
-    return out
-
-
-def _describe(err: Exception) -> str:
-    return f"{type(err).__name__}: {err}"
-
-
-def _best_failure(results: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Pick the most informative failure when no backend was definitive."""
-    for status in (JobStatus.TIMEOUT.value, JobStatus.ERROR.value):
-        for res in results:
-            if res["status"] == status:
-                return res
-    return results[-1]
-
-
-def default_worker_count() -> int:
-    """Pool size when none is given: usable cores, capped at 8.
-
-    On a single-core machine this returns 1, which selects the in-process
-    serial path — a pool cannot beat serial execution there.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        cores = os.cpu_count() or 1
-    return max(1, min(8, cores))
 
 
 class SynthesisService:
-    """Schedules synthesis jobs across a cache and a worker pool.
+    """Schedules synthesis jobs behind a plan cache.
 
     Args:
-        workers: pool size; ``0``/``1`` selects in-process serial execution,
-            ``None`` picks :func:`default_worker_count`.
+        workers: accepted only as ``0`` (in-process execution, the one
+            path); any other value raises ``ValueError``.
         cache: a :class:`PlanCache` to share between services, or ``None`` to
             create one (``cache_dir``/``cache_capacity`` configure it).
         default_options: :class:`SynthesisOptions` applied to ``submit``
@@ -260,14 +171,15 @@ class SynthesisService:
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
+        workers: int = 0,
         cache: Optional[PlanCache] = None,
         cache_dir: Optional[str] = None,
         cache_capacity: int = 1024,
         default_options: Optional[SynthesisOptions] = None,
         metrics: Optional[ServiceMetrics] = None,
     ):
-        self.workers = default_worker_count() if workers is None else max(0, workers)
+        if workers != 0:
+            raise ValueError(f"workers={workers!r}: jobs run in process only")
         self.cache = cache or PlanCache(cache_capacity, cache_dir)
         self.default_options = default_options or SynthesisOptions()
         self.metrics = metrics or ServiceMetrics()
@@ -366,6 +278,7 @@ class SynthesisService:
         job_id: Optional[str] = None,
         timeout: Optional[float] = None,
         warm_order: Optional[Sequence[Any]] = None,
+        watch: bool = False,
     ) -> SynthesisJob:
         """Register one problem with the scheduler; returns the job handle.
 
@@ -385,6 +298,10 @@ class SynthesisService:
         job's identity — warm start is verdict-preserving.  The submitted
         problem is also retained (LRU) as a possible *base* for later
         :meth:`submit_delta` calls against its fingerprint.
+
+        ``watch=True`` protects the job's result from retention eviction
+        from the moment it is registered until the caller releases it with
+        :meth:`unwatch`.
         """
         return self._enqueue(
             SynthesisJob(
@@ -392,7 +309,8 @@ class SynthesisService:
                 problem=problem,
                 options=self._options(options, timeout),
                 warm_order=tuple(warm_order) if warm_order is not None else None,
-            )
+            ),
+            watch,
         )
 
     def _options(
@@ -401,8 +319,9 @@ class SynthesisService:
         opts = options or self.default_options
         return opts if timeout is None else opts.with_timeout(timeout)
 
-    def _enqueue(self, job: SynthesisJob) -> SynthesisJob:
-        """Register a built job: retain it as a base, coalesce or queue it."""
+    def _enqueue(self, job: SynthesisJob, watch: bool) -> SynthesisJob:
+        """Register a built job: retain it as a base, coalesce or queue it,
+        and protect it from eviction if asked."""
         opts = job.options
         problem = job.problem
         fingerprint = job.fingerprint  # content hash, computed outside the lock
@@ -421,6 +340,8 @@ class SynthesisService:
                 self._forget_locked(job.job_id)
             self._jobs[job.job_id] = job
             self._order.append(job.job_id)
+            if watch:
+                self._watchers[job.job_id] = self._watchers.get(job.job_id, 0) + 1
             self.metrics.submitted += 1
             group = self._active.get((fingerprint, opts.timeout))
             if group is not None:
@@ -446,6 +367,7 @@ class SynthesisService:
         options: Optional[SynthesisOptions] = None,
         job_id: Optional[str] = None,
         timeout: Optional[float] = None,
+        watch: bool = False,
     ) -> SynthesisJob:
         """Register an *edit* of a retained base problem (a delta).
 
@@ -454,11 +376,11 @@ class SynthesisService:
         (:meth:`~repro.net.delta.ProblemPatch.apply_to` — structural
         sharing keeps the content-hash and label caches warm) and, when
         the base's plan is still in the plan cache, its unit order
-        warm-starts the new search.  On the serial path the search may also
-        start from the base's verified final structure (see
-        :meth:`_handover`).  The resolved job is an ordinary
-        submission: it coalesces, caches, and is itself retained as a
-        base, so a churn stream can chain deltas indefinitely.
+        warm-starts the new search.  The search may also start from the
+        base's verified final structure (see :meth:`_handover`).  The
+        resolved job is an ordinary submission: it coalesces, caches, and
+        is itself retained as a base, so a churn stream can chain deltas
+        indefinitely.
 
         Raises ``KeyError`` when the base fingerprint is unknown or has
         been evicted (HTTP 404 at the server — *not* a parse error;
@@ -467,6 +389,7 @@ class SynthesisService:
         apply to the base.  When ``options`` is ``None`` the delta
         inherits the retained base's options, keeping granularity and
         checker aligned with the plan whose order seeds the search.
+        ``watch`` is as for :meth:`submit`.
         """
         with self._cv:
             entry = self._bases.get(base)
@@ -491,7 +414,8 @@ class SynthesisService:
                 warm_order=warm_order,
                 base=base,
                 patch=patch,
-            )
+            ),
+            watch,
         )
 
     def has_base(self, fingerprint: str) -> bool:
@@ -544,7 +468,7 @@ class SynthesisService:
                     self._cv.wait(remaining)
                 return self._results[job_id]
         finally:
-            self._unwatch([job_id])
+            self.unwatch([job_id])
 
     def as_completed(self, job_ids: Iterable[str]) -> Iterator[JobResult]:
         """Yield each listed job's result (each id once) as it settles.
@@ -571,10 +495,10 @@ class SynthesisService:
                     ]
                 for job_id, result in ready:
                     del held[job_id]
-                    self._unwatch([job_id])
+                    self.unwatch([job_id])
                     yield result
         finally:
-            self._unwatch(held)
+            self.unwatch(held)
 
     def _watch(self, job_ids: Iterable[str]) -> None:
         """Protect ``job_ids`` from eviction (``KeyError`` if any is
@@ -587,7 +511,9 @@ class SynthesisService:
             for job_id in job_ids:
                 self._watchers[job_id] = self._watchers.get(job_id, 0) + 1
 
-    def _unwatch(self, job_ids: Iterable[str]) -> None:
+    def unwatch(self, job_ids: Iterable[str]) -> None:
+        """Release one hold on each of ``job_ids``: a ``watch=True``
+        submission's, or a waiter's.  Holds are counted, so they nest."""
         with self._cv:
             for job_id in job_ids:
                 count = self._watchers.get(job_id, 0) - 1
@@ -676,7 +602,6 @@ class SynthesisService:
     def metrics_dict(self) -> Dict[str, Any]:
         out = self.metrics.as_dict()
         out["cache"] = self.cache_stats()
-        out["workers"] = self.workers
         with self._cv:
             queue_depth = len(self._queue)
             in_flight = sum(
@@ -817,7 +742,7 @@ class SynthesisService:
             key = (job.fingerprint, job.options.timeout)
             groups.setdefault(key, []).append(job)
         for group in groups.values():
-            # the group executes with group[0]'s payloads: adopt the first
+            # the group executes as group[0]: adopt the first
             # warm hint any coalesced sibling brought (they are the same
             # problem, so any base plan's order is an equally valid seed)
             if group[0].warm_order is None:
@@ -852,27 +777,17 @@ class SynthesisService:
         return groups
 
     def _execute_groups(self, groups: Dict[_GroupKey, List[SynthesisJob]]) -> None:
-        """Run one micro-batch of cache-miss groups and publish verdicts.
-
-        One task is one (group, backend) pair; a single task runs in
-        process, since a pool cannot beat it.
-        """
+        """Run one micro-batch of cache-miss groups and publish verdicts."""
         with self.metrics.time_batch() as timer:
-            tasks = sum(len(group[0].options.backends()) for group in groups.values())
-            runner = (
-                self._execute_serial
-                if self.workers <= 1 or tasks == 1
-                else self._execute_pool
-            )
-            for key, payload in runner(groups):
+            for key, payload in self._execute_serial(groups):
                 with self._cv:
                     # snapshot-and-retire the group: submissions from here
                     # on queue for the next micro-batch (and hit the cache)
                     group = self._active.pop(key, None)
                     if group is None:
                         group = groups[key]
-                # plan rehydration + cache.put (disk I/O) stay outside the
-                # lock, like the cache lookups in _plan_batch
+                # cache.put (disk I/O) stays outside the lock, like the
+                # cache lookups in _plan_batch
                 results = self._settle_group(group, payload)
                 with self._cv:
                     # credit the wall time before waking readers: one woken
@@ -885,7 +800,9 @@ class SynthesisService:
     def _settle_crashed(
         self, groups: Dict[_GroupKey, List[SynthesisJob]], err: BaseException
     ) -> None:
-        """Executor crashed: settle every open job as ``error``."""
+        """Planning or executing a micro-batch raised (say, a corrupt
+        disk-cache entry or a failed cache write): settle every open job of
+        ``groups`` as ``error``, so no waiter hangs."""
         message = f"scheduler error: {type(err).__name__}: {err}"
         with self._cv:
             for key, group in groups.items():
@@ -906,21 +823,7 @@ class SynthesisService:
     # ------------------------------------------------------------------
     # executors
     # ------------------------------------------------------------------
-    @staticmethod
-    def _group_payloads(
-        job: SynthesisJob,
-    ) -> List[Tuple[str, Dict[str, Any], Dict[str, Any]]]:
-        """(backend, problem_dict, options_dict) per portfolio entry: the
-        worker pool's dispatch units."""
-        problem_data = problem_to_dict(job.problem)
-        options_data = dict(job.options.identity_dict(), timeout=job.options.timeout)
-        if job.warm_order is not None:
-            options_data["warm_order"] = unit_order_to_wire(job.warm_order)
-        return [
-            (backend, problem_data, options_data) for backend in job.options.backends()
-        ]
-
-    def _handover(self, job: SynthesisJob, backend: str) -> Handover:
+    def _handover(self, job: SynthesisJob) -> Handover:
         """What ``job``'s search may take over from its delta base's.
 
         Only a delta (``job.base``) whose base left a verified final
@@ -937,7 +840,7 @@ class SynthesisService:
             return Handover()
         handover = Handover(engine=base.engine)
         if (
-            backend == "incremental"
+            job.options.checker == "incremental"
             and job.patch is not None
             and not job.patch.touches_scope()
             and base.structure.has_config(job.problem.init)
@@ -954,160 +857,29 @@ class SynthesisService:
     def _execute_serial(
         self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
     ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """In-process execution on live objects; portfolio backends are
-        tried in order."""
+        """Run each group's search in process, one group at a time."""
         for key, group in groups.items():
             for job in group:  # every coalesced sibling is executing
                 job.status = JobStatus.RUNNING
-            job = group[0]
-            options_data = dict(
-                job.options.identity_dict(),
-                timeout=job.options.timeout,
-                warm_order=job.warm_order,
-            )
-            attempts: List[Dict[str, Any]] = []
-            for backend in job.options.backends():
-                handover = self._handover(job, backend)
-                res = _execute_problem(job.problem, options_data, backend, handover)
-                if handover.final is not None:
-                    self._retain_start(key[0], handover.final)
-                attempts.append(res)
-                if res["status"] in _DEFINITIVE:
-                    break
-            yield key, (
-                attempts[-1]
-                if attempts[-1]["status"] in _DEFINITIVE
-                else _best_failure(attempts)
-            )
-
-    def _execute_pool(
-        self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
-    ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """Worker-pool execution; portfolio backends race concurrently.
-
-        Payloads dispatch lazily, at most ``workers`` in flight.  A group
-        settles on its first definitive verdict, which cancels its other
-        payloads, or on its most informative failure once every backend
-        has reported.  If the pool breaks mid-batch (a worker died hard),
-        the remaining groups degrade to inline in-process execution: every
-        job always settles.
-        """
-        try:
-            executor = ProcessPoolExecutor(max_workers=self.workers)
-        except (OSError, ValueError, PermissionError):
-            # restricted environments (no /dev/shm, seccomp...) — degrade
-            yield from self._execute_serial(groups)
-            return
-
-        queue: "Deque[Tuple[_GroupKey, str, Dict[str, Any], Dict[str, Any]]]" = deque()
-        pending: "Dict[Future, Tuple[_GroupKey, str]]" = {}
-        attempts: "Dict[_GroupKey, List[Dict[str, Any]]]" = {}
-        outstanding: "Dict[_GroupKey, int]" = {}
-        decided: "Set[_GroupKey]" = set()
-        pool_broken = False
-
-        for key, group in groups.items():
-            for job in group:  # every coalesced sibling is executing
-                job.status = JobStatus.RUNNING
-            attempts[key] = []
-            payloads = self._group_payloads(group[0])
-            outstanding[key] = len(payloads)
-            for backend, problem_data, options_data in payloads:
-                queue.append((key, backend, problem_data, options_data))
-
-        def settle(
-            key: _GroupKey, res: Dict[str, Any]
-        ) -> Tuple[_GroupKey, Dict[str, Any]]:
-            decided.add(key)
-            for other in [f for f, (owner, _) in pending.items() if owner == key]:
-                other.cancel()
-                del pending[other]
-            return key, res
-
-        def process(
-            key: _GroupKey, res: Dict[str, Any]
-        ) -> Optional[Tuple[_GroupKey, Dict[str, Any]]]:
-            """Feed one payload result; returns the group verdict if settled."""
-            if res["status"] in _DEFINITIVE:
-                return settle(key, res)
-            attempts[key].append(res)
-            outstanding[key] -= 1
-            if outstanding[key] == 0:
-                return settle(key, _best_failure(attempts[key]))
-            return None
-
-        def dispatch() -> List[Tuple[_GroupKey, Dict[str, Any]]]:
-            """Submit queued payloads up to the worker count.
-
-            Returns already-settled group verdicts when the pool broke: the
-            remaining groups each run in process instead, so every job
-            settles even with a dead pool.
-            """
-            nonlocal pool_broken
-            while queue and not pool_broken and len(pending) < self.workers:
-                key, backend, problem_data, options_data = queue.popleft()
-                if key in decided:
-                    continue  # the group settled while this payload queued
-                try:
-                    future = executor.submit(
-                        _execute_payload, problem_data, options_data, backend
-                    )
-                except Exception:  # noqa: BLE001 — BrokenProcessPool etc.
-                    pool_broken = True
-                    queue.appendleft((key, backend, problem_data, options_data))
-                else:
-                    pending[future] = (key, backend)
-            inline: List[Tuple[_GroupKey, Dict[str, Any]]] = []
-            if pool_broken and queue:
-                remaining = list(dict.fromkeys(
-                    key for key, _, _, _ in queue if key not in decided
-                ))
-                queue.clear()
-                for key, res in self._execute_serial(
-                    {key: groups[key] for key in remaining}
-                ):
-                    inline.append(settle(key, res))
-            return inline
-
-        with executor:
-            yield from dispatch()
-            while pending:
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                ready = []
-                for future in done:
-                    entry = pending.pop(future, None)
-                    if entry is None:
-                        continue  # a sibling won while this one settled
-                    key, backend = entry
-                    try:
-                        res = future.result()
-                    except Exception as err:  # noqa: BLE001 — broken pool etc.
-                        res = {
-                            "status": JobStatus.ERROR.value,
-                            "message": f"{type(err).__name__}: {err}",
-                            "seconds": 0.0,
-                            "backend": backend,
-                        }
-                    ready.append(process(key, res))
-                ready.extend(dispatch())
-                yield from (verdict for verdict in ready if verdict is not None)
+            handover = self._handover(group[0])
+            payload = _execute_problem(group[0], handover)
+            if handover.final is not None:
+                self._retain_start(key[0], handover.final)
+            yield key, payload
 
     def _settle_group(
         self, group: List[SynthesisJob], payload: Dict[str, Any]
     ) -> List[JobResult]:
         """Fan one execution result out to every job coalesced on it.
 
-        The serial path hands over the plan object itself; a pool worker's
-        plan arrives in its dict form and is rehydrated once.  The first
-        job gets that plan, each coalesced sibling a copy.  Runs outside
-        the scheduler lock (the cache write may touch disk); the caller
-        observes and publishes the returned results under the lock.
+        The first job gets the plan object, each coalesced sibling a copy.
+        Runs outside the scheduler lock (the cache write may touch disk);
+        the caller observes and publishes the returned results under the
+        lock.
         """
         status = JobStatus(payload["status"])
         fingerprint = group[0].fingerprint
         plan = payload.get("plan")
-        if isinstance(plan, dict):
-            plan = plan_from_dict(plan, {tc.name: tc for tc in group[0].problem.classes})
         if plan is not None:
             self.cache.put(fingerprint, plan)
         results: List[JobResult] = []

@@ -46,13 +46,10 @@ class JobStatus(str, Enum):
 class SynthesisOptions:
     """Synthesizer configuration for one job.
 
-    ``portfolio`` names checker backends to race against each other; when
-    non-empty it supersedes ``checker`` and the first backend to produce a
-    definitive verdict (a plan, or a proof of infeasibility) wins.
     ``timeout`` is a per-job budget in seconds; it is *not* part of the
     cache identity (see :mod:`repro.service.fingerprint`).
-    ``use_plan_cache`` gates the plan cache lookup: load generators turn it
-    off to force real synthesis on repeat traffic.  It is excluded from the
+    ``use_plan_cache`` gates the plan cache lookup: turning it off forces
+    real synthesis on repeat traffic.  It is excluded from the
     identity because it changes how a plan is obtained, never which plan.
     ``preflight`` runs the static problem linter
     (:func:`repro.analysis.static_infeasibility`) on cache-miss groups
@@ -70,13 +67,8 @@ class SynthesisOptions:
     use_early_termination: bool = True
     use_reachability_heuristic: bool = True
     timeout: Optional[float] = None
-    portfolio: Tuple[str, ...] = ()
     use_plan_cache: bool = True
     preflight: bool = False
-
-    def backends(self) -> Tuple[str, ...]:
-        """The checker backends this job will try (portfolio or singleton)."""
-        return self.portfolio if self.portfolio else (self.checker,)
 
     def with_timeout(self, timeout: Optional[float]) -> "SynthesisOptions":
         return replace(self, timeout=timeout)
@@ -90,7 +82,6 @@ class SynthesisOptions:
             "use_counterexamples": self.use_counterexamples,
             "use_early_termination": self.use_early_termination,
             "use_reachability_heuristic": self.use_reachability_heuristic,
-            "portfolio": list(self.portfolio),
         }
 
 
@@ -133,7 +124,7 @@ class JobResult:
     """Structured outcome of one job.
 
     ``plan`` is set only for ``done`` results; ``backend`` records which
-    checker produced the verdict (useful in portfolio mode); ``cached``
+    checker produced the verdict; ``cached``
     marks plans served from the plan cache without running the synthesizer.
     """
 

@@ -39,8 +39,7 @@ class ServiceMetrics:
     submitted: int = 0
     completed: int = 0
     by_status: Dict[str, int] = field(default_factory=dict)
-    #: verdicts per checker backend — in portfolio mode these are the race
-    #: *win* counters the differential judge (``repro judge``) audits
+    #: executed verdicts per checker backend
     by_backend: Dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     coalesced: int = 0

@@ -4,7 +4,7 @@
 :class:`~repro.service.engine.SynthesisService` in a stdlib
 :class:`~http.server.ThreadingHTTPServer`.  Handler threads only parse
 documents (:mod:`repro.api`) and call the thread-safe service surface; all
-synthesis work stays on the scheduler thread and its worker pool, so the
+synthesis work stays on the scheduler thread, so the
 plan cache stays hot across requests from independent clients.
 
 Endpoints (see ``docs/ARCHITECTURE.md`` for the full table):

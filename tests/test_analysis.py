@@ -516,7 +516,7 @@ class TestEnginePreflight:
         monkeypatch.setattr(engine_mod, "_execute_problem", boom)
         problem = self._statically_infeasible_problem()
         service = SynthesisService(
-            workers=0, default_options=SynthesisOptions(preflight=True)
+            default_options=SynthesisOptions(preflight=True)
         )
         job = service.submit(problem, job_id="static")
         result = service.result(job.job_id)
@@ -529,7 +529,7 @@ class TestEnginePreflight:
 
         # control: without preflight the same job does reach the hook, so
         # the assertions above cannot pass with a hook that never fires
-        control = SynthesisService(workers=0)
+        control = SynthesisService()
         job = control.submit(problem, job_id="searched")
         result = control.result(job.job_id)
         control.close()
@@ -545,7 +545,7 @@ class TestEnginePreflight:
         outcomes = {}
         for preflight in (False, True):
             service = SynthesisService(
-                workers=0, default_options=SynthesisOptions(preflight=preflight)
+                default_options=SynthesisOptions(preflight=preflight)
             )
             rows = []
             for index, record in enumerate(records):
@@ -640,7 +640,7 @@ class TestAnalyzeCli:
         path.write_text(
             '{"base": "missing", "patch": {}, "id": "delta-1"}\n'
         )
-        code = main(["batch", str(path), "--serial"])
+        code = main(["batch", str(path)])
         assert code == 4
         err = capsys.readouterr().err
         assert f"{path}:1:" in err

@@ -110,7 +110,6 @@ class TestOptionsRoundTrip:
             remove_waits=False,
             use_counterexamples=False,
             timeout=12.5,
-            portfolio=("incremental", "symbolic"),
             use_plan_cache=False,
         )
         assert options_from_dict(options_to_dict(options)) == options
@@ -122,8 +121,9 @@ class TestOptionsRoundTrip:
         "bad",
         [
             {"checker": "no-such-backend"},
-            {"portfolio": ["incremental", "bogus"]},
-            {"portfolio": "incremental"},
+            # retired fields are unknown fields
+            {"portfolio": ["incremental", "batch"]},
+            {"workers": 2},
             {"granularity": "packet"},
             {"timeout": "fast"},
             {"timeout": True},

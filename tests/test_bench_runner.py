@@ -20,7 +20,7 @@ from repro.errors import ReproError
 
 @pytest.fixture(scope="module")
 def smoke_document():
-    return run_suite("smoke", quick=True, workers=0, timeout=60.0)
+    return run_suite("smoke", quick=True, timeout=60.0)
 
 
 class TestRunSuite:

@@ -35,7 +35,7 @@ def normalized_plan(plan) -> dict:
 
 
 def run_cold(trace):
-    service = SynthesisService(workers=0)
+    service = SynthesisService()
     try:
         results = []
         for record in trace.records:
@@ -47,7 +47,7 @@ def run_cold(trace):
 
 
 def run_delta(trace):
-    service = SynthesisService(workers=0)
+    service = SynthesisService()
     try:
         job = service.submit(trace.records[0].problem)
         results = [service.result(job.job_id)]
@@ -155,7 +155,7 @@ class TestDeltaVsColdEquivalence:
 
 class TestEngineAndClientFallbacks:
     def test_unknown_base_fingerprint_raises_keyerror(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         try:
             assert not service.has_base("f" * 16)
             with pytest.raises(KeyError):
@@ -166,7 +166,7 @@ class TestEngineAndClientFallbacks:
     def test_client_falls_back_to_cold_when_server_lacks_base(self):
         trace = generate_churn(quick=True)[0]
         base, step = trace.records[0], trace.records[1]
-        with ReproServer(port=0, workers=0) as srv:
+        with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
             # the server never saw the base; the client holds the problem
             view = client.submit_delta(
@@ -179,7 +179,7 @@ class TestEngineAndClientFallbacks:
             )
 
     def test_wire_delta_without_fallback_surfaces_404(self):
-        with ReproServer(port=0, workers=0) as srv:
+        with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
             with pytest.raises(KeyError):
                 client.submit_delta("deadbeef" * 8, ProblemPatch(), fallback=False)
@@ -195,7 +195,7 @@ class TestEngineAndClientFallbacks:
 
     def test_malformed_patch_is_400_parse_envelope(self):
         trace = generate_churn(quick=True)[0]
-        with ReproServer(port=0, workers=0) as srv:
+        with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
             view = client.submit(trace.records[0].problem)
             client.result(view.job_id, timeout=60)
@@ -211,7 +211,7 @@ class TestEngineAndClientFallbacks:
 
     def test_inapplicable_patch_is_400_parse_envelope(self):
         trace = generate_churn(quick=True)[0]
-        with ReproServer(port=0, workers=0) as srv:
+        with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
             view = client.submit(trace.records[0].problem)
             client.result(view.job_id, timeout=60)
@@ -232,7 +232,7 @@ class TestCacheAccounting:
         """Fetching a delta base's warm order is not a plan-cache hit: the
         cache counters, /v1/metrics and the served-from-cache results agree."""
         trace = generate_churn(quick=True)[0]
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         try:
             job = service.submit(trace.records[0].problem)
             results = [service.result(job.job_id)]
@@ -261,13 +261,35 @@ class TestBatchCliDeltas:
 
         path = tmp_path / "churn.jsonl"
         write_corpus(generate_corpus("churn", quick=True), str(path))
-        assert main(["batch", str(path), "--serial", "--no-plans"]) == 0
+        assert main(["batch", str(path), "--no-plans"]) == 0
         rows = [
             json.loads(line)
             for line in capsys.readouterr().out.splitlines()
             if line.strip()
         ]
         assert len(rows) == 6
+        assert {row["status"] for row in rows} == {"done"}
+
+    def test_batch_prints_every_result_past_result_retention(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # each delta line settles its base first, which runs the scheduler
+        # over earlier lines before the output stream watches them; with
+        # retention below the line count, none may be evicted unread
+        from repro.cli import main
+        from repro.service import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "RESULT_RETENTION", 4)
+        path = tmp_path / "churn.jsonl"
+        write_corpus(generate_corpus("churn", quick=True), str(path))
+        assert main(["batch", str(path), "--no-plans"]) == 0
+        rows = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        ]
+        assert len(rows) == 6
+        assert len({row["id"] for row in rows}) == 6
         assert {row["status"] for row in rows} == {"done"}
 
     def test_batch_rejects_delta_before_its_base(self, tmp_path):
@@ -277,7 +299,7 @@ class TestBatchCliDeltas:
         step = next(r for r in records if r.patch is not None)
         path = tmp_path / "orphan.jsonl"
         path.write_text(json.dumps(step.to_jobs_dict()) + "\n")
-        assert main(["batch", str(path), "--serial"]) == 4  # parse error
+        assert main(["batch", str(path)]) == 4  # parse error
 
     def test_loader_rejects_delta_without_patch_object(self, tmp_path):
         from repro.cli import _load_batch_jobs

@@ -56,8 +56,8 @@ def handovers(monkeypatch):
     seen = {}
     original = SynthesisService._handover
 
-    def spy(self, job, backend):
-        handover = original(self, job, backend)
+    def spy(self, job):
+        handover = original(self, job)
         seen[job.job_id] = (handover.start is not None, handover.engine is not None)
         return handover
 
@@ -68,7 +68,7 @@ def handovers(monkeypatch):
 def run_chain(base, patches, *, options=None, service=None):
     """Submit ``base`` then each patch as a delta of the previous job."""
     own = service is None
-    service = service or SynthesisService(workers=0, default_options=options)
+    service = service or SynthesisService(default_options=options)
     try:
         job = service.submit(base, job_id="step00")
         results = [service.result(job.job_id)]
@@ -110,7 +110,7 @@ class TestDifferential:
         base, patches, _ = chain(3, 3, 4)
         warm = run_chain(base, patches)
         monkeypatch.setattr(
-            SynthesisService, "_handover", lambda self, job, backend: Handover()
+            SynthesisService, "_handover", lambda self, job: Handover()
         )
         plain = run_chain(base, patches)
         assert [shape(r.plan) for r in warm] == [shape(r.plan) for r in plain]
@@ -138,7 +138,7 @@ class TestOpCounts:
         monkeypatch.setattr(structure_module.KripkeStructure, "__init__", counting_kripke)
         monkeypatch.setattr(labeling_module.LabelEngine, "__init__", counting_engine)
         base, patches, _ = chain(5, 2, 3)
-        with SynthesisService(workers=0) as service:
+        with SynthesisService() as service:
             job = service.submit(base)
             assert service.result(job.job_id).ok
             assert builds == {"kripke": 2, "engine": 1}  # final + init, cold
@@ -158,7 +158,7 @@ class TestColdFallbacks:
         return base, patches[0]
 
     def run(self, base, patch, *, delta_options=None, between=()):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         try:
             job = service.submit(base, job_id="base")
             assert service.result(job.job_id).ok
@@ -177,7 +177,7 @@ class TestColdFallbacks:
         assert handovers["delta"] == (False, engine)
         with monkeypatch.context() as patched:
             patched.setattr(
-                SynthesisService, "_handover", lambda self, job, backend: Handover()
+                SynthesisService, "_handover", lambda self, job: Handover()
             )
             reference = self.run(base, patch, **kwargs)
         assert result.status is reference.status
@@ -243,7 +243,7 @@ class TestBoundedState:
         first = onboarding_fan_problems(2, 1, 2)[0]
         # every step executes (no plan cache)
         options = SynthesisOptions(use_plan_cache=False)
-        service = SynthesisService(workers=0, default_options=options)
+        service = SynthesisService(default_options=options)
         try:
             job = service.submit(first, job_id="step000")
             assert service.result(job.job_id).ok

@@ -14,7 +14,7 @@ import repro.observatory.judge as judge_mod
 from repro.cli import main
 from repro.errors import ReproError
 from repro.observatory import DEFAULT_BACKENDS, JUDGE_SCHEMA, run_judge
-from repro.observatory.judge import _judge_agreement, _judge_race
+from repro.observatory.judge import _judge_agreement
 from repro.scenarios import generate_corpus, sample_records
 
 _real_execute_one = judge_mod._execute_one
@@ -36,7 +36,6 @@ class TestAgreement:
             quick=True,
             backends=("incremental", "batch"),
             max_scenarios=6,
-            race=False,
         )
         assert document["schema"] == JUDGE_SCHEMA
         assert document["totals"]["ok"] is True
@@ -47,20 +46,6 @@ class TestAgreement:
         for row in document["scenarios"]:
             assert set(row["backends"]) == {"incremental", "batch"}
             assert row["disagreements"] == []
-            assert row["race"] is None  # race=False
-
-    def test_race_pass_reports_service_wins(self):
-        document = run_judge(
-            "smoke",
-            quick=True,
-            backends=("incremental", "batch"),
-            max_scenarios=4,
-            race=True,
-        )
-        assert document["totals"]["ok"] is True
-        race_service = document["race_service"]
-        assert sum(race_service["by_backend"].values()) == 4
-        assert set(race_service["by_backend"]) <= {"incremental", "batch"}
 
     def test_unsupported_backend_excluded_from_consensus(self, monkeypatch):
         def partial(record, backend, *, timeout):
@@ -78,7 +63,6 @@ class TestAgreement:
             quick=True,
             backends=("incremental", "batch"),
             max_scenarios=3,
-            race=False,
         )
         # a capability gap is reported, never failed
         assert document["totals"]["ok"] is True
@@ -91,7 +75,6 @@ class TestAgreement:
             quick=True,
             backends=("incremental", "batch"),
             max_scenarios=3,
-            race=False,
         )
         assert document["totals"]["ok"] is False
         assert any(
@@ -158,61 +141,13 @@ class TestJudgeAgreementUnit:
         assert _judge_agreement("s", outcomes) == []
 
 
-class TestJudgeRaceUnit:
-    OUTCOMES = {
-        "incremental": {"status": "done", "seconds": 0.01},
-        "symbolic": {"status": "done", "seconds": 0.50},
-    }
-
-    def test_slow_winner_is_flagged(self):
-        pick = {"status": "done", "winner": "symbolic", "seconds": 0.4}
-        verdict = _judge_race("s", pick, self.OUTCOMES)
-        assert verdict["flagged"] is True
-        assert verdict["best_backend"] == "incremental"
-
-    def test_best_winner_is_not_flagged(self):
-        pick = {"status": "done", "winner": "incremental", "seconds": 0.02}
-        assert _judge_race("s", pick, self.OUTCOMES)["flagged"] is False
-
-    def test_noise_guards(self):
-        # beyond the ratio but under the absolute gap: not flagged
-        outcomes = {
-            "incremental": {"status": "done", "seconds": 0.010},
-            "symbolic": {"status": "done", "seconds": 0.040},
-        }
-        pick = {"status": "done", "winner": "symbolic", "seconds": 0.04}
-        assert _judge_race("s", pick, outcomes)["flagged"] is False
-        # beyond the gap but under the ratio: not flagged either
-        outcomes = {
-            "incremental": {"status": "done", "seconds": 1.00},
-            "symbolic": {"status": "done", "seconds": 1.20},
-        }
-        pick = {"status": "done", "winner": "symbolic", "seconds": 1.2}
-        assert _judge_race("s", pick, outcomes)["flagged"] is False
-
-    def test_unjudgeable_picks_return_none(self):
-        assert _judge_race("s", None, self.OUTCOMES) is None
-        assert (
-            _judge_race("s", {"status": "done", "winner": None}, self.OUTCOMES)
-            is None
-        )
-        # the winner's solo verdict differs from the race's: timings not
-        # comparable, so no judgement
-        mixed = {
-            "incremental": {"status": "done", "seconds": 0.01},
-            "symbolic": {"status": "timeout", "seconds": 60.0},
-        }
-        pick = {"status": "done", "winner": "symbolic", "seconds": 0.1}
-        assert _judge_race("s", pick, mixed) is None
-
-
 class TestCli:
     def test_honest_judge_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "JUDGE.json"
         code = main(
             ["judge", "--suite", "smoke", "--quick",
              "--backends", BACKENDS, "--max-scenarios", "4",
-             "--no-race", "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         assert "OK: all backends agree" in capsys.readouterr().out
@@ -226,7 +161,7 @@ class TestCli:
         monkeypatch.setattr(judge_mod, "_execute_one", _lying_execute_one)
         code = main(
             ["judge", "--suite", "smoke", "--quick",
-             "--backends", BACKENDS, "--max-scenarios", "3", "--no-race"]
+             "--backends", BACKENDS, "--max-scenarios", "3"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -240,12 +175,26 @@ class TestCli:
         code = main(
             ["judge", "--suite", "smoke", "--quick",
              "--backends", BACKENDS, "--max-scenarios", "2",
-             "--no-race", "--json"]
+             "--json"]
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == JUDGE_SCHEMA
         assert document["backends"] == ["incremental", "batch"]
+
+    def test_backends_accept_spaces(self, capsys):
+        code = main(
+            ["judge", "--suite", "smoke", "--quick",
+             "--backends", "incremental, batch", "--max-scenarios", "1", "--json"]
+        )
+        assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["backends"] == ["incremental", "batch"]
+
+    def test_unknown_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["judge", "--suite", "smoke", "--backends", "incremental,increnemtal"])
+        assert "unknown backend" in capsys.readouterr().err
 
     def test_single_backend_rejected(self, capsys):
         code = main(

@@ -148,6 +148,12 @@ class TestInfeasible:
         assert not row.feasible
         assert row.reason == "sat"
 
+    def test_fig8i_experiment_reports_model_checks(self):
+        from repro.bench import experiments
+
+        (row,) = experiments.fig8i_rule_granularity(sizes=(8,))
+        assert row.model_checks > 0
+
     def test_double_diamond_feasible_rule_granularity(self):
         sc = double_diamond(10)
         plan = order_update(

@@ -283,7 +283,7 @@ class TestCorpusOrder:
 
 def run_delta_chain(trace):
     """The trace's base and its chained deltas on one serial service."""
-    service = SynthesisService(workers=0)
+    service = SynthesisService()
     try:
         job = service.submit(trace.records[0].problem)
         results = [service.result(job.job_id)]

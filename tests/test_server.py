@@ -82,7 +82,7 @@ def smoke_subset(count=4):
 
 @pytest.fixture()
 def server():
-    with ReproServer(port=0, workers=0) as srv:
+    with ReproServer(port=0) as srv:
         yield srv
 
 
@@ -96,13 +96,13 @@ def gated_server(monkeypatch):
     gate = threading.Event()
     original = engine_module._execute_problem
 
-    def gated(problem, options_data, backend, *args):
-        if any(tc.name == "blocker" for tc in problem.ingresses):
+    def gated(job, *args):
+        if any(tc.name == "blocker" for tc in job.problem.ingresses):
             gate.wait(timeout=60)
-        return original(problem, options_data, backend, *args)
+        return original(job, *args)
 
     monkeypatch.setattr(engine_module, "_execute_problem", gated)
-    with ReproServer(port=0, workers=0) as srv:
+    with ReproServer(port=0) as srv:
         try:
             yield srv, gate
         finally:
@@ -125,7 +125,7 @@ class TestRoundTrip:
         a plan identical (same plan_to_dict) to the in-process result."""
         records = smoke_subset()
         assert records, "smoke corpus has no feasible scenarios?"
-        local = SynthesisService(workers=0)
+        local = SynthesisService()
         for record in records:
             local.submit(
                 record.problem,
@@ -300,6 +300,20 @@ class TestProtocolErrors:
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"]["code"] == "parse"
 
+    def test_portfolio_option_is_400_parse_envelope(self, server):
+        # portfolio racing is retired: the field is unknown, a client
+        # error and never a 500
+        from repro.api import SynthesisRequest
+
+        data = SynthesisRequest(problem=fig1_problem()).to_dict()
+        data["options"] = {"portfolio": ["incremental", "batch"]}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server, json.dumps(data).encode())
+        assert excinfo.value.code == 400
+        envelope = json.loads(excinfo.value.read())
+        assert envelope["error"]["code"] == "parse"
+        assert "portfolio" in envelope["error"]["message"]
+
     def test_unknown_job_is_404_envelope(self, server):
         client = ReproClient(server.url)
         with pytest.raises(KeyError):
@@ -308,7 +322,7 @@ class TestProtocolErrors:
     def test_server_default_options_apply_to_bare_requests(self):
         # repro serve --timeout 0 must reach clients that send no options
         with ReproServer(
-            port=0, workers=0, default_options=SynthesisOptions(timeout=0.0)
+            port=0, default_options=SynthesisOptions(timeout=0.0)
         ) as srv:
             client = ReproClient(srv.url)  # no default_options: sends none
             view = client.submit(blocker_problem())
@@ -318,7 +332,7 @@ class TestProtocolErrors:
     def test_sparse_options_merge_onto_server_defaults(self):
         # picking a checker must not silently drop the server's timeout
         with ReproServer(
-            port=0, workers=0, default_options=SynthesisOptions(timeout=0.0)
+            port=0, default_options=SynthesisOptions(timeout=0.0)
         ) as srv:
             client = ReproClient(srv.url)
             view = client.submit(
@@ -331,7 +345,7 @@ class TestProtocolErrors:
         # client.submit(problem, timeout=...) must not clobber the
         # server's other defaults with client-side SynthesisOptions()
         with ReproServer(
-            port=0, workers=0,
+            port=0,
             default_options=SynthesisOptions(checker="batch"),
         ) as srv:
             client = ReproClient(srv.url)
@@ -355,7 +369,7 @@ class TestProtocolErrors:
         before = scheduler_threads()
         host, port = server.address
         with pytest.raises(ReproError, match="cannot bind"):
-            ReproServer(host=host, port=port, workers=0)
+            ReproServer(host=host, port=port)
         # the aborted server's owned scheduler thread must not linger
         assert scheduler_threads() == before
 
@@ -449,6 +463,7 @@ class TestProtocolErrors:
         health = client.healthz()
         assert health["ok"] is True and health["api"] == API_VERSION
         metrics = client.metrics_dict()
+        assert "workers" not in metrics
         for gauge in ("queue_depth", "in_flight", "uptime_seconds"):
             assert gauge in metrics["gauges"]
         stats = client.cache_stats()
@@ -610,7 +625,7 @@ class TestCliFrontEnds:
         path = tmp_path / "batch.jsonl"
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
 
-        assert main(["batch", str(path), "--serial"]) == 0
+        assert main(["batch", str(path)]) == 0
         local = {
             json.loads(line)["id"]: json.loads(line)
             for line in capsys.readouterr().out.splitlines()

@@ -21,6 +21,7 @@ from repro.net.serialize import (
 from repro.service import (
     JobStatus,
     PlanCache,
+    SynthesisJob,
     SynthesisOptions,
     SynthesisService,
     disk_cache_summary,
@@ -359,7 +360,7 @@ class TestPlanCache:
 # ----------------------------------------------------------------------
 class TestServiceSerial:
     def test_cache_hit_on_identical_problem_different_identity(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         first = service.result(service.submit(fig1_problem()).job_id)
         assert first.status is JobStatus.DONE and not first.cached
         # an equal problem rebuilt from scratch (different object identity)
@@ -371,7 +372,7 @@ class TestServiceSerial:
         assert service.cache.stats.hits == 1
 
     def test_batch_with_infeasible_and_timeout(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         ok_job = service.submit(fig1_problem(), job_id="ok")
         service.submit(
             scenario_problem(double_diamond(8, seed=1)), job_id="impossible"
@@ -391,7 +392,7 @@ class TestServiceSerial:
         assert metrics["by_status"] == {"done": 1, "infeasible": 1, "timeout": 1}
 
     def test_duplicate_jobs_coalesce(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="a")
         service.submit(fig1_problem(), job_id="b")
         results = {r.job_id: r for r in service.drain()}
@@ -403,7 +404,7 @@ class TestServiceSerial:
     def test_different_timeouts_do_not_coalesce(self):
         # a "timeout" verdict under a tiny budget must not be fanned out to
         # an identical job submitted with a generous (or absent) budget
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         problem = scenario_problem(ring_diamond(8, seed=2))
         service.submit(problem, job_id="tiny", timeout=0.0)
         service.submit(problem, job_id="patient")
@@ -412,18 +413,8 @@ class TestServiceSerial:
         assert results["patient"].status is JobStatus.DONE
         assert service.metrics.coalesced == 0
 
-    def test_portfolio_takes_first_definitive(self):
-        service = SynthesisService(workers=0)
-        job = service.submit(
-            fig1_problem(),
-            options=SynthesisOptions(portfolio=("incremental", "batch")),
-        )
-        result = service.result(job.job_id)
-        assert result.status is JobStatus.DONE
-        assert result.backend in ("incremental", "batch")
-
     def test_as_completed_yields_settled_results_in_given_order(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(scenario_problem(ring_diamond(6, seed=1)), job_id="one")
         service.submit(fig1_problem(), job_id="two")
         # serial execution settles in submission order
@@ -438,7 +429,7 @@ class TestServiceSerial:
             next(service.as_completed(["one", "nonexistent"]))
 
     def test_use_plan_cache_false_forces_resynthesis(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         options = SynthesisOptions(use_plan_cache=False)
         first = service.submit(fig1_problem(), options=options)
         second = service.submit(fig1_problem(), options=options)
@@ -450,20 +441,33 @@ class TestServiceSerial:
         assert not repeat.cached
 
 
-class TestServicePool:
-    def test_pool_batch_over_examples(self):
-        service = SynthesisService(workers=2)
-        service.submit(fig1_problem(), job_id="ok")
-        service.submit(
-            scenario_problem(ring_diamond(6, seed=3)), job_id="ring"
-        )
-        service.submit(
-            scenario_problem(double_diamond(8, seed=1)), job_id="impossible"
-        )
-        service.submit(
-            scenario_problem(ring_diamond(10, seed=4)), job_id="slow", timeout=0.0
-        )
+class TestServiceSettlement:
+    """Every job of a batch settles — none left RUNNING — whatever its
+    verdict, and one job's failure does not touch its siblings."""
+
+    def assert_all_settled(self, jobs, results):
+        assert set(results) == {job.job_id for job in jobs}
+        for job in jobs:
+            assert job.status.terminal, f"{job.job_id} left {job.status}"
+
+    def test_batch_over_examples(self):
+        service = SynthesisService()
+        jobs = [
+            service.submit(fig1_problem(), job_id="ok"),
+            service.submit(
+                scenario_problem(ring_diamond(6, seed=3)), job_id="ring"
+            ),
+            service.submit(
+                scenario_problem(double_diamond(8, seed=1)), job_id="impossible"
+            ),
+            service.submit(
+                scenario_problem(ring_diamond(10, seed=4)),
+                job_id="slow",
+                timeout=0.0,
+            ),
+        ]
         results = {r.job_id: r for r in service.drain()}
+        self.assert_all_settled(jobs, results)
         assert results["ok"].status is JobStatus.DONE
         assert results["ring"].status is JobStatus.DONE
         assert results["impossible"].status is JobStatus.INFEASIBLE
@@ -471,61 +475,8 @@ class TestServicePool:
         assert results["ok"].plan is not None
         assert results["ok"].plan.num_updates() > 0
 
-    def test_pool_portfolio_race(self):
-        service = SynthesisService(workers=2)
-        service.submit(
-            scenario_problem(double_diamond(8, seed=1)),
-            options=SynthesisOptions(portfolio=("incremental", "batch")),
-        )
-        (result,) = service.drain()
-        assert result.status is JobStatus.INFEASIBLE
-
-    def test_pool_plans_match_serial(self):
-        """A 2-job batch on one topology, ingress map and spec (forward
-        and reverse updates) must report the same plans whether it runs
-        serially or on the pool."""
-        from repro.scenarios import generate_corpus
-
-        records = generate_corpus("smoke", quick=True)
-        record = next(
-            r for r in records if r.scenario_id == "diamond/chained2x2/chain/baseline"
-        )
-        forward = record.problem
-        reverse = Problem(
-            topology=forward.topology,
-            ingresses=forward.ingresses,
-            init=forward.final,
-            final=forward.init,
-            spec=forward.spec,
-            spec_text=forward.spec_text,
-        )
-        plans = {}
-        for workers in (0, 2):
-            service = SynthesisService(workers=workers)
-            opts = SynthesisOptions(granularity=record.granularity)
-            service.submit(forward, job_id="fwd", options=opts)
-            service.submit(reverse, job_id="rev", options=opts)
-            results = {r.job_id: r for r in service.drain()}
-            for result in results.values():
-                assert result.status is JobStatus.DONE
-            plans[workers] = {
-                job_id: (result.plan.granularity, list(result.plan.commands))
-                for job_id, result in results.items()
-            }
-        assert plans[0] == plans[2]
-
-
-class TestServicePoolFailures:
-    """The pool path must settle every job — no job left RUNNING — under
-    worker errors, race cancellations, and a breaking pool."""
-
-    def assert_all_settled(self, jobs, results):
-        assert set(results) == {job.job_id for job in jobs}
-        for job in jobs:
-            assert job.status.terminal, f"{job.job_id} left {job.status}"
-
-    def test_worker_error_settles_the_job(self):
-        service = SynthesisService(workers=2)
+    def test_error_settles_the_job(self):
+        service = SynthesisService()
         jobs = [
             service.submit(
                 fig1_problem(),
@@ -541,75 +492,20 @@ class TestServicePoolFailures:
         assert results["boom"].status is JobStatus.ERROR
         assert results["ok"].status is JobStatus.DONE
 
-    def test_portfolio_cancellation_across_groups(self):
-        # two portfolio groups on two workers: each group's first definitive
-        # verdict cancels (or skips) the sibling backend's payload
-        service = SynthesisService(workers=2)
-        opts = SynthesisOptions(portfolio=("incremental", "batch"))
-        jobs = [
-            service.submit(fig1_problem(), job_id="feasible", options=opts),
-            service.submit(
-                scenario_problem(double_diamond(8, seed=1)),
-                job_id="impossible",
-                options=opts,
-            ),
-        ]
-        results = {
-            r.job_id: r for r in service.as_completed(j.job_id for j in jobs)
-        }
-        self.assert_all_settled(jobs, results)
-        assert results["feasible"].status is JobStatus.DONE
-        assert results["impossible"].status is JobStatus.INFEASIBLE
 
-    def test_broken_process_pool_mid_batch_degrades_inline(self, monkeypatch):
-        """First submission's worker dies, the next submission raises
-        BrokenProcessPool: remaining payloads must run inline and every job
-        must still settle."""
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.service import engine as engine_module
-
-        class BreakingExecutor:
-            def __init__(self, max_workers):
-                self.calls = 0
-
-            def submit(self, fn, *args, **kwargs):
-                self.calls += 1
-                if self.calls == 1:
-                    future = Future()
-                    future.set_exception(BrokenProcessPool("worker died"))
-                    return future
-                raise BrokenProcessPool("pool is dead")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", BreakingExecutor)
-        service = SynthesisService(workers=2)
-        jobs = [
-            service.submit(fig1_problem(), job_id="first"),
-            service.submit(
-                scenario_problem(ring_diamond(6, seed=3)), job_id="second"
-            ),
-            service.submit(
-                scenario_problem(double_diamond(8, seed=1)), job_id="third"
-            ),
-        ]
-        results = {
-            r.job_id: r for r in service.as_completed(j.job_id for j in jobs)
-        }
-        self.assert_all_settled(jobs, results)
-        assert results["first"].status is JobStatus.ERROR
-        assert "BrokenProcessPool" in results["first"].message
-        assert results["second"].status is JobStatus.DONE
-        assert results["third"].status is JobStatus.INFEASIBLE
+class TestPlanCacheGate:
+    def test_gate_is_not_identity(self):
+        # bypassing the plan cache must not change what the job *is*:
+        # coalescing still keys on the same fingerprint
+        on = SynthesisJob(
+            job_id="a", problem=fig1_problem(),
+            options=SynthesisOptions(use_plan_cache=True),
+        )
+        off = SynthesisJob(
+            job_id="b", problem=fig1_problem(),
+            options=SynthesisOptions(use_plan_cache=False),
+        )
+        assert on.fingerprint == off.fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +516,7 @@ class TestContinuousScheduler:
         """Acceptance: submit() while an as_completed() iterator is
         consuming is legal; the late job is not yielded, but the running
         scheduler executes it and nothing is left RUNNING (or QUEUED)."""
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="early-1")
         service.submit(
             scenario_problem(ring_diamond(6, seed=1)), job_id="early-2"
@@ -639,7 +535,7 @@ class TestContinuousScheduler:
         assert all(status.terminal for status in service.poll().values())
 
     def test_result_poll_and_drain(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="a")
         service.submit(
             scenario_problem(double_diamond(8, seed=1)), job_id="b"
@@ -656,7 +552,7 @@ class TestContinuousScheduler:
             service.result("nonexistent")
 
     def test_cancel_queued_job_before_scheduler_starts(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         job = service.submit(fig1_problem(), job_id="victim")
         assert service.cancel("victim") is True
         assert job.status is JobStatus.CANCELLED
@@ -670,7 +566,7 @@ class TestContinuousScheduler:
         ]
 
     def test_duplicate_open_id_rejected_settled_id_replaced(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="j")
         with pytest.raises(ReproError, match="duplicate"):
             service.submit(fig1_problem(), job_id="j")
@@ -682,7 +578,7 @@ class TestContinuousScheduler:
         assert second.status is JobStatus.DONE and second.cached
 
     def test_close_cancels_queued_jobs(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         job = service.submit(fig1_problem(), job_id="doomed")
         service.close()
         assert job.status is JobStatus.CANCELLED
@@ -690,7 +586,7 @@ class TestContinuousScheduler:
             service.submit(fig1_problem())
 
     def test_context_manager_runs_then_closes(self):
-        with SynthesisService(workers=0) as service:
+        with SynthesisService() as service:
             result = service.result(
                 service.submit(fig1_problem()).job_id, timeout=60
             )
@@ -699,7 +595,7 @@ class TestContinuousScheduler:
             service.start()
 
     def test_metrics_gauges_serialize(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.result(service.submit(fig1_problem()).job_id)
         metrics = service.metrics_dict()
         gauges = metrics["gauges"]
@@ -714,7 +610,7 @@ class TestContinuousScheduler:
         import repro.service.engine as engine_module
 
         monkeypatch.setattr(engine_module, "RESULT_RETENTION", 2)
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.start()
         for index in range(5):
             service.submit(fig1_problem(), job_id=f"forgotten-{index}")
@@ -732,7 +628,7 @@ class TestContinuousScheduler:
     def test_crash_during_cache_lookup_settles_the_batch(self, monkeypatch):
         """A corrupt cache entry (lookup raises) must settle the drained
         jobs as errors, not kill the scheduler with waiters blocked."""
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
 
         def broken_get(fingerprint, classes=None):
             raise TypeError("corrupt cache entry")
@@ -755,13 +651,13 @@ class TestContinuousScheduler:
         entered = threading.Event()
         original = engine_module._execute_problem
 
-        def gated(problem, options_data, backend, *args):
+        def gated(job, *args):
             entered.set()
             gate.wait(timeout=60)
-            return original(problem, options_data, backend, *args)
+            return original(job, *args)
 
         monkeypatch.setattr(engine_module, "_execute_problem", gated)
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="a")
         service.submit(fig1_problem(), job_id="b")  # same fingerprint
         service.start()
@@ -786,7 +682,7 @@ class TestContinuousScheduler:
             ]
 
         before = len(scheduler_threads())
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.result(service.submit(fig1_problem()).job_id)
         for _ in range(100):  # the thread exits asynchronously
             if len(scheduler_threads()) <= before:
@@ -803,7 +699,7 @@ class TestContinuousScheduler:
         import repro.service.engine as engine_module
 
         monkeypatch.setattr(engine_module, "RESULT_RETENTION", 0)
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="watched")
         result = service.result("watched", timeout=60)
         assert result.status is JobStatus.DONE
@@ -815,7 +711,7 @@ class TestContinuousScheduler:
         import repro.service.engine as engine_module
 
         monkeypatch.setattr(engine_module, "RESULT_RETENTION", 2)
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         ids = [f"claimed-{index}" for index in range(4)]
         for job_id in ids:
             service.submit(fig1_problem(), job_id=job_id)
@@ -829,7 +725,7 @@ class TestContinuousScheduler:
         service.close()
 
     def test_abandoned_iterator_releases_its_watchers(self):
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         for job_id in ("a", "b", "c"):
             service.submit(fig1_problem(), job_id=job_id)
         stream = service.as_completed(["a", "b", "c"])
@@ -852,13 +748,13 @@ class TestContinuousScheduler:
         entered = threading.Event()
         original = engine_module._execute_problem
 
-        def gated(problem, options_data, backend, *args):
+        def gated(job, *args):
             entered.set()
             gate.wait(timeout=60)
-            return original(problem, options_data, backend, *args)
+            return original(job, *args)
 
         monkeypatch.setattr(engine_module, "_execute_problem", gated)
-        service = SynthesisService(workers=0)
+        service = SynthesisService()
         service.submit(fig1_problem(), job_id="first")
         service.start()
         assert entered.wait(timeout=60)
@@ -896,7 +792,7 @@ class TestBatchCli:
 
     def test_batch_streams_jsonl(self, tmp_path, capsys):
         path = self.write_jsonl(tmp_path, self.batch_docs())
-        assert main(["batch", path, "--serial", "--no-plans"]) == 0
+        assert main(["batch", path, "--no-plans"]) == 0
         lines = [
             json.loads(line)
             for line in capsys.readouterr().out.splitlines()
@@ -908,7 +804,7 @@ class TestBatchCli:
         assert by_id["slow"]["status"] == "timeout"
         assert all("plan" not in entry for entry in lines)
 
-    @pytest.mark.parametrize("mode", [["--serial"], ["--workers", "2"]])
+    @pytest.mark.parametrize("mode", [[], ["--preflight"]])
     def test_batch_stats_count_the_finished_batch(self, tmp_path, capsys, mode):
         # the last result is published inside the batch timer; the stats
         # read after the stream must still include the batch's wall time
@@ -922,12 +818,12 @@ class TestBatchCli:
     def test_batch_includes_plans_and_warm_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--serial", "--cache-dir", cache_dir]) == 0
+        assert main(["batch", path, "--cache-dir", cache_dir]) == 0
         first = json.loads(capsys.readouterr().out.splitlines()[0])
         assert first["cached"] is False
         assert first["plan"]["commands"]
 
-        assert main(["batch", path, "--serial", "--cache-dir", cache_dir]) == 0
+        assert main(["batch", path, "--cache-dir", cache_dir]) == 0
         second = json.loads(capsys.readouterr().out.splitlines()[0])
         assert second["cached"] is True
         assert second["plan"] == first["plan"]
@@ -935,7 +831,7 @@ class TestBatchCli:
     def test_cache_stats_subcommand(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        main(["batch", path, "--serial", "--cache-dir", cache_dir, "--no-plans"])
+        main(["batch", path, "--cache-dir", cache_dir, "--no-plans"])
         capsys.readouterr()
         assert main(["cache-stats", cache_dir]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -954,18 +850,14 @@ class TestBatchCli:
         assert main(["batch", path]) == 4
         assert "'timeout' must be a number" in capsys.readouterr().err
 
-    def test_batch_rejects_unknown_portfolio_backend(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag", [["--portfolio", "incremental"], ["--workers", "2"], ["--serial"]]
+    )
+    def test_batch_rejects_retired_flags(self, tmp_path, capsys, flag):
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
         with pytest.raises(SystemExit):
-            main(["batch", path, "--portfolio", "increnemtal"])
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_batch_portfolio_accepts_spaces(self, tmp_path, capsys):
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--serial", "--no-plans",
-                     "--portfolio", "incremental, batch"]) == 0
-        entry = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert entry["status"] == "done"
+            main(["batch", path, *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_synthesize_exit_codes(self, tmp_path, capsys):
         from repro.net.serialize import save_problem

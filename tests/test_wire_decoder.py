@@ -311,7 +311,7 @@ class TestMalformedDocuments:
             with urllib.request.urlopen(request) as response:
                 return json.loads(response.read())
 
-        with ReproServer(port=0, workers=0) as server:
+        with ReproServer(port=0) as server:
             base = post(SynthesisRequest(problem=fig1_problem()).to_dict())
             fingerprint = base["jobs"][0]["fingerprint"]
             documents = [data for _, data, _ in bad_requests()]

@@ -18,9 +18,7 @@ Enforces repo-specific rules generic linters can't see:
    ``src/``.
 5. **No unpickling anywhere under ``src/``.**  ``pickle.load``/``loads``
    and ``marshal.load``/``loads`` run arbitrary code on hostile bytes, so
-   no byte stream is ever decoded that way; wire documents are JSON.  The
-   process pool's own pickling inside :mod:`concurrent.futures` stays
-   (it is not a call in ``src/``).
+   no byte stream is ever decoded that way; wire documents are JSON.
 
 Every :data:`WIRE_MODULES` entry must name an existing file, so rule 1
 can never silently cover nothing.

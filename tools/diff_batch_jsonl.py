@@ -8,8 +8,8 @@ produces the same verdicts and plans as an in-process run.
 Records are keyed by job id; volatile fields that legitimately differ
 between runs are normalized away before comparison:
 
-* ``seconds`` / ``cached`` / ``backend`` — timing, cache temperature and
-  portfolio-race winners are run-specific;
+* ``seconds`` / ``cached`` / ``backend`` — timing and cache temperature
+  are run-specific (a plan-cache hit carries no backend);
 * ``message`` — may carry coalescing attribution ("coalesced with ...");
 * plan ``stats`` — timings and search counters vary with scheduling order
   and warm starts; the plan's *content* (granularity + command sequence)

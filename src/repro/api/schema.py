@@ -93,7 +93,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "use_early_termination": options.use_early_termination,
         "use_reachability_heuristic": options.use_reachability_heuristic,
         "timeout": options.timeout,
-        "use_plan_cache": options.use_plan_cache,
         "preflight": options.preflight,
     }
 
@@ -125,7 +124,7 @@ def options_from_dict(
     known = {
         "checker", "granularity", "remove_waits", "use_counterexamples",
         "use_early_termination", "use_reachability_heuristic", "timeout",
-        "use_plan_cache", "preflight",
+        "preflight",
     }
     unknown = set(data) - known
     if unknown:
@@ -166,7 +165,6 @@ def options_from_dict(
             data, "use_reachability_heuristic", base.use_reachability_heuristic
         ),
         timeout=timeout,
-        use_plan_cache=_require_bool(data, "use_plan_cache", base.use_plan_cache),
         preflight=_require_bool(data, "preflight", base.preflight),
     )
 

@@ -23,15 +23,15 @@ Subcommands:
 * ``batch PROBLEMS.jsonl`` — run many problems through the
   :mod:`repro.service` batch engine (content-addressed plan cache,
   in-process execution) and stream one JSON result object per line to
-  stdout.  Each input line is a problem document (the
-  ``synthesize`` format), optionally with extra ``"id"``, ``"timeout"`` and
-  ``"granularity"`` keys; a line with ``"base"``/``"patch"`` keys instead
-  is a *delta* against an earlier line's job (``repro corpus --suite
-  churn`` emits such streams) — the batch front-end settles the base
-  first, then submits the patch so the base plan warm-starts the search.
-  An empty (or comment-only)
-  file is a valid empty batch: the result stream is empty and the exit
-  status is 0.  With ``--server URL`` the batch routes through
+  stdout.  Each input line is a ``repro-api/1`` job document, decoded
+  as the server decodes it: a ``SynthesisRequest``, or a
+  ``SynthesisDelta`` whose ``base`` is the ``id`` of an earlier line
+  (``repro corpus --suite churn`` emits such streams) — the front-end
+  settles that base first, then submits the patch so the base plan
+  warm-starts the search.  Flat problem files from older releases must be
+  regenerated with ``repro corpus``.  An empty (or comment-only) file is a
+  valid empty batch: the result stream is empty and the exit status is 0.
+  With ``--server URL`` the batch routes through
   :class:`~repro.service.client.ReproClient` to a running ``repro serve``
   instead of an in-process engine — same JSONL output, same exit codes.
 * ``analyze [PROBLEM.json ...] [--suite NAME]`` — statically lint problems
@@ -81,12 +81,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import replace
+from typing import List, Optional, Union
 
-if TYPE_CHECKING:  # pragma: no cover - type names for BatchJob only
-    from repro.net.delta import ProblemPatch
-
+from repro.api import SynthesisDelta, SynthesisRequest, is_delta_document
 from repro.errors import (
     EXIT_FAILURE,
     EXIT_INFEASIBLE,
@@ -107,9 +105,9 @@ from repro.net.serialize import (
     Problem,
     load_problem,
     plan_to_dict,
-    problem_from_dict,
     problem_to_dict,
 )
+from repro.service.jobs import SynthesisOptions
 from repro.synthesis import UpdateSynthesizer
 from repro.topo import double_diamond, mini_datacenter
 
@@ -307,37 +305,21 @@ def _backends_arg(value: str):
     return backends
 
 
-@dataclass
-class BatchJob:
-    """One parsed line of the batch JSONL format.
-
-    A full line carries ``problem``; a delta line instead carries
-    ``base_id`` (the ``id`` of an earlier line in the same file) and
-    ``patch`` — the front-end resolves the base id to that job's
-    fingerprint at submission time, waiting out the base's verdict first
-    so its plan can warm-start the delta (see ``docs/API.md``).
-    """
-
-    job_id: str
-    timeout: Optional[float]
-    granularity: Optional[str]
-    problem: Optional["Problem"] = None
-    base_id: Optional[str] = None
-    patch: Optional["ProblemPatch"] = None
-    lineno: int = 0  # 1-based source line, for path:lineno error messages
-
-
-def _load_batch_jobs(path: str) -> "List[BatchJob]":
-    """Parse a JSONL problems file into :class:`BatchJob` entries.
+def _read_batch(
+    path: str, defaults: SynthesisOptions
+) -> List[Union[SynthesisRequest, SynthesisDelta]]:
+    """Decode a JSONL batch file: one ``repro-api/1`` document per line.
 
     Blank and ``#``-comment lines are skipped, so an empty file is a valid
-    empty batch (zero jobs, empty result stream, exit status 0).  Lines
-    with a ``base`` key are delta documents (``repro corpus --suite
-    churn`` emits them); everything else is a full problem document.
+    empty batch.  A line with a ``base`` key is a :class:`SynthesisDelta`,
+    any other a :class:`SynthesisRequest`; sparse ``options`` merge onto
+    ``defaults`` (the command-line flags), which a request without options
+    takes whole.  A line without an ``id`` is named ``job-<lineno>``, and a
+    delta's ``base`` must be the ``id`` of an earlier line.  Every failure
+    is a :class:`~repro.errors.ParseError` naming ``path:lineno``.
     """
-    from repro.net.delta import ProblemPatch
-
-    jobs: List[BatchJob] = []
+    docs: List[Union[SynthesisRequest, SynthesisDelta]] = []
+    ids = set()
     handle = sys.stdin if path == "-" else open(path, encoding="utf-8-sig")
     try:
         for lineno, line in enumerate(handle, start=1):
@@ -346,175 +328,94 @@ def _load_batch_jobs(path: str) -> "List[BatchJob]":
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: bad JSON: {err}") from err
-            if not isinstance(data, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            job_id = str(data.get("id", f"job-{lineno}"))
-            timeout = data.get("timeout")
-            if timeout is not None:
-                if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
-                    raise ParseError(
-                        f"{path}:{lineno}: 'timeout' must be a number, "
-                        f"got {timeout!r}"
-                    )
-                timeout = float(timeout)
-            granularity = data.get("granularity")
-            if granularity is not None and granularity not in ("switch", "rule"):
-                raise ParseError(
-                    f"{path}:{lineno}: 'granularity' must be 'switch' or "
-                    f"'rule', got {granularity!r}"
-                )
-            if "base" in data:
-                base_id = data.get("base")
-                if not isinstance(base_id, str) or not base_id:
-                    raise ParseError(
-                        f"{path}:{lineno}: delta 'base' must be the id of an "
-                        f"earlier line, got {base_id!r}"
-                    )
-                patch_data = data.get("patch")
-                if not isinstance(patch_data, dict):
-                    raise ParseError(
-                        f"{path}:{lineno}: delta line needs a 'patch' object"
-                    )
-                try:
-                    patch = ProblemPatch.from_dict(patch_data)
-                except ReproError as err:
-                    raise ParseError(f"{path}:{lineno}: {err}") from err
-                jobs.append(
-                    BatchJob(
-                        job_id,
-                        timeout,
-                        granularity,
-                        base_id=base_id,
-                        patch=patch,
-                        lineno=lineno,
-                    )
-                )
-                continue
-            try:
-                problem = problem_from_dict(data)
-            except (ReproError, KeyError, TypeError, ValueError) as err:
-                raise ParseError(f"{path}:{lineno}: bad problem: {err}") from err
-            jobs.append(
-                BatchJob(
-                    job_id,
-                    timeout,
-                    granularity,
-                    problem=problem,
-                    lineno=lineno,
-                )
-            )
+                if is_delta_document(data):
+                    doc = SynthesisDelta.from_dict(data, option_defaults=defaults)
+                    if doc.base not in ids:
+                        raise ParseError(
+                            f"delta base {doc.base!r} is not the id of an "
+                            "earlier line (deltas must follow their base line)"
+                        )
+                else:
+                    doc = SynthesisRequest.from_dict(data, option_defaults=defaults)
+                    doc = replace(doc, options=doc.options or defaults)
+            except (json.JSONDecodeError, ReproError) as err:
+                raise ParseError(f"{path}:{lineno}: {err}") from err
+            docs.append(replace(doc, job_id=doc.job_id or f"job-{lineno}"))
+            ids.add(docs[-1].job_id)
     finally:
         if handle is not sys.stdin:
             handle.close()
-    return jobs
+    return docs
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from repro.service import ReproClient, SynthesisService
 
-    from repro.service import SynthesisOptions, SynthesisService
-
-    jobs = _load_batch_jobs(args.problems)
     options = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
         preflight=args.preflight,
     )
+    docs = _read_batch(args.problems, options)
     if args.server:
         # thin-client mode: the scheduler (and its --cache-dir) lives in
         # the `repro serve` process
-        from repro.api import SynthesisRequest
-        from repro.service import ReproClient
-
         if args.cache_dir is not None:
             print(
                 "warning: --cache-dir is ignored with --server "
                 "(configure `repro serve` instead)",
                 file=sys.stderr,
             )
-        engine = ReproClient(args.server, default_options=options)
-        views = {}
-        pending = []
-
-        def flush() -> None:
-            if pending:
-                for view in engine.submit_requests(list(pending)):
-                    views[view.job_id] = view
-                pending.clear()
-
-        for job in jobs:
-            opts = (
-                options
-                if job.granularity is None
-                else replace(options, granularity=job.granularity)
-            )
-            if job.timeout is not None:
-                opts = opts.with_timeout(job.timeout)
-            if job.patch is None:
-                pending.append(
-                    SynthesisRequest(
-                        problem=job.problem, options=opts, job_id=job.job_id
-                    )
-                )
-                continue
-            # a delta line: settle its base first so the server has the
-            # base plan cached to warm-start the patched search from
-            flush()
-            base_view = views.get(job.base_id)
-            if base_view is None:
-                raise ParseError(
-                    f"{args.problems}:{job.lineno}: batch delta {job.job_id!r} "
-                    f"references unknown base id {job.base_id!r} "
-                    "(deltas must follow their base line)"
-                )
-            engine.result(base_view.job_id)
-            views[job.job_id] = engine.submit_delta(
-                base_view.fingerprint, job.patch, options=opts, job_id=job.job_id
-            )
-        flush()  # deltas aside, the whole batch is one POST
+        engine = ReproClient(args.server)
+        hold = {}
     else:
         engine = SynthesisService(cache_dir=args.cache_dir, default_options=options)
-        # every job is watched from its submission until it prints: a
-        # delta line's engine.result(base) runs the scheduler, which may
+        # every local job is watched from its submission until it prints:
+        # a delta line's engine.result(base) runs the scheduler, which may
         # settle earlier lines long before as_completed reads them
-        submitted = {}
-        for job in jobs:
-            opts = (
-                options
-                if job.granularity is None
-                else replace(options, granularity=job.granularity)
-            )
-            if job.patch is None:
-                submitted[job.job_id] = engine.submit(
-                    job.problem,
-                    job_id=job.job_id,
-                    timeout=job.timeout,
-                    options=opts,
+        hold = {"watch": True}
+    fingerprints = {}  # line id -> job fingerprint, for delta bases
+    pending: List[SynthesisRequest] = []
+
+    def flush() -> None:
+        if not pending:
+            return
+        if args.server:  # the full lines since the last delta: one POST
+            submitted = engine.submit_requests(pending)
+        else:
+            submitted = [
+                engine.submit(
+                    request.problem,
+                    options=request.options,
+                    job_id=request.job_id,
                     watch=True,
                 )
-                continue
-            base_job = submitted.get(job.base_id)
-            if base_job is None:
-                raise ParseError(
-                    f"{args.problems}:{job.lineno}: batch delta {job.job_id!r} "
-                    f"references unknown base id {job.base_id!r} "
-                    "(deltas must follow their base line)"
-                )
-            engine.result(base_job.job_id)  # cache the base plan first
-            submitted[job.job_id] = engine.submit_delta(
-                base_job.fingerprint,
-                job.patch,
-                options=opts,
-                job_id=job.job_id,
-                timeout=job.timeout,
-                watch=True,
-            )
+                for request in pending
+            ]
+        fingerprints.update((job.job_id, job.fingerprint) for job in submitted)
+        pending.clear()
+
+    for doc in docs:
+        if isinstance(doc, SynthesisRequest):
+            pending.append(doc)
+            continue
+        # a delta line: settle its base first, so the base plan is cached
+        # to warm-start the patched search from
+        flush()
+        engine.result(doc.base)
+        job = engine.submit_delta(
+            fingerprints[doc.base],
+            doc.patch,
+            options=doc.options,
+            job_id=doc.job_id,
+            **hold,
+        )
+        fingerprints[job.job_id] = job.fingerprint
+    flush()
     errored = False
     # ids in line order; each result prints as it settles
-    for result in engine.as_completed(job.job_id for job in jobs):
+    for result in engine.as_completed(doc.job_id for doc in docs):
         if not args.server:
             engine.unwatch([result.job_id])
         errored = errored or result.status.value == "error"
@@ -584,7 +485,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.service import ReproServer, SynthesisOptions
+    from repro.service import ReproServer
 
     options = SynthesisOptions(
         checker=args.checker,
@@ -861,10 +762,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.set_defaults(fn=_cmd_submit)
 
     p_batch = sub.add_parser(
-        "batch", help="run a JSONL file of problems through the batch service"
+        "batch", help="run a JSONL file of job documents through the batch service"
     )
     p_batch.add_argument(
-        "problems", help="path to a JSONL problems file ('-' for stdin)"
+        "problems",
+        help="path to a JSONL file of repro-api/1 job documents ('-' for stdin)",
     )
     p_batch.add_argument("--server", default=None, metavar="URL",
                          help="route the batch through a running `repro serve` "

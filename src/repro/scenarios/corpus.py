@@ -7,9 +7,11 @@ perturbations × size tiers.  Generation is a pure function of
 (never ``hash()``, which is salted per process), so the same inputs always
 produce a byte-identical JSONL corpus.
 
-Each record serializes to one line of the batch service's JSONL problem
-format (see ``repro batch``): the problem document plus ``id``,
-``granularity`` and a ``meta`` object the parsers ignore.
+Each record serializes to one line of a ``repro batch`` file, which is a
+``repro-api/1`` document (see ``docs/API.md``): a ``SynthesisRequest``, or
+for a churn step a ``SynthesisDelta`` against an earlier line's ``id``,
+with the record's granularity in ``options`` and a top-level ``meta``
+object the decoders ignore.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.api import SynthesisDelta, SynthesisRequest
 from repro.errors import ReproError
 from repro.ltl.parser import parse
 from repro.net.delta import ProblemPatch
 from repro.net.failures import fail_link, links_used
-from repro.net.serialize import Problem, problem_to_dict
+from repro.net.serialize import Problem
 from repro.net.topology import Topology
 from repro.scenarios import builders
 from repro.scenarios.suites import Suite, get_suite
@@ -76,22 +79,26 @@ class ScenarioRecord:
     patch: Optional["ProblemPatch"] = None
 
     def to_jobs_dict(self) -> Dict[str, Any]:
-        """One line of the batch-service JSONL problem format.
+        """One line of a ``repro batch`` file: a ``repro-api/1`` document.
 
-        Full records serialize the whole problem document; delta records
-        (``patch`` set) serialize ``{"base": <scenario id>, "patch":
-        {...}}`` — the batch front-ends resolve ``base`` to the referenced
-        job's fingerprint at submission time (see ``docs/API.md``).
+        Full records are a :class:`~repro.api.SynthesisRequest`; delta
+        records (``patch`` set) a :class:`~repro.api.SynthesisDelta` whose
+        ``base`` is the scenario id of an earlier line, which the batch
+        front-end resolves to that job's fingerprint (see ``docs/API.md``).
+        The record's granularity rides in ``options``.
         """
+        options = {"granularity": self.granularity}
         if self.patch is not None:
-            doc: Dict[str, Any] = {
-                "base": self.base_id,
-                "patch": self.patch.to_dict(),
-            }
+            doc = SynthesisDelta(
+                base=self.base_id,
+                patch=self.patch,
+                options=options,
+                job_id=self.scenario_id,
+            ).to_dict()
         else:
-            doc = problem_to_dict(self.problem)
-        doc["id"] = self.scenario_id
-        doc["granularity"] = self.granularity
+            doc = SynthesisRequest(
+                problem=self.problem, options=options, job_id=self.scenario_id
+            ).to_dict()
         doc["meta"] = {
             "schema": CORPUS_SCHEMA,
             "suite": self.suite,

@@ -55,10 +55,6 @@ class ReproClient:
         base_url: e.g. ``http://127.0.0.1:8421`` (trailing slash optional).
         request_timeout: socket-level timeout per HTTP exchange; long-poll
             requests get the poll chunk added on top.
-        default_options: applied to ``submit`` calls without options, like
-            the in-process service's ``default_options``.  ``None`` (the
-            default) sends requests *without* options, so the server's own
-            ``default_options`` (``repro serve --timeout ...``) apply.
         max_retries: transparent re-attempts of **GET** requests that fail
             with a *transport* error (connection refused/reset, DNS) —
             polls are idempotent, so a blip mid-long-poll costs a retry,
@@ -74,13 +70,11 @@ class ReproClient:
         base_url: str,
         *,
         request_timeout: float = 30.0,
-        default_options: Optional[SynthesisOptions] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.1,
     ):
         self.base_url = base_url.rstrip("/")
         self.request_timeout = request_timeout
-        self.default_options = default_options
         self.max_retries = max(0, max_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         # per submitted job: the traffic classes needed to rehydrate plans,
@@ -293,7 +287,8 @@ class ReproClient:
 
     def _resolve_options(self, options, options_data, timeout):
         """The options payload for a submission — sparse unless the caller
-        (or the client default) specified a full option set.
+        specified a full option set, and absent when it chose none (the
+        server's own ``default_options`` then apply).
 
         A bare ``timeout=`` rides as a sparse ``{"timeout": ...}`` so the
         server's other defaults (checker, granularity...) still apply.
@@ -301,8 +296,6 @@ class ReproClient:
         if options is not None and options_data is not None:
             raise TypeError("pass either options or options_data, not both")
         opts = options if options is not None else options_data
-        if opts is None:
-            opts = self.default_options
         if timeout is not None:
             if isinstance(opts, SynthesisOptions):
                 opts = opts.with_timeout(timeout)

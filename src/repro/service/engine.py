@@ -54,6 +54,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
+from dataclasses import replace
 from typing import (
     Any,
     Deque,
@@ -101,17 +102,19 @@ BASE_RETENTION = 1024
 START_RETENTION = 4
 
 
-def _execute_problem(job: SynthesisJob, handover: Handover) -> Dict[str, Any]:
+def _execute_problem(job: SynthesisJob, handover: Handover) -> JobResult:
     """Run one synthesis attempt for ``job``; never raises.
 
     A ``done`` result carries the :class:`~repro.synthesis.plan.UpdatePlan`
-    object under ``"plan"``; errors become ``status="error"``.  The job's
-    ``warm_order`` (the delta path's base-plan hint) seeds the search and
-    degrades to cold when stale; ``handover`` lends and collects labeled
-    structures (see :class:`~repro.synthesis.search.Handover`).
+    object; errors become ``status="error"``.  The job's ``warm_order``
+    (the delta path's base-plan hint) seeds the search and degrades to cold
+    when stale; ``handover`` lends and collects labeled structures (see
+    :class:`~repro.synthesis.search.Handover`).
     """
     options = job.options
     start = time.perf_counter()
+    plan = None
+    message = ""
     try:
         synth = UpdateSynthesizer(
             job.problem.topology,
@@ -131,24 +134,22 @@ def _execute_problem(job: SynthesisJob, handover: Handover) -> Dict[str, Any]:
             warm_order=job.warm_order,
             handover=handover,
         )
+        status = JobStatus.DONE
     except UpdateInfeasibleError as err:
-        out: Dict[str, Any] = {
-            "status": JobStatus.INFEASIBLE.value,
-            "message": f"({err.reason}) {err}",
-            "infeasible_reason": err.reason,
-        }
+        status, message = JobStatus.INFEASIBLE, f"({err.reason}) {err}"
     except SynthesisTimeout as err:
-        out = {"status": JobStatus.TIMEOUT.value, "message": str(err)}
+        status, message = JobStatus.TIMEOUT, str(err)
     except Exception as err:  # noqa: BLE001 — a job's failure is its result
-        out = {
-            "status": JobStatus.ERROR.value,
-            "message": f"{type(err).__name__}: {err}",
-        }
-    else:
-        out = {"status": JobStatus.DONE.value, "plan": plan}
-    out["seconds"] = time.perf_counter() - start
-    out["backend"] = options.checker
-    return out
+        status, message = JobStatus.ERROR, f"{type(err).__name__}: {err}"
+    return JobResult(
+        job_id=job.job_id,
+        status=status,
+        plan=plan,
+        seconds=time.perf_counter() - start,
+        backend=options.checker,
+        message=message,
+        fingerprint=job.fingerprint,
+    )
 
 
 class SynthesisService:
@@ -180,7 +181,7 @@ class SynthesisService:
     ):
         if workers != 0:
             raise ValueError(f"workers={workers!r}: jobs run in process only")
-        self.cache = cache or PlanCache(cache_capacity, cache_dir)
+        self.cache = cache if cache is not None else PlanCache(cache_capacity, cache_dir)
         self.default_options = default_options or SynthesisOptions()
         self.metrics = metrics or ServiceMetrics()
         self._ids = itertools.count(1)
@@ -417,11 +418,6 @@ class SynthesisService:
             ),
             watch,
         )
-
-    def has_base(self, fingerprint: str) -> bool:
-        """Whether a delta against ``fingerprint`` would currently resolve."""
-        with self._cv:
-            return fingerprint in self._bases
 
     # ------------------------------------------------------------------
     # retrieval
@@ -716,10 +712,8 @@ class SynthesisService:
         groups: Dict[_GroupKey, List[SynthesisJob]] = {}
         preflighted: Dict[str, Optional[str]] = {}  # fingerprint -> certificate
         for job in batch:
-            plan = None
-            if job.options.use_plan_cache:
-                classes = {tc.name: tc for tc in job.problem.classes}
-                plan = self.cache.get(job.fingerprint, classes)
+            classes = {tc.name: tc for tc in job.problem.classes}
+            plan = self.cache.get(job.fingerprint, classes)
             if plan is not None:
                 hits.append((job, plan))
                 continue
@@ -777,25 +771,60 @@ class SynthesisService:
         return groups
 
     def _execute_groups(self, groups: Dict[_GroupKey, List[SynthesisJob]]) -> None:
-        """Run one micro-batch of cache-miss groups and publish verdicts."""
+        """Run one micro-batch of cache-miss groups, one search per group
+        on this thread, and publish each group's verdicts as it settles."""
         with self.metrics.time_batch() as timer:
-            for key, payload in self._execute_serial(groups):
-                with self._cv:
-                    # snapshot-and-retire the group: submissions from here
-                    # on queue for the next micro-batch (and hit the cache)
-                    group = self._active.pop(key, None)
-                    if group is None:
-                        group = groups[key]
-                # cache.put (disk I/O) stays outside the lock, like the
-                # cache lookups in _plan_batch
-                results = self._settle_group(group, payload)
-                with self._cv:
-                    # credit the wall time before waking readers: one woken
-                    # by the batch's last result must read the whole batch
-                    timer.lap()
-                    for result in results:
-                        self.metrics.observe(result)
-                        self._publish_locked(result)
+            for key, group in groups.items():
+                for job in group:  # every coalesced sibling is executing
+                    job.status = JobStatus.RUNNING
+                handover = self._handover(group[0])
+                lead = _execute_problem(group[0], handover)
+                if handover.final is not None:
+                    self._retain_start(key[0], handover.final)
+                self._settle_group(key, group, lead, timer)
+
+    def _settle_group(
+        self,
+        key: _GroupKey,
+        group: List[SynthesisJob],
+        lead: JobResult,
+        timer: Any,
+    ) -> None:
+        """Fan the search's result out to every job coalesced on it, then
+        publish them all.
+
+        ``lead`` is ``group[0]``'s result; each sibling gets a copy of its
+        plan.  ``group`` is the list ``_active`` holds, so jobs that
+        attached while the search ran settle here too.
+        """
+        with self._cv:
+            # retire the group: submissions from here on queue for the
+            # next micro-batch (and hit the cache)
+            group = self._active.pop(key, group)
+        # cache.put (disk I/O) stays outside the lock, like the cache
+        # lookups in _plan_batch
+        if lead.plan is not None:
+            self.cache.put(lead.fingerprint, lead.plan)
+        note = f": {lead.message}" if lead.message else ""
+        results = [lead] + [
+            replace(
+                lead,
+                job_id=job.job_id,
+                plan=None if lead.plan is None else lead.plan.copy(),
+                seconds=0.0,
+                message=f"coalesced with {lead.job_id}{note}",
+            )
+            for job in group[1:]
+        ]
+        with self._cv:
+            # credit the wall time before waking readers: one woken by the
+            # batch's last result must read the whole batch
+            timer.lap()
+            self.metrics.coalesced += len(group) - 1
+            for job, result in zip(group, results):
+                job.status = result.status
+                self.metrics.observe(result)
+                self._publish_locked(result)
 
     def _settle_crashed(
         self, groups: Dict[_GroupKey, List[SynthesisJob]], err: BaseException
@@ -853,55 +882,3 @@ class SynthesisService:
         self._starts.move_to_end(fingerprint)
         while len(self._starts) > START_RETENTION:
             self._starts.popitem(last=False)
-
-    def _execute_serial(
-        self, groups: "Dict[_GroupKey, List[SynthesisJob]]"
-    ) -> Iterator[Tuple["_GroupKey", Dict[str, Any]]]:
-        """Run each group's search in process, one group at a time."""
-        for key, group in groups.items():
-            for job in group:  # every coalesced sibling is executing
-                job.status = JobStatus.RUNNING
-            handover = self._handover(group[0])
-            payload = _execute_problem(group[0], handover)
-            if handover.final is not None:
-                self._retain_start(key[0], handover.final)
-            yield key, payload
-
-    def _settle_group(
-        self, group: List[SynthesisJob], payload: Dict[str, Any]
-    ) -> List[JobResult]:
-        """Fan one execution result out to every job coalesced on it.
-
-        The first job gets the plan object, each coalesced sibling a copy.
-        Runs outside the scheduler lock (the cache write may touch disk);
-        the caller observes and publishes the returned results under the
-        lock.
-        """
-        status = JobStatus(payload["status"])
-        fingerprint = group[0].fingerprint
-        plan = payload.get("plan")
-        if plan is not None:
-            self.cache.put(fingerprint, plan)
-        results: List[JobResult] = []
-        for index, job in enumerate(group):
-            job.status = status
-            message = payload.get("message", "")
-            if index > 0:
-                self.metrics.coalesced += 1
-                message = (
-                    f"coalesced with {group[0].job_id}"
-                    + (f": {message}" if message else "")
-                )
-            results.append(
-                JobResult(
-                    job_id=job.job_id,
-                    status=status,
-                    plan=plan if plan is None or index == 0 else plan.copy(),
-                    seconds=payload.get("seconds", 0.0) if index == 0 else 0.0,
-                    cached=False,
-                    backend=payload.get("backend"),
-                    message=message,
-                    fingerprint=fingerprint,
-                )
-            )
-        return results

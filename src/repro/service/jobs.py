@@ -48,9 +48,6 @@ class SynthesisOptions:
 
     ``timeout`` is a per-job budget in seconds; it is *not* part of the
     cache identity (see :mod:`repro.service.fingerprint`).
-    ``use_plan_cache`` gates the plan cache lookup: turning it off forces
-    real synthesis on repeat traffic.  It is excluded from the
-    identity because it changes how a plan is obtained, never which plan.
     ``preflight`` runs the static problem linter
     (:func:`repro.analysis.static_infeasibility`) on cache-miss groups
     before scheduling any search: a statically-*proven* infeasible job
@@ -67,7 +64,6 @@ class SynthesisOptions:
     use_early_termination: bool = True
     use_reachability_heuristic: bool = True
     timeout: Optional[float] = None
-    use_plan_cache: bool = True
     preflight: bool = False
 
     def with_timeout(self, timeout: Optional[float]) -> "SynthesisOptions":

@@ -110,7 +110,6 @@ class TestOptionsRoundTrip:
             remove_waits=False,
             use_counterexamples=False,
             timeout=12.5,
-            use_plan_cache=False,
         )
         assert options_from_dict(options_to_dict(options)) == options
 
@@ -130,7 +129,7 @@ class TestOptionsRoundTrip:
             {"shards": 0},
             {"shards": 1.5},
             {"memoize": "yes"},
-            {"use_plan_cache": "no"},
+            {"use_plan_cache": False},
             {"surprise": 1},
             {"timeout": float("nan")},
             {"timeout": float("inf")},

@@ -19,7 +19,7 @@ import repro.service.engine as engine_module
 from repro.net.commands import Wait
 from repro.net.serialize import Problem
 from repro.scenarios.churn import generate_churn, onboarding_fan_problems, patch_between
-from repro.service import JobStatus, SynthesisOptions, SynthesisService
+from repro.service import JobStatus, PlanCache, SynthesisOptions, SynthesisService
 from repro.synthesis import UpdateSynthesizer
 from repro.synthesis.search import Handover
 
@@ -236,14 +236,19 @@ class TestColdFallbacks:
         self.check(monkeypatch, handovers, base, patch, engine=False, between=between)
 
 
+class _MissingPlanCache(PlanCache):
+    def get(self, key, classes=None):
+        return None
+
+
 class TestBoundedState:
     def test_two_hundred_step_chain(self, handovers):
         """Flip one fan back and forth 200 times: the retained state stays
         within its bound, as does the one engine's atom cache."""
         first = onboarding_fan_problems(2, 1, 2)[0]
-        # every step executes (no plan cache)
-        options = SynthesisOptions(use_plan_cache=False)
-        service = SynthesisService(default_options=options)
+        # every step executes: the plan cache misses on every lookup, but
+        # a delta still finds its base plan's unit order through peek
+        service = SynthesisService(cache=_MissingPlanCache())
         try:
             job = service.submit(first, job_id="step000")
             assert service.result(job.job_id).ok

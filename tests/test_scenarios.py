@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from repro.cli import _load_batch_jobs
+from repro.api import SynthesisDelta, SynthesisRequest
+from repro.cli import _read_batch
 from repro.errors import ReproError
-from repro.net.serialize import problem_from_dict, problem_to_dict
+from repro.net.serialize import problem_to_dict
+from repro.service import SynthesisOptions
 from repro.scenarios import (
     SUITES,
     apply_template,
@@ -86,24 +88,32 @@ class TestCoverage:
 class TestRoundTrips:
     def test_problem_roundtrip_through_serializer(self, smoke_records):
         for record in smoke_records:
-            doc = record.to_jobs_dict()
-            clone = problem_from_dict(doc)
+            clone = SynthesisRequest.from_dict(record.to_jobs_dict()).problem
             assert problem_to_dict(clone) == problem_to_dict(record.problem), (
                 record.scenario_id
             )
 
-    def test_jsonl_parses_through_batch_loader(self, tmp_path, smoke_records):
-        path = tmp_path / "corpus.jsonl"
-        write_corpus(smoke_records, str(path))
-        jobs = _load_batch_jobs(str(path))
-        assert len(jobs) == len(smoke_records)
-        by_id = {r.scenario_id: r for r in smoke_records}
-        for job in jobs:
-            record = by_id[job.job_id]
-            assert job.timeout is None
-            assert job.granularity == record.granularity
-            assert job.patch is None
-            assert problem_to_dict(job.problem) == problem_to_dict(record.problem)
+    def test_jsonl_parses_through_batch_loader(self, tmp_path):
+        # every corpus line is a repro-api/1 document the batch reader
+        # decodes through the wire schema, under the record's granularity
+        for suite in ("smoke", "churn", "full"):
+            records = generate_corpus(suite, quick=True)
+            path = tmp_path / f"{suite}.jsonl"
+            write_corpus(records, str(path))
+            docs = _read_batch(str(path), SynthesisOptions())
+            assert [doc.job_id for doc in docs] == [r.scenario_id for r in records]
+            for doc, record in zip(docs, records):
+                assert doc.options.granularity == record.granularity
+                assert doc.options.timeout is None
+                if record.patch is None:
+                    assert isinstance(doc, SynthesisRequest)
+                    assert problem_to_dict(doc.problem) == problem_to_dict(
+                        record.problem
+                    )
+                else:
+                    assert isinstance(doc, SynthesisDelta)
+                    assert doc.base == record.base_id
+                    assert doc.patch.to_dict() == record.patch.to_dict()
 
     def test_jsonl_lines_carry_meta(self, smoke_records):
         for line in corpus_to_jsonl(smoke_records).splitlines():
@@ -111,7 +121,7 @@ class TestRoundTrips:
             meta = doc["meta"]
             assert meta["schema"].startswith("repro-corpus/")
             assert meta["family"] in ("fattree", "zoo", "smallworld", "diamond")
-            assert doc["granularity"] in ("switch", "rule")
+            assert doc["options"]["granularity"] in ("switch", "rule")
 
 
 class TestBuilders:

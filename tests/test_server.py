@@ -324,7 +324,7 @@ class TestProtocolErrors:
         with ReproServer(
             port=0, default_options=SynthesisOptions(timeout=0.0)
         ) as srv:
-            client = ReproClient(srv.url)  # no default_options: sends none
+            client = ReproClient(srv.url)  # sends no options
             view = client.submit(blocker_problem())
             result = client.result(view.job_id, timeout=60)
             assert result.status is JobStatus.TIMEOUT
@@ -614,14 +614,8 @@ class TestCliFrontEnds:
 
     def test_batch_server_matches_in_process(self, server, tmp_path, capsys):
         from repro.cli import main
-        from repro.net.serialize import problem_to_dict
 
-        docs = []
-        for record in smoke_subset(3):
-            doc = problem_to_dict(record.problem)
-            doc["id"] = record.scenario_id
-            doc["granularity"] = record.granularity
-            docs.append(doc)
+        docs = [record.to_jobs_dict() for record in smoke_subset(3)]
         path = tmp_path / "batch.jsonl"
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
 

@@ -21,7 +21,6 @@ from repro.net.serialize import (
 from repro.service import (
     JobStatus,
     PlanCache,
-    SynthesisJob,
     SynthesisOptions,
     SynthesisService,
     disk_cache_summary,
@@ -428,18 +427,6 @@ class TestServiceSerial:
         with pytest.raises(KeyError):
             next(service.as_completed(["one", "nonexistent"]))
 
-    def test_use_plan_cache_false_forces_resynthesis(self):
-        service = SynthesisService()
-        options = SynthesisOptions(use_plan_cache=False)
-        first = service.submit(fig1_problem(), options=options)
-        second = service.submit(fig1_problem(), options=options)
-        results = {res.job_id: res for res in service.drain()}
-        assert results[first.job_id].status is JobStatus.DONE
-        repeat = results[second.job_id]
-        assert repeat.status is JobStatus.DONE
-        # without the gate the repeat would be served from the plan cache
-        assert not repeat.cached
-
 
 class TestServiceSettlement:
     """Every job of a batch settles — none left RUNNING — whatever its
@@ -491,21 +478,6 @@ class TestServiceSettlement:
         self.assert_all_settled(jobs, results)
         assert results["boom"].status is JobStatus.ERROR
         assert results["ok"].status is JobStatus.DONE
-
-
-class TestPlanCacheGate:
-    def test_gate_is_not_identity(self):
-        # bypassing the plan cache must not change what the job *is*:
-        # coalescing still keys on the same fingerprint
-        on = SynthesisJob(
-            job_id="a", problem=fig1_problem(),
-            options=SynthesisOptions(use_plan_cache=True),
-        )
-        off = SynthesisJob(
-            job_id="b", problem=fig1_problem(),
-            options=SynthesisOptions(use_plan_cache=False),
-        )
-        assert on.fingerprint == off.fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -781,14 +753,19 @@ class TestBatchCli:
         return str(path)
 
     def batch_docs(self):
-        ok = problem_to_dict(fig1_problem())
-        ok["id"] = "ok"
-        bad = problem_to_dict(scenario_problem(double_diamond(8, seed=1)))
-        bad["id"] = "impossible"
-        slow = problem_to_dict(scenario_problem(ring_diamond(8, seed=2)))
-        slow["id"] = "slow"
-        slow["timeout"] = 0.0
-        return [ok, bad, slow]
+        from repro.api import SynthesisRequest
+
+        return [
+            SynthesisRequest(fig1_problem(), job_id="ok").to_dict(),
+            SynthesisRequest(
+                scenario_problem(double_diamond(8, seed=1)), job_id="impossible"
+            ).to_dict(),
+            SynthesisRequest(
+                scenario_problem(ring_diamond(8, seed=2)),
+                options={"timeout": 0.0},
+                job_id="slow",
+            ).to_dict(),
+        ]
 
     def test_batch_streams_jsonl(self, tmp_path, capsys):
         path = self.write_jsonl(tmp_path, self.batch_docs())
@@ -843,12 +820,32 @@ class TestBatchCli:
         path.write_text("this is not json\n")
         assert main(["batch", str(path)]) == 4
 
-    def test_batch_rejects_non_numeric_timeout(self, tmp_path, capsys):
-        doc = problem_to_dict(fig1_problem())
-        doc["timeout"] = "5"
-        path = self.write_jsonl(tmp_path, [doc])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"options": {"timeout": "5"}},
+            {"options": {"timeout": float("nan")}},
+            {"options": {"timeout": float("inf")}},
+            {"options": {"timeout": -1}},
+            {"id": 5},
+            {"options": {"granularity": "x"}},
+            {"options": {"surprise": 1}},
+            None,  # a flat problem document without the 'problem' key
+        ],
+        ids=[
+            "timeout-string", "timeout-nan", "timeout-infinity",
+            "timeout-negative", "numeric-id", "bad-granularity",
+            "unknown-option", "flat-line",
+        ],
+    )
+    def test_batch_rejects_invalid_line(self, tmp_path, capsys, edit):
+        if edit is None:
+            bad = dict(problem_to_dict(fig1_problem()), id="bad")
+        else:
+            bad = {**self.batch_docs()[0], "id": "bad", **edit}
+        path = self.write_jsonl(tmp_path, [self.batch_docs()[0], bad])
         assert main(["batch", path]) == 4
-        assert "'timeout' must be a number" in capsys.readouterr().err
+        assert f"{path}:2: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag", [["--portfolio", "incremental"], ["--workers", "2"], ["--serial"]]

@@ -1,18 +1,15 @@
-"""Static analysis: problem linting, patch conflicts, plan audits.
+"""Static analysis: problem linting and plan audits.
 
-Three passes over synthesis inputs/outputs, none of which run a model
+Two passes over synthesis inputs/outputs, neither of which runs a model
 checker:
 
 * :func:`analyze_problem` — per-class reachability closure over the
-  endpoint configurations, with sound ``infeasible``-family diagnostics;
-* :func:`analyze_patch` — static conflict detection for
-  :class:`~repro.net.delta.ProblemPatch` deltas against their base;
+  endpoint configurations, with sound ``infeasible``-family diagnostics
+  (``repro analyze``);
 * :func:`audit_plan` — structural verification of synthesized plans.
 
-All passes report :class:`Diagnostic` records aggregated into the
-versioned ``repro-analysis/1`` document (:class:`AnalysisReport`), and
-:func:`static_infeasibility` is the engine's opt-in preflight hook
-(``SynthesisOptions.preflight``).
+Both passes report :class:`Diagnostic` records aggregated into the
+versioned ``repro-analysis/1`` document (:class:`AnalysisReport`).
 """
 
 from repro.analysis.diagnostics import (
@@ -22,9 +19,8 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     TargetReport,
 )
-from repro.analysis.patch import analyze_patch
 from repro.analysis.plan_audit import audit_plan
-from repro.analysis.problem import analyze_problem, static_infeasibility
+from repro.analysis.problem import analyze_problem
 from repro.analysis.reachability import ClassClosure, class_closure
 
 __all__ = [
@@ -34,9 +30,7 @@ __all__ = [
     "ClassClosure",
     "Diagnostic",
     "TargetReport",
-    "analyze_patch",
     "analyze_problem",
     "audit_plan",
     "class_closure",
-    "static_infeasibility",
 ]

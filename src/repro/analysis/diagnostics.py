@@ -1,6 +1,6 @@
 """The ``repro-analysis/1`` diagnostics format.
 
-Every static-analysis pass (problem linter, patch analyzer, plan auditor)
+Every static-analysis pass (problem linter, plan auditor)
 reports :class:`Diagnostic` records: a stable ``RAxxx`` code, a severity
 (``error``/``warn``/``info``), a human-readable message, and — for
 error-level findings — an *exit family* that maps the finding onto the
@@ -12,8 +12,8 @@ exit-code taxonomy in :mod:`repro.errors` instead of inventing new codes:
   have refused → ``EXIT_PARSE_ERROR``;
 * ``failure`` — everything else → ``EXIT_FAILURE``.
 
-Reports aggregate per *target* (a problem file, a corpus scenario, a patch,
-a plan) and serialize to the versioned ``repro-analysis/1`` document that
+Reports aggregate per *target* (a problem file, a corpus scenario, a
+plan) and serialize to the versioned ``repro-analysis/1`` document that
 ``repro analyze --json`` emits.
 """
 
@@ -30,7 +30,7 @@ ANALYSIS_SCHEMA = "repro-analysis/1"
 SEVERITIES = ("error", "warn", "info")
 FAMILIES = ("infeasible", "parse", "failure")
 
-#: every diagnostic code the three passes can emit, with the one-line
+#: every diagnostic code the two passes can emit, with the one-line
 #: description the README table and ``repro analyze --codes`` render.
 DIAGNOSTIC_CODES: Dict[str, str] = {
     # problem linter (RA0xx)
@@ -47,15 +47,6 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "RA020": "dead rule: matched by no traffic class",
     "RA021": "configured switch unreachable by any traffic class",
     "RA022": "configuration installs a table on a node missing from the topology",
-    # patch analyzer (RA1xx)
-    "RA100": "patch does not apply to its base problem",
-    "RA101": "patch removes a link absent from the base topology",
-    "RA102": "patch adds a link that conflicts with existing wiring",
-    "RA103": "patch removes a link a configuration forwards over",
-    "RA104": "patch retargets a switch unknown to the topology",
-    "RA105": "patch replacement spec does not parse",
-    "RA106": "patch retargets an unknown traffic class or ingress host",
-    "RA107": "patch is empty (no edits)",
     # plan auditor (RA2xx)
     "RA201": "plan command touches a switch absent from the topology",
     "RA202": "plan command names an unknown traffic class",
@@ -117,10 +108,10 @@ class Diagnostic:
 
 @dataclass
 class TargetReport:
-    """All diagnostics for one analyzed target (problem, patch, or plan)."""
+    """All diagnostics for one analyzed target (problem or plan)."""
 
     target: str
-    kind: str  # "problem" | "patch" | "plan"
+    kind: str  # "problem" | "plan"
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     def counts(self) -> Dict[str, int]:

@@ -20,7 +20,7 @@ corpora.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.diagnostics import Diagnostic, TargetReport
 from repro.analysis.reachability import ClassClosure, class_closure
@@ -270,24 +270,3 @@ def _class_infeasibilities(
 
     return diags
 
-
-def static_infeasibility(problem: Problem) -> Optional[Diagnostic]:
-    """The first infeasibility proof for ``problem``, or ``None``.
-
-    This is the engine's preflight hook: *only* ``infeasible``-family
-    error diagnostics count, and any analysis failure (malformed ingresses,
-    unexpected topology state) returns ``None`` so the solver — not the
-    analyzer — stays the authority on errors.
-    """
-    try:
-        report = analyze_problem(problem)
-    except Exception:
-        return None
-    if any(diag.family == "parse" for diag in report.errors):
-        # a malformed problem (e.g. unattached ingress) makes the solver
-        # *error*, not return infeasible — don't pre-judge the verdict
-        return None
-    for diag in report.errors:
-        if diag.family == "infeasible":
-            return diag
-    return None

@@ -93,7 +93,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "use_early_termination": options.use_early_termination,
         "use_reachability_heuristic": options.use_reachability_heuristic,
         "timeout": options.timeout,
-        "preflight": options.preflight,
     }
 
 
@@ -124,7 +123,6 @@ def options_from_dict(
     known = {
         "checker", "granularity", "remove_waits", "use_counterexamples",
         "use_early_termination", "use_reachability_heuristic", "timeout",
-        "preflight",
     }
     unknown = set(data) - known
     if unknown:
@@ -165,7 +163,6 @@ def options_from_dict(
             data, "use_reachability_heuristic", base.use_reachability_heuristic
         ),
         timeout=timeout,
-        preflight=_require_bool(data, "preflight", base.preflight),
     )
 
 

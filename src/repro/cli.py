@@ -1,10 +1,20 @@
 """Command-line interface: ``python -m repro <subcommand>``.
 
+Every command that reads a problem file (``synthesize``, ``check``,
+``analyze``) reads one ``repro-api/1`` request document
+(:class:`~repro.api.SynthesisRequest`: ``{"api", "problem", "options",
+"id"}``), on one line or pretty-printed, decoded exactly as ``batch``
+decodes each of its lines and as ``POST /v1/jobs`` decodes its body.  The
+command-line flags are option defaults: the document's sparse ``options``
+merge onto them, and a document without ``options`` takes them whole.
+Flat problem files from older releases (a bare ``problem`` object) are a
+parse error; regenerate them with ``repro demo`` or ``repro corpus``.
+
 Subcommands:
 
-* ``synthesize PROBLEM.json`` — run the synthesizer on a problem file (see
-  :mod:`repro.net.serialize` for the format) and print the plan (or the
-  infeasibility verdict).  ``--json`` emits the plan machine-readably.
+* ``synthesize PROBLEM.json`` — solve the problem as a one-job
+  :class:`~repro.service.SynthesisService` batch and print the plan (or
+  the infeasibility verdict).  ``--json`` emits the plan machine-readably.
 * ``check PROBLEM.json`` — model check the problem's *initial* (or, with
   ``--final``, final) configuration against its specification.  ``--json``
   emits the verdict machine-readably (ok flag, counterexample trace,
@@ -14,12 +24,10 @@ Subcommands:
   (:mod:`repro.service.server`).  ``POST /v1/jobs`` accepts single and
   batch submissions; jobs from independent clients share the plan cache
   and fingerprint coalescing.
-* ``submit PROBLEM.json --server URL`` — submit one problem to a running
-  server and (by default) wait for the verdict; exit codes match
-  ``synthesize`` exactly (0 plan, 2 infeasible, 3 timeout, 4 parse).
 * ``demo NAME`` — write a ready-made problem file (``fig1-green``,
-  ``fig1-blue``, ``double-diamond``) to stdout, for experimenting with the
-  other subcommands.
+  ``fig1-blue``, ``double-diamond``) to stdout as one compact request
+  line: a ``synthesize``/``check``/``analyze`` input, a one-line ``batch``
+  file, and a ``POST /v1/jobs`` body alike.
 * ``batch PROBLEMS.jsonl`` — run many problems through the
   :mod:`repro.service` batch engine (content-addressed plan cache,
   in-process execution) and stream one JSON result object per line to
@@ -28,16 +36,17 @@ Subcommands:
   ``SynthesisDelta`` whose ``base`` is the ``id`` of an earlier line
   (``repro corpus --suite churn`` emits such streams) — the front-end
   settles that base first, then submits the patch so the base plan
-  warm-starts the search.  Flat problem files from older releases must be
-  regenerated with ``repro corpus``.  An empty (or comment-only) file is a
-  valid empty batch: the result stream is empty and the exit status is 0.
+  warm-starts the search.  An empty (or comment-only) file is a valid
+  empty batch: the result stream is empty and the exit status is 0.
   With ``--server URL`` the batch routes through
   :class:`~repro.service.client.ReproClient` to a running ``repro serve``
-  instead of an in-process engine — same JSONL output, same exit codes.
+  instead of an in-process engine — same JSONL output, same exit codes;
+  a one-line file (such as a ``demo`` file) submits one remote job.
 * ``analyze [PROBLEM.json ...] [--suite NAME]`` — statically lint problems
   (:mod:`repro.analysis`): per-class reachability over both endpoint
   configurations, spec vacuity, dead rules, unreachable switches, and
-  sound infeasibility certificates — no model checking.  ``--json`` emits
+  sound infeasibility certificates — no model checking.  A file that fails
+  to load is an ``RA000`` diagnostic naming its path.  ``--json`` emits
   the ``repro-analysis/1`` document; error-level diagnostics map onto the
   shared exit-code taxonomy (statically-proven infeasible → 2, parse
   problems → 4, other errors → 1).
@@ -70,10 +79,10 @@ envelope carries, so every front-end agrees):
   failures, and are reported in the output stream);
 * ``1`` — generic failure (library error, violation found by ``check``,
   some ``batch`` job errored);
-* ``2`` — the synthesis problem is infeasible (``synthesize``, ``submit``);
-* ``3`` — synthesis exceeded its time budget (``synthesize``, ``submit``);
+* ``2`` — the synthesis problem is infeasible (``synthesize``);
+* ``3`` — synthesis exceeded its time budget (``synthesize``);
 * ``4`` — input could not be parsed (bad problem file, LTL syntax error,
-  malformed JSONL line, bad request document).
+  malformed JSONL line, bad request document, bad command-line usage).
 """
 
 from __future__ import annotations
@@ -84,7 +93,12 @@ import sys
 from dataclasses import replace
 from typing import List, Optional, Union
 
-from repro.api import SynthesisDelta, SynthesisRequest, is_delta_document
+from repro.api import (
+    SynthesisDelta,
+    SynthesisRequest,
+    is_delta_document,
+    options_from_dict,
+)
 from repro.errors import (
     EXIT_FAILURE,
     EXIT_INFEASIBLE,
@@ -93,22 +107,14 @@ from repro.errors import (
     EXIT_TIMEOUT,
     ParseError,
     ReproError,
-    SynthesisTimeout,
-    UpdateInfeasibleError,
     exit_code_for,
 )
 from repro.kripke.structure import KripkeStructure
 from repro.mc.interface import CHECKER_NAMES, make_checker
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
-from repro.net.serialize import (
-    Problem,
-    load_problem,
-    plan_to_dict,
-    problem_to_dict,
-)
+from repro.net.serialize import Problem, plan_to_dict
 from repro.service.jobs import SynthesisOptions
-from repro.synthesis import UpdateSynthesizer
 from repro.topo import double_diamond, mini_datacenter
 
 # Exit codes and checker names are re-exported here for backwards
@@ -116,10 +122,12 @@ from repro.topo import double_diamond, mini_datacenter
 # with the wire-API error envelope) and repro.mc.interface.
 __all__ = [
     "EXIT_OK", "EXIT_FAILURE", "EXIT_INFEASIBLE", "EXIT_TIMEOUT",
-    "EXIT_PARSE_ERROR", "CHECKERS", "build_parser", "main",
+    "EXIT_PARSE_ERROR", "CHECKERS", "DEMOS", "build_parser", "main",
 ]
 
 CHECKERS = list(CHECKER_NAMES)
+
+DEMOS = ("fig1-green", "fig1-blue", "double-diamond")
 
 
 def _demo_problem(name: str) -> Problem:
@@ -158,42 +166,61 @@ def _demo_problem(name: str) -> Problem:
             spec=parse(spec_text),
             spec_text=spec_text,
         )
-    raise ReproError(f"unknown demo {name!r} (try fig1-green, fig1-blue, double-diamond)")
+    raise ReproError(f"unknown demo {name!r} (try {', '.join(DEMOS)})")
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    problem = _demo_problem(args.name)
-    json.dump(problem_to_dict(problem), sys.stdout, indent=2)
+    json.dump(SynthesisRequest(_demo_problem(args.name)).to_dict(), sys.stdout)
     sys.stdout.write("\n")
     return 0
 
 
+def _decode_request(data, defaults: SynthesisOptions) -> SynthesisRequest:
+    """Decode one request document; its sparse ``options`` merge onto
+    ``defaults`` (the command-line flags), which a request without
+    ``options`` takes whole."""
+    request = SynthesisRequest.from_dict(data, option_defaults=defaults)
+    return replace(request, options=request.options or defaults)
+
+
+def _read_request(path: str, defaults: SynthesisOptions) -> SynthesisRequest:
+    """Read a problem file: one request document (see the module
+    docstring).  Every failure is a :class:`~repro.errors.ParseError`
+    naming ``path``."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return _decode_request(json.load(handle), defaults)
+    except (OSError, ValueError, ReproError) as err:
+        raise ParseError(f"{path}: {err}") from err
+
+
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    problem = load_problem(args.problem)
-    synth = UpdateSynthesizer(
-        problem.topology,
+    from repro.service import SynthesisService
+
+    defaults = SynthesisOptions(
         checker=args.checker,
         granularity=args.granularity,
         remove_waits=not args.keep_waits,
+        timeout=args.timeout,
     )
-    try:
-        plan = synth.synthesize(
-            problem.init,
-            problem.final,
-            problem.spec,
-            problem.ingresses,
-            timeout=args.timeout,
+    request = _read_request(args.problem, defaults)
+    with SynthesisService(default_options=defaults) as service:
+        job = service.submit(
+            request.problem, options=request.options, job_id=request.job_id
         )
-    except UpdateInfeasibleError as err:
-        print(f"INFEASIBLE ({err.reason}): {err}")
-        return exit_code_for(err)
-    except SynthesisTimeout as err:
-        print(f"TIMEOUT: {err}")
-        return exit_code_for(err)
-    if args.json:
-        json.dump(plan_to_dict(plan), sys.stdout, indent=2)
+        result = service.result(job.job_id)
+    status = result.status.value
+    if status == "infeasible":
+        print(f"INFEASIBLE: {result.message}")
+    elif status == "timeout":
+        print(f"TIMEOUT: {result.message}")
+    elif status != "done":
+        print(f"error: {result.message}", file=sys.stderr)
+    elif args.json:
+        json.dump(plan_to_dict(result.plan), sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
+        plan = result.plan
         print(plan.summary())
         for command in plan.commands:
             print(f"  {command}")
@@ -203,17 +230,18 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             f"{stats.counterexamples}, waits kept: {stats.waits_after_removal}"
             f"/{stats.waits_before_removal}"
         )
-    return 0
+    return exit_code_for(status)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     import time as time_module
 
-    problem = load_problem(args.problem)
+    request = _read_request(args.problem, SynthesisOptions(checker=args.checker))
+    problem, checker_name = request.problem, request.options.checker
     config = problem.final if args.final else problem.init
     build_start = time_module.perf_counter()
     structure = KripkeStructure(problem.topology, config, problem.ingresses)
-    checker = make_checker(args.checker, structure, problem.spec)
+    checker = make_checker(checker_name, structure, problem.spec)
     build_seconds = time_module.perf_counter() - build_start
     check_start = time_module.perf_counter()
     result = checker.full_check()
@@ -240,7 +268,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "ok": result.ok,
             "configuration": which,
             "spec": problem.spec_text,
-            "checker": getattr(checker, "name", args.checker),
+            "checker": getattr(checker, "name", checker_name),
             "counterexample": (
                 [str(state) for state in result.counterexample]
                 if result.counterexample
@@ -305,6 +333,17 @@ def _backends_arg(value: str):
     return backends
 
 
+def _timeout_arg(value: str) -> float:
+    """argparse type for every ``--timeout``: the wire rule for
+    ``options.timeout``, a finite number of seconds >= 0."""
+    try:
+        return options_from_dict({"timeout": float(value)}).timeout
+    except (ValueError, ParseError):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {value!r}"
+        ) from None
+
+
 def _read_batch(
     path: str, defaults: SynthesisOptions
 ) -> List[Union[SynthesisRequest, SynthesisDelta]]:
@@ -336,8 +375,7 @@ def _read_batch(
                             "earlier line (deltas must follow their base line)"
                         )
                 else:
-                    doc = SynthesisRequest.from_dict(data, option_defaults=defaults)
-                    doc = replace(doc, options=doc.options or defaults)
+                    doc = _decode_request(data, defaults)
             except (json.JSONDecodeError, ReproError) as err:
                 raise ParseError(f"{path}:{lineno}: {err}") from err
             docs.append(replace(doc, job_id=doc.job_id or f"job-{lineno}"))
@@ -355,7 +393,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         checker=args.checker,
         granularity=args.granularity,
         timeout=args.timeout,
-        preflight=args.preflight,
     )
     docs = _read_batch(args.problems, options)
     if args.server:
@@ -449,8 +486,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             )
     for path in args.problems:
         try:
-            problem = load_problem(path)
-        except (OSError, ReproError) as err:
+            problem = _read_request(path, SynthesisOptions()).problem
+        except ReproError as err:
             # keep analyzing the remaining targets; the load failure is
             # itself a parse-family diagnostic on this one
             report.targets.append(
@@ -514,42 +551,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.close()
         server.service.cache.persist_stats()
     return EXIT_OK
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ReproClient
-
-    problem = load_problem(args.problem)
-    # send only the options the user chose (a sparse document): the rest —
-    # including a bare `repro submit` — defer to the server's defaults
-    options_data = {}
-    if args.checker is not None:
-        options_data["checker"] = args.checker
-    if args.granularity is not None:
-        options_data["granularity"] = args.granularity
-    if args.timeout is not None:
-        options_data["timeout"] = args.timeout
-    client = ReproClient(args.server)
-    view = client.submit(
-        problem, job_id=args.id, options_data=options_data or None
-    )
-    if args.no_wait:
-        json.dump(view.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return EXIT_OK
-    result = client.result(view.job_id)
-    if args.json or result.status.value != "done":
-        json.dump(result.to_dict(include_plan=not args.no_plans), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        plan = result.plan
-        print(plan.summary())
-        for command in plan.commands:
-            print(f"  {command}")
-        origin = "plan cache" if result.cached else f"backend {result.backend}"
-        print(f"served by {args.server} ({origin}) in {result.seconds:.3f}s")
-    # one job's verdict decides the process exit status, like `synthesize`
-    return exit_code_for(result.status.value)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -689,8 +690,18 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 4 (parse error) on bad usage, not argparse's 2, which this
+    CLI's exit-code taxonomy reserves for "infeasible".  Subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Efficient Synthesis of Network Updates (PLDI 2015) — reproduction",
     )
@@ -702,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--granularity", default="switch", choices=["switch", "rule"])
     p_synth.add_argument("--keep-waits", action="store_true",
                          help="skip the wait-removal post-pass")
-    p_synth.add_argument("--timeout", type=float, default=None)
+    p_synth.add_argument("--timeout", type=_timeout_arg, default=None)
     p_synth.add_argument("--json", action="store_true", help="emit the plan as JSON")
     p_synth.set_defaults(fn=_cmd_synthesize)
 
@@ -730,36 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--checker", default="incremental", choices=CHECKERS,
                          help="default checker for requests that don't choose one")
     p_serve.add_argument("--granularity", default="switch", choices=["switch", "rule"])
-    p_serve.add_argument("--timeout", type=float, default=None,
+    p_serve.add_argument("--timeout", type=_timeout_arg, default=None,
                          help="default per-job timeout in seconds")
     p_serve.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log each HTTP request to stderr")
     p_serve.set_defaults(fn=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one problem to a running repro serve"
-    )
-    p_submit.add_argument("problem", help="path to a problem JSON file")
-    p_submit.add_argument("--server", required=True, metavar="URL",
-                          help="base URL of a running server "
-                               "(e.g. http://127.0.0.1:8421)")
-    p_submit.add_argument("--id", default=None, help="job id (default: server-assigned)")
-    p_submit.add_argument("--checker", default=None, choices=CHECKERS,
-                          help="checker backend (default: the server's)")
-    p_submit.add_argument("--granularity", default=None,
-                          choices=["switch", "rule"],
-                          help="update granularity (default: the server's)")
-    p_submit.add_argument("--timeout", type=float, default=None,
-                          help="per-job budget in seconds (default: the server's)")
-    p_submit.add_argument("--no-wait", action="store_true",
-                          help="print the queued job view and return immediately")
-    p_submit.add_argument("--no-plans", action="store_true",
-                          help="omit the plan body from the result document")
-    p_submit.add_argument("--json", action="store_true",
-                          help="emit the full result document as JSON")
-    p_submit.set_defaults(fn=_cmd_submit)
 
     p_batch = sub.add_parser(
         "batch", help="run a JSONL file of job documents through the batch service"
@@ -773,13 +761,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "at this base URL instead of an in-process engine")
     p_batch.add_argument("--checker", default="incremental", choices=CHECKERS)
     p_batch.add_argument("--granularity", default="switch", choices=["switch", "rule"])
-    p_batch.add_argument("--timeout", type=float, default=None,
+    p_batch.add_argument("--timeout", type=_timeout_arg, default=None,
                          help="default per-job timeout in seconds")
     p_batch.add_argument("--cache-dir", default=None,
                          help="persist the plan cache to this directory")
-    p_batch.add_argument("--preflight", action="store_true",
-                         help="statically fast-fail provably-infeasible jobs "
-                              "before search (repro.analysis; verdict-preserving)")
     p_batch.add_argument("--no-plans", action="store_true",
                          help="omit plan bodies from the output stream")
     p_batch.add_argument("--stats", action="store_true",
@@ -791,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically lint problems (reachability, spec vacuity, dead rules)",
     )
     p_analyze.add_argument(
-        "problems", nargs="*", help="problem JSON files (synthesize format)"
+        "problems", nargs="*", help="problem files (repro-api/1 request documents)"
     )
     p_analyze.add_argument(
         "--suite", help="analyze a scenario corpus instead of files"
@@ -837,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0,
                          help="base seed for scenario generation (default 0)")
     p_bench.add_argument("--checker", default="incremental", choices=CHECKERS)
-    p_bench.add_argument("--timeout", type=float, default=120.0,
+    p_bench.add_argument("--timeout", type=_timeout_arg, default=120.0,
                          help="per-scenario timeout in seconds (default 120)")
     p_bench.add_argument("--out", default=None,
                          help="output path (default BENCH_<suite>.json)")
@@ -866,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
                          type=_backends_arg,
                          help="backends to cross-examine (default "
                               "incremental,batch,netplumber,symbolic)")
-    p_judge.add_argument("--timeout", type=float, default=60.0,
+    p_judge.add_argument("--timeout", type=_timeout_arg, default=60.0,
                          help="per-scenario-per-backend budget in seconds "
                               "(default 60)")
     p_judge.add_argument("--max-scenarios", type=int, default=None, metavar="N",
@@ -889,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.set_defaults(fn=_cmd_cache_stats)
 
     p_demo = sub.add_parser("demo", help="emit a ready-made problem file")
-    p_demo.add_argument("name", help="fig1-green | fig1-blue | double-diamond")
+    p_demo.add_argument("name", help=" | ".join(DEMOS))
     p_demo.set_defaults(fn=_cmd_demo)
 
     return parser

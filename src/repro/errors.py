@@ -64,7 +64,7 @@ class SimulationError(ReproError):
 # exit-code taxonomy
 # ----------------------------------------------------------------------
 # The four status families shared by every front-end: CLI subcommands
-# (``synthesize``, ``batch``, ``submit``, ``serve``), the HTTP error
+# (``synthesize``, ``batch``, ``serve``), the HTTP error
 # envelope (:class:`repro.api.ErrorEnvelope`), and the thin clients.
 # Centralized here so the mapping cannot drift between surfaces.
 
@@ -76,13 +76,14 @@ EXIT_FAILURE = 1
 EXIT_INFEASIBLE = 2
 #: synthesis exceeded its time budget.
 EXIT_TIMEOUT = 3
-#: input could not be parsed (bad problem file, LTL syntax, bad request).
+#: input could not be parsed (bad problem file, LTL syntax, bad request,
+#: bad command-line usage).
 EXIT_PARSE_ERROR = 4
 
 #: Job statuses (:class:`repro.service.jobs.JobStatus` values) → exit codes.
 #: ``infeasible``/``timeout`` verdicts are *results* for a batch stream but
 #: map to their own codes when a single job's verdict decides the process
-#: exit status (``synthesize``, ``submit``).
+#: exit status (``synthesize``).
 _STATUS_EXIT_CODES = {
     "ok": EXIT_OK,
     "done": EXIT_OK,

@@ -1,12 +1,12 @@
 """JSON (de)serialization: topologies, configurations, problems, plans.
 
-Defines the on-disk *problem file* format consumed by the command-line tool
-(:mod:`repro.cli`): a single JSON document carrying the topology, the
-traffic classes with their ingress hosts, the initial and final
-configurations, and the LTL specification (in the concrete syntax of
-:mod:`repro.ltl.parser`).
+Defines the ``problem`` object of a ``repro-api/1`` request document
+(:class:`repro.api.SynthesisRequest`, the one problem file every CLI
+command and ``POST /v1/jobs`` read): the topology, the traffic classes
+with their ingress hosts, the initial and final configurations, and the
+LTL specification (in the concrete syntax of :mod:`repro.ltl.parser`).
 
-Example problem file::
+Example ``problem`` object::
 
     {
       "topology": {
@@ -25,7 +25,6 @@ Example problem file::
 
 from __future__ import annotations
 
-import json
 import marshal
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -180,6 +179,7 @@ def table_from_dict(
     Two switches with the same wire table get one :class:`Table`; a
     table whose match value is ``true`` instead of ``"H2"`` gets its own:
 
+    >>> import json
     >>> rules = '[{"priority": 1, "match": {"dst": "H2"}, "actions": [{"fwd": 2}]}]'
     >>> wire = json.loads('{"S1": %s, "S2": %s}' % (rules, rules))
     >>> memo = {}
@@ -225,7 +225,8 @@ def config_from_dict(
 # ----------------------------------------------------------------------
 @dataclass
 class Problem:
-    """A complete synthesis problem, as read from a problem file."""
+    """A complete synthesis problem: the ``problem`` object of a
+    ``repro-api/1`` request document (:func:`problem_from_dict`)."""
 
     topology: Topology
     ingresses: Dict[TrafficClass, List[NodeId]]
@@ -275,26 +276,6 @@ def problem_from_dict(data: Mapping[str, Any]) -> Problem:
         spec=parse(spec_text),
         spec_text=spec_text,
     )
-
-
-def load_problem(path: str) -> Problem:
-    with open(path) as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: bad JSON: {err}") from err
-    try:
-        return problem_from_dict(data)
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as err:
-        raise ParseError(f"{path}: bad problem document: {err!r}") from err
-
-
-def save_problem(problem: Problem, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(problem_to_dict(problem), handle, indent=2)
-        handle.write("\n")
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ Quickstart (server + thin client)::
         view = client.submit(problem, timeout=30.0)
         result = client.result(view.job_id)
 
-The ``python -m repro batch`` / ``serve`` / ``submit`` subcommands are
+The ``python -m repro synthesize`` / ``batch`` / ``serve`` subcommands are
 thin CLI wrappers around this package.
 """
 

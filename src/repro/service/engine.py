@@ -68,7 +68,6 @@ from typing import (
 )
 
 from repro.errors import ReproError, SynthesisTimeout, UpdateInfeasibleError
-from repro.analysis.problem import static_infeasibility
 from repro.mc.incremental import IncrementalChecker
 from repro.net.delta import ProblemPatch
 from repro.net.serialize import Problem
@@ -708,31 +707,13 @@ class SynthesisService:
         under the same budget.
         """
         hits: List[Tuple[SynthesisJob, Any]] = []
-        rejected: List[Tuple[SynthesisJob, str]] = []
         groups: Dict[_GroupKey, List[SynthesisJob]] = {}
-        preflighted: Dict[str, Optional[str]] = {}  # fingerprint -> certificate
         for job in batch:
             classes = {tc.name: tc for tc in job.problem.classes}
             plan = self.cache.get(job.fingerprint, classes)
             if plan is not None:
                 hits.append((job, plan))
                 continue
-            if job.options.preflight:
-                # sound static fast-fail: the linter only proves what the
-                # solver would also report infeasible, so skipping the
-                # search is verdict-preserving (zero model checks)
-                if job.fingerprint not in preflighted:
-                    diag = static_infeasibility(job.problem)
-                    preflighted[job.fingerprint] = (
-                        None
-                        if diag is None
-                        else f"({diag.code}) {diag.message}"
-                        + (f" [{diag.certificate}]" if diag.certificate else "")
-                    )
-                certificate = preflighted[job.fingerprint]
-                if certificate is not None:
-                    rejected.append((job, f"(static) {certificate}"))
-                    continue
             key = (job.fingerprint, job.options.timeout)
             groups.setdefault(key, []).append(job)
         for group in groups.values():
@@ -752,16 +733,6 @@ class SynthesisService:
                     status=JobStatus.DONE,
                     plan=plan,
                     cached=True,
-                    fingerprint=job.fingerprint,
-                )
-                self.metrics.observe(result)
-                self._publish_locked(result)
-            for job, message in rejected:
-                job.status = JobStatus.INFEASIBLE
-                result = JobResult(
-                    job_id=job.job_id,
-                    status=JobStatus.INFEASIBLE,
-                    message=message,
                     fingerprint=job.fingerprint,
                 )
                 self.metrics.observe(result)

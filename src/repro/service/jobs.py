@@ -48,13 +48,6 @@ class SynthesisOptions:
 
     ``timeout`` is a per-job budget in seconds; it is *not* part of the
     cache identity (see :mod:`repro.service.fingerprint`).
-    ``preflight`` runs the static problem linter
-    (:func:`repro.analysis.static_infeasibility`) on cache-miss groups
-    before scheduling any search: a statically-*proven* infeasible job
-    settles immediately with the certificate as its message and zero model
-    checks.  Excluded from the identity because the linter is sound —
-    it only fast-fails jobs the solver would also report infeasible, so
-    verdicts (and cached plans) are identical either way.
     """
 
     checker: str = "incremental"
@@ -64,7 +57,6 @@ class SynthesisOptions:
     use_early_termination: bool = True
     use_reachability_heuristic: bool = True
     timeout: Optional[float] = None
-    preflight: bool = False
 
     def with_timeout(self, timeout: Optional[float]) -> "SynthesisOptions":
         return replace(self, timeout=timeout)

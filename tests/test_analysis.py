@@ -1,12 +1,10 @@
-"""Static analysis subsystem: linter soundness, patch conflicts, plan audits.
+"""Static analysis subsystem: linter soundness and plan audits.
 
 The load-bearing property is *soundness*: every ``infeasible``-family
 diagnostic the problem linter emits must match the solver's verdict
 (static-infeasible ⇒ solver-infeasible), and the linter must never flag a
 solver-feasible corpus problem as an error.  Both directions are enforced
-differentially here on seeded diamond/ring corpora, and the engine-level
-``preflight`` option is checked for byte-identical verdicts and normalized
-plans against a preflight-off run.
+differentially here on seeded diamond/ring corpora.
 """
 
 import json
@@ -22,29 +20,21 @@ from repro.analysis import (
     AnalysisReport,
     Diagnostic,
     TargetReport,
-    analyze_patch,
     analyze_problem,
     audit_plan,
     class_closure,
-    static_infeasibility,
 )
 from repro.errors import UpdateInfeasibleError
 from repro.ltl.parser import parse
-from repro.net.delta import ProblemPatch
 from repro.net.rules import Forward, Pattern, Rule, Table
-from repro.net.serialize import Problem, plan_to_dict, problem_to_dict
+from repro.api import SynthesisRequest
+from repro.net.serialize import Problem
 from repro.scenarios.corpus import generate_corpus, sample_records
 from repro.synthesis import UpdateSynthesizer
 from repro.synthesis.plan import UpdatePlan
-from repro.topo import double_diamond, ring_diamond
+from repro.topo import ring_diamond
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def normalized_plan(plan) -> dict:
-    data = plan_to_dict(plan)
-    data.pop("stats", None)
-    return data
 
 
 def problem_of(scenario, spec_text: str) -> Problem:
@@ -86,6 +76,14 @@ def unreached_switch(problem: Problem) -> str:
         if spare:
             return spare[0]
     raise AssertionError("every switch is on some path; pick a bigger topology")
+
+
+def infeasibility(problem: Problem):
+    """The linter's first ``infeasible``-family error, or ``None``."""
+    return next(
+        (d for d in analyze_problem(problem).errors if d.family == "infeasible"),
+        None,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +214,6 @@ class TestProblemLinter:
         assert errors and all(d.family == "parse" for d in errors)
         wrapped = AnalysisReport(targets=[report])
         assert wrapped.exit_code() == 4
-        # the solver would *error* here, so preflight must stand down
-        assert static_infeasibility(problem) is None
 
     def test_dead_rule_warns(self, scenario):
         problem = problem_of(scenario, "dst=Hdst => F at(Hdst)")
@@ -278,7 +274,7 @@ class TestDifferentialSoundness:
         spare = unreached_switch(problem)
         tc = next(iter(problem.ingresses))
         bad = problem_of(scenario, f"({guard_of(tc)}) => F at({spare})")
-        diag = static_infeasibility(bad)
+        diag = infeasibility(bad)
         assert diag is not None and diag.code == "RA010"
         assert diag.certificate
         assert solver_verdict(bad) == "infeasible"
@@ -295,7 +291,7 @@ class TestDifferentialSoundness:
         bad = problem_of(
             scenario, f"({guard_of(tc)}) => (G !at({transit}) & F at(Hdst))"
         )
-        diag = static_infeasibility(bad)
+        diag = infeasibility(bad)
         assert diag is not None and diag.code == "RA011"
         assert "witness path" in diag.certificate
         assert solver_verdict(bad) == "infeasible"
@@ -320,7 +316,7 @@ class TestDifferentialSoundness:
             spec=problem.spec,
             spec_text=problem.spec_text,
         )
-        diag = static_infeasibility(cut)
+        diag = infeasibility(cut)
         assert diag is not None and diag.code == "RA012"
         assert solver_verdict(cut) == "infeasible"
 
@@ -331,7 +327,7 @@ class TestDifferentialSoundness:
         # header fields are immutable per class, so demanding a different
         # dst specializes the whole spec to FALSE for this class
         bad = problem_of(scenario, f"({guard}) => dst=NOWHERE")
-        diag = static_infeasibility(bad)
+        diag = infeasibility(bad)
         assert diag is not None and diag.code == "RA014"
         assert solver_verdict(bad) == "infeasible"
 
@@ -351,58 +347,9 @@ class TestDifferentialSoundness:
             spec=parse("dst=Hdst => F at(Hdst)"),
             spec_text="dst=Hdst => F at(Hdst)",
         )
-        diag = static_infeasibility(looped)
+        diag = infeasibility(looped)
         assert diag is not None and diag.code == "RA013"
         assert solver_verdict(looped) == "infeasible"
-
-
-# ----------------------------------------------------------------------
-# patch analyzer
-# ----------------------------------------------------------------------
-class TestPatchAnalyzer:
-    @pytest.fixture(scope="class")
-    def base(self):
-        scenario = ring_diamond(8, seed=1)
-        return problem_of(scenario, "dst=Hdst => F at(Hdst)")
-
-    def test_empty_patch_is_info(self, base):
-        report, resolved = analyze_patch(base, ProblemPatch())
-        assert {d.code for d in report.diagnostics} == {"RA107"}
-        assert resolved is not None
-
-    def test_removing_absent_link_is_parse_error(self, base):
-        patch = ProblemPatch(links_remove=[("S0", "NOWHERE")])
-        report, resolved = analyze_patch(base, patch)
-        assert any(d.code == "RA101" and d.family == "parse" for d in report.errors)
-        assert resolved is None
-
-    def test_removing_forwarded_link_warns(self, base):
-        scenario = ring_diamond(8, seed=1)
-        tc = next(iter(base.ingresses))
-        # second and third hop of the known init path: a switch-switch link
-        # the initial configuration actively forwards over
-        a, b = scenario.init_paths[tc][1:3]
-        report, _resolved = analyze_patch(base, ProblemPatch(links_remove=[(a, b)]))
-        assert any(d.code == "RA103" for d in report.diagnostics)
-
-    def test_unknown_class_retarget_is_parse_error(self, base):
-        report, resolved = analyze_patch(
-            base, ProblemPatch(ingresses={"ghost_class": ["Hsrc"]})
-        )
-        assert any(d.code == "RA106" for d in report.errors)
-        assert resolved is None
-
-    def test_bad_replacement_spec_is_parse_error(self, base):
-        report, resolved = analyze_patch(base, ProblemPatch(spec="=> (("))
-        assert any(d.code == "RA105" for d in report.errors)
-        assert resolved is None
-
-    def test_clean_patch_resolves_and_lints(self, base):
-        tc = next(iter(base.ingresses))
-        patch = ProblemPatch(ingresses={tc.name: ["Hsrc"]})
-        report, resolved = analyze_patch(base, patch, lint_resolved=True)
-        assert report.errors == []
-        assert resolved is not None
 
 
 # ----------------------------------------------------------------------
@@ -493,97 +440,6 @@ class TestPlanAuditor:
 
 
 # ----------------------------------------------------------------------
-# engine preflight
-# ----------------------------------------------------------------------
-class TestEnginePreflight:
-    def _statically_infeasible_problem(self):
-        scenario = ring_diamond(8, seed=7)
-        problem = problem_of(scenario, "dst=Hdst => F at(Hdst)")
-        spare = unreached_switch(problem)
-        tc = next(iter(problem.ingresses))
-        return problem_of(scenario, f"({guard_of(tc)}) => F at({spare})")
-
-    def test_preflight_short_circuits_without_search(self, monkeypatch):
-        from repro.service import SynthesisOptions, SynthesisService
-        from repro.service import engine as engine_mod
-
-        searched = []
-
-        def boom(*args, **kwargs):
-            searched.append(args)
-            raise AssertionError("preflight must not enter the search")
-
-        monkeypatch.setattr(engine_mod, "_execute_problem", boom)
-        problem = self._statically_infeasible_problem()
-        service = SynthesisService(
-            default_options=SynthesisOptions(preflight=True)
-        )
-        job = service.submit(problem, job_id="static")
-        result = service.result(job.job_id)
-        service.close()
-        assert result.status.value == "infeasible"
-        assert result.message.startswith("(static)")
-        assert "RA010" in result.message
-        assert result.plan is None
-        assert searched == []
-
-        # control: without preflight the same job does reach the hook, so
-        # the assertions above cannot pass with a hook that never fires
-        control = SynthesisService()
-        job = control.submit(problem, job_id="searched")
-        result = control.result(job.job_id)
-        control.close()
-        assert len(searched) == 1
-        assert result.status.value == "error"
-        assert "preflight must not enter the search" in result.message
-
-    def test_preflight_matches_solver_on_corpora(self):
-        from repro.service import SynthesisOptions, SynthesisService
-
-        records = sample_records(generate_corpus("smoke", quick=True), 6)
-        records += generate_corpus("churn", quick=True)[:3]
-        outcomes = {}
-        for preflight in (False, True):
-            service = SynthesisService(
-                default_options=SynthesisOptions(preflight=preflight)
-            )
-            rows = []
-            for index, record in enumerate(records):
-                job = service.submit(record.problem, job_id=f"job-{index}")
-                result = service.result(job.job_id)
-                rows.append(
-                    (
-                        result.status.value,
-                        normalized_plan(result.plan) if result.plan else None,
-                    )
-                )
-            outcomes[preflight] = rows
-        # byte-identical verdicts and normalized plans either way
-        assert json.dumps(outcomes[False], sort_keys=True) == json.dumps(
-            outcomes[True], sort_keys=True
-        )
-
-    def test_preflight_excluded_from_fingerprint(self):
-        from repro.service import SynthesisOptions
-        from repro.service.jobs import SynthesisJob
-
-        problem = self._statically_infeasible_problem()
-        cold = SynthesisJob("a", problem, SynthesisOptions(preflight=False))
-        hot = SynthesisJob("b", problem, SynthesisOptions(preflight=True))
-        assert cold.fingerprint == hot.fingerprint
-
-    def test_preflight_on_wire_round_trips(self):
-        from repro.api.schema import options_from_dict, options_to_dict
-        from repro.service import SynthesisOptions
-
-        options = SynthesisOptions(preflight=True)
-        doc = options_to_dict(options)
-        assert doc["preflight"] is True
-        assert options_from_dict(doc) == options
-        assert options_from_dict({"preflight": True}).preflight is True
-
-
-# ----------------------------------------------------------------------
 # CLI + docs + repo invariants
 # ----------------------------------------------------------------------
 class TestAnalyzeCli:
@@ -593,7 +449,7 @@ class TestAnalyzeCli:
         scenario = ring_diamond(8, seed=1)
         problem = problem_of(scenario, "dst=Hdst => F at(Hdst)")
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(problem_to_dict(problem)))
+        path.write_text(json.dumps(SynthesisRequest(problem).to_dict()))
         assert main(["analyze", str(path)]) == 0
         assert "ok" in capsys.readouterr().out
 
@@ -606,7 +462,7 @@ class TestAnalyzeCli:
         tc = next(iter(problem.ingresses))
         bad = problem_of(scenario, f"({guard_of(tc)}) => F at({spare})")
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(problem_to_dict(bad)))
+        path.write_text(json.dumps(SynthesisRequest(bad).to_dict()))
         assert main(["analyze", str(path), "--json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == ANALYSIS_SCHEMA
@@ -662,7 +518,7 @@ class TestDocsAndInvariants:
     def test_architecture_documents_analysis_flow(self):
         doc = (REPO / "docs" / "ARCHITECTURE.md").read_text()
         assert "repro.analysis" in doc
-        assert "preflight" in doc
+        assert "repro analyze" in doc and "analyze_problem" in doc
 
     def test_check_invariants_passes_on_this_tree(self):
         proc = subprocess.run(

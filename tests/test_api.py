@@ -130,6 +130,7 @@ class TestOptionsRoundTrip:
             {"shards": 1.5},
             {"memoize": "yes"},
             {"use_plan_cache": False},
+            {"preflight": True},
             {"surprise": 1},
             {"timeout": float("nan")},
             {"timeout": float("inf")},

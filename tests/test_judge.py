@@ -192,8 +192,9 @@ class TestCli:
         assert document["backends"] == ["incremental", "batch"]
 
     def test_unknown_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["judge", "--suite", "smoke", "--backends", "incremental,increnemtal"])
+        assert exc.value.code == 4
         assert "unknown backend" in capsys.readouterr().err
 
     def test_single_backend_rejected(self, capsys):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.errors import ParseError
+from repro.api import SynthesisRequest
+from repro.cli import DEMOS, main
+from repro.errors import ParseError, exit_code_for
 from repro.net.commands import SwitchUpdate, Wait
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
@@ -14,12 +15,9 @@ from repro.net.serialize import (
     Problem,
     config_from_dict,
     config_to_dict,
-    load_problem,
     plan_to_dict,
-    problem_from_dict,
     rule_from_dict,
     rule_to_dict,
-    save_problem,
     topology_from_dict,
     topology_to_dict,
 )
@@ -68,8 +66,8 @@ class TestRoundTrips:
             spec_text="dst=H3 => F at(H3)",
         )
         path = tmp_path / "problem.json"
-        save_problem(problem, str(path))
-        loaded = load_problem(str(path))
+        path.write_text(json.dumps(SynthesisRequest(problem).to_dict(), indent=2))
+        loaded = SynthesisRequest.from_dict(json.loads(path.read_text())).problem
         assert loaded.init == problem.init
         assert loaded.final == problem.final
         assert loaded.spec == problem.spec
@@ -100,8 +98,72 @@ class TestCli:
     def test_demo_emits_valid_problem(self, capsys, tmp_path):
         code, out = self.run_cli(capsys, "demo", "fig1-green")
         assert code == 0
-        problem = problem_from_dict(json.loads(out))
-        assert problem.topology.is_switch("C2")
+        assert out.count("\n") == 1  # one compact line: a one-line batch file
+        request = SynthesisRequest.from_dict(json.loads(out))
+        assert request.options is None and request.job_id is None
+        assert request.problem.topology.is_switch("C2")
+
+    @pytest.mark.parametrize("name", DEMOS)
+    def test_demo_runs_alike_under_synthesize_and_batch(self, capsys, tmp_path, name):
+        _, out = self.run_cli(capsys, "demo", name)
+        path = tmp_path / "p.json"
+        path.write_text(out)
+        code, out = self.run_cli(capsys, "synthesize", str(path), "--json")
+        batch_code, batch_out = self.run_cli(capsys, "batch", str(path))
+        assert batch_code == 0
+        (record,) = [json.loads(line) for line in batch_out.splitlines()]
+        assert code == exit_code_for(record["status"])
+        if record["status"] == "done":
+            assert json.loads(out)["commands"] == record["plan"]["commands"]
+        else:
+            assert out.startswith(record["status"].upper())
+
+    def test_flat_problem_file_is_a_parse_error(self, capsys, tmp_path):
+        _, out = self.run_cli(capsys, "demo", "fig1-green")
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(json.loads(out)["problem"]))
+        for command in ("synthesize", "check"):
+            assert main([command, str(path)]) == 4
+            assert f"{path}: request: missing 'problem'" in capsys.readouterr().err
+        code, out = self.run_cli(capsys, "analyze", str(path))
+        assert code == 4
+        assert f"RA000 error: {path}: request: missing 'problem'" in out
+
+    def test_document_options_override_flag_defaults(self, capsys, tmp_path):
+        _, out = self.run_cli(capsys, "demo", "double-diamond")
+        data = json.loads(out)
+        data["options"] = {"granularity": "rule"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data, indent=2))
+        code, out = self.run_cli(capsys, "synthesize", str(path), "--granularity", "switch")
+        assert code == 0, out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["synthesize", "p.json", "--checker", "nope"], "--checker"),
+            (["synthesize", "p.json", "--timeout", "-1"], "--timeout"),
+            (["synthesize", "p.json", "--timeout", "nan"], "--timeout"),
+            (["batch", "p.json", "--timeout", "abc"], "--timeout"),
+            (["batch", "p.json", "--timeout", "nan"], "--timeout"),
+            (["serve", "--timeout", "nan"], "--timeout"),
+            (["bench", "--suite", "smoke", "--timeout", "inf"], "--timeout"),
+            (["judge", "--suite", "smoke", "--timeout", "-1"], "--timeout"),
+            (["submit", "p.json", "--server", "http://127.0.0.1:1"], "command"),
+        ],
+        ids=[
+            "synthesize-checker", "synthesize-timeout-negative",
+            "synthesize-timeout-nan", "batch-timeout-string", "batch-timeout-nan",
+            "serve-timeout-nan", "bench-timeout-inf", "judge-timeout-negative",
+            "submit-retired",
+        ],
+    )
+    def test_usage_error_exits_four(self, capsys, argv, flag):
+        # argparse's own usage code (2) is this CLI's "infeasible"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 4
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_synthesize_from_file(self, capsys, tmp_path):
         code, out = self.run_cli(capsys, "demo", "fig1-green")
@@ -146,7 +208,7 @@ class TestCli:
     def test_check_violation_reports_counterexample(self, capsys, tmp_path):
         _, out = self.run_cli(capsys, "demo", "fig1-green")
         data = json.loads(out)
-        data["init"] = {}  # empty initial config: blackhole
+        data["problem"]["init"] = {}  # empty initial config: blackhole
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
         code, out = self.run_cli(capsys, "check", str(path))
@@ -170,7 +232,7 @@ class TestCli:
     def test_check_json_violation_carries_trace(self, capsys, tmp_path):
         _, out = self.run_cli(capsys, "demo", "fig1-green")
         data = json.loads(out)
-        data["init"] = {}  # empty initial config: blackhole
+        data["problem"]["init"] = {}  # empty initial config: blackhole
         path = tmp_path / "p.json"
         path.write_text(json.dumps(data))
         code, out = self.run_cli(capsys, "check", str(path), "--json")

@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import API_VERSION
+from repro.api import API_VERSION, SynthesisRequest
 from repro.ltl.parser import parse
 from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
@@ -533,34 +533,37 @@ class TestClientRetry:
 
 
 class TestCliFrontEnds:
-    """`repro submit` and `repro batch --server` must keep the CLI's exit
-    codes and output shapes — thin clients, not different tools."""
+    """`repro batch --server` must keep the CLI's exit codes and output
+    shapes — a thin client, not a different tool.  A one-line file (such
+    as a `repro demo` file) submits one job."""
 
     def write_problem(self, tmp_path, problem) -> str:
-        from repro.net.serialize import save_problem
-
         path = tmp_path / "p.json"
-        save_problem(problem, str(path))
+        path.write_text(json.dumps(SynthesisRequest(problem).to_dict()) + "\n")
         return str(path)
 
-    def test_submit_done_exit_zero(self, server, tmp_path, capsys):
+    def run_one(self, capsys, path, *flags) -> tuple:
         from repro.cli import main
 
+        code = main(["batch", path, *flags])
+        lines = capsys.readouterr().out.splitlines()
+        return code, [json.loads(line) for line in lines]
+
+    def test_submit_done_exit_zero(self, server, tmp_path, capsys):
         path = self.write_problem(tmp_path, fig1_problem())
-        assert main(["submit", path, "--server", server.url]) == 0
-        assert "UpdatePlan" in capsys.readouterr().out
+        code, records = self.run_one(capsys, path, "--server", server.url)
+        assert code == 0
+        assert [record["status"] for record in records] == ["done"]
 
     def test_submit_json_document(self, server, tmp_path, capsys):
-        from repro.cli import main
-
         path = self.write_problem(tmp_path, fig1_problem())
-        assert main(["submit", path, "--server", server.url, "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["status"] == "done"
+        code, (document,) = self.run_one(capsys, path, "--server", server.url)
+        assert code == 0
+        assert document["id"] == "job-1"
+        assert document["fingerprint"]
         assert document["plan"]["commands"]
 
-    def test_submit_infeasible_exit_two(self, server, tmp_path, capsys):
-        from repro.cli import main
+    def test_submit_infeasible_is_a_result(self, server, tmp_path, capsys):
         from repro.topo import double_diamond
 
         scenario = double_diamond(8, seed=1)
@@ -573,44 +576,32 @@ class TestCliFrontEnds:
             spec_text=str(scenario.spec),
         )
         path = self.write_problem(tmp_path, problem)
-        assert main(["submit", path, "--server", server.url]) == 2
-        assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+        code, (document,) = self.run_one(capsys, path, "--server", server.url)
+        assert code == 0
+        assert document["status"] == "infeasible"
 
-    def test_submit_timeout_exit_three(self, server, tmp_path, capsys):
-        from repro.cli import main
-
+    def test_submit_timeout_is_a_result(self, server, tmp_path, capsys):
         path = self.write_problem(tmp_path, fig1_problem())
-        code = main(
-            ["submit", path, "--server", server.url, "--timeout", "0.0"]
+        code, (document,) = self.run_one(
+            capsys, path, "--server", server.url, "--timeout", "0.0"
         )
-        assert code == 3
+        assert code == 0
+        assert document["status"] == "timeout"
 
     def test_submit_parse_error_exit_four(self, server, tmp_path, capsys):
         from repro.cli import main
 
         path = tmp_path / "bad.json"
-        path.write_text('{"spec": "F ("}')
-        assert main(["submit", str(path), "--server", server.url]) == 4
+        path.write_text('{"problem": {"topology": {}, "spec": "F ("}}\n')
+        assert main(["batch", str(path), "--server", server.url]) == 4
+        assert f"{path}:1: " in capsys.readouterr().err
 
     def test_submit_unreachable_server_exit_one(self, tmp_path, capsys):
         from repro.cli import main
 
         path = self.write_problem(tmp_path, fig1_problem())
-        code = main(
-            ["submit", path, "--server", "http://127.0.0.1:1/"]
-        )
+        code = main(["batch", path, "--server", "http://127.0.0.1:1/"])
         assert code == 1
-
-    def test_submit_no_wait_prints_view(self, server, tmp_path, capsys):
-        from repro.cli import main
-
-        path = self.write_problem(tmp_path, fig1_problem())
-        assert main(
-            ["submit", path, "--server", server.url, "--no-wait"]
-        ) == 0
-        view = json.loads(capsys.readouterr().out)
-        assert view["api"] == API_VERSION
-        assert view["status"] in ("queued", "running", "done")
 
     def test_batch_server_matches_in_process(self, server, tmp_path, capsys):
         from repro.cli import main

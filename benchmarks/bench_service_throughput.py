@@ -46,7 +46,7 @@ def _problems(quick):
 
 def _run(service, problems):
     start = time.perf_counter()
-    jobs = service.submit_many(problems)
+    jobs = [service.submit(problem) for problem in problems]
     results = list(service.as_completed(job.job_id for job in jobs))
     seconds = time.perf_counter() - start
     hits = sum(1 for r in results if r.cached)

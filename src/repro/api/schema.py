@@ -89,9 +89,6 @@ def options_to_dict(options: SynthesisOptions) -> Dict[str, Any]:
         "checker": options.checker,
         "granularity": options.granularity,
         "remove_waits": options.remove_waits,
-        "use_counterexamples": options.use_counterexamples,
-        "use_early_termination": options.use_early_termination,
-        "use_reachability_heuristic": options.use_reachability_heuristic,
         "timeout": options.timeout,
     }
 
@@ -120,10 +117,7 @@ def options_from_dict(
     if not isinstance(data, Mapping):
         raise ParseError(f"options: expected an object, got {data!r}")
     base = base or SynthesisOptions()
-    known = {
-        "checker", "granularity", "remove_waits", "use_counterexamples",
-        "use_early_termination", "use_reachability_heuristic", "timeout",
-    }
+    known = {"checker", "granularity", "remove_waits", "timeout"}
     unknown = set(data) - known
     if unknown:
         raise ParseError(f"options: unknown fields {sorted(unknown)}")
@@ -153,15 +147,6 @@ def options_from_dict(
         checker=checker,
         granularity=granularity,
         remove_waits=_require_bool(data, "remove_waits", base.remove_waits),
-        use_counterexamples=_require_bool(
-            data, "use_counterexamples", base.use_counterexamples
-        ),
-        use_early_termination=_require_bool(
-            data, "use_early_termination", base.use_early_termination
-        ),
-        use_reachability_heuristic=_require_bool(
-            data, "use_reachability_heuristic", base.use_reachability_heuristic
-        ),
         timeout=timeout,
     )
 

@@ -66,9 +66,6 @@ Subcommands:
   (non-zero exit, scenario named) if any backends disagree on the verdict
   or the normalized plan.  ``--json`` emits the ``repro-judge/2``
   document.
-* ``cache-stats DIR`` — summarize an on-disk plan cache directory
-  (entry count, bytes, cumulative hit/miss counters).  With
-  ``--server URL`` it asks a running server instead.
 
 Exit status codes (the shared taxonomy lives in :mod:`repro.errors` —
 :func:`repro.errors.exit_code_for` — and is also what the server's error
@@ -396,18 +393,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     docs = _read_batch(args.problems, options)
     if args.server:
-        # thin-client mode: the scheduler (and its --cache-dir) lives in
-        # the `repro serve` process
-        if args.cache_dir is not None:
-            print(
-                "warning: --cache-dir is ignored with --server "
-                "(configure `repro serve` instead)",
-                file=sys.stderr,
-            )
+        # thin-client mode: the scheduler lives in the `repro serve` process
         engine = ReproClient(args.server)
         hold = {}
     else:
-        engine = SynthesisService(cache_dir=args.cache_dir, default_options=options)
+        engine = SynthesisService(default_options=options)
         # every local job is watched from its submission until it prints:
         # a delta line's engine.result(base) runs the scheduler, which may
         # settle earlier lines long before as_completed reads them
@@ -459,8 +449,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         json.dump(result.to_dict(include_plan=not args.no_plans), sys.stdout)
         sys.stdout.write("\n")
         sys.stdout.flush()
-    if not args.server:
-        engine.cache.persist_stats()
     if args.stats:
         json.dump(engine.metrics_dict(), sys.stderr, indent=2)
         sys.stderr.write("\n")
@@ -532,7 +520,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ReproServer(
         host=args.host,
         port=args.port,
-        cache_dir=args.cache_dir,
         default_options=options,
         verbose=args.verbose,
     )
@@ -549,7 +536,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         print("shutting down: draining in-flight work...", flush=True)
         server.close()
-        server.service.cache.persist_stats()
     return EXIT_OK
 
 
@@ -671,25 +657,6 @@ def _cmd_judge(args: argparse.Namespace) -> int:
     return EXIT_OK if document["totals"]["ok"] else EXIT_FAILURE
 
 
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    if args.server:
-        if args.directory:
-            raise ReproError("pass a cache directory or --server, not both")
-        from repro.service import ReproClient
-
-        client = ReproClient(args.server)
-        json.dump(client.cache_stats(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return EXIT_OK
-    if not args.directory:
-        raise ReproError("cache-stats needs a directory (or --server URL)")
-    from repro.service import disk_cache_summary
-
-    json.dump(disk_cache_summary(args.directory), sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return EXIT_OK
-
-
 class _Parser(argparse.ArgumentParser):
     """Exits 4 (parse error) on bad usage, not argparse's 2, which this
     CLI's exit-code taxonomy reserves for "infeasible".  Subparsers
@@ -743,8 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--granularity", default="switch", choices=["switch", "rule"])
     p_serve.add_argument("--timeout", type=_timeout_arg, default=None,
                          help="default per-job timeout in seconds")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="persist the plan cache to this directory")
     p_serve.add_argument("--verbose", action="store_true",
                          help="log each HTTP request to stderr")
     p_serve.set_defaults(fn=_cmd_serve)
@@ -763,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--granularity", default="switch", choices=["switch", "rule"])
     p_batch.add_argument("--timeout", type=_timeout_arg, default=None,
                          help="default per-job timeout in seconds")
-    p_batch.add_argument("--cache-dir", default=None,
-                         help="persist the plan cache to this directory")
     p_batch.add_argument("--no-plans", action="store_true",
                          help="omit plan bodies from the output stream")
     p_batch.add_argument("--stats", action="store_true",
@@ -862,16 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_judge.add_argument("--json", action="store_true",
                          help="emit the repro-judge/2 document to stdout")
     p_judge.set_defaults(fn=_cmd_judge)
-
-    p_cache = sub.add_parser(
-        "cache-stats",
-        help="summarize an on-disk plan cache directory (or a live server's)",
-    )
-    p_cache.add_argument("directory", nargs="?", default=None,
-                         help="cache directory (see batch --cache-dir)")
-    p_cache.add_argument("--server", default=None, metavar="URL",
-                         help="ask a running `repro serve` instead")
-    p_cache.set_defaults(fn=_cmd_cache_stats)
 
     p_demo = sub.add_parser("demo", help="emit a ready-made problem file")
     p_demo.add_argument("name", help=" | ".join(DEMOS))

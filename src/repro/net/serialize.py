@@ -26,7 +26,7 @@ Example ``problem`` object::
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ParseError
@@ -37,7 +37,7 @@ from repro.net.config import Configuration
 from repro.net.fields import TrafficClass
 from repro.net.rules import Action, Forward, Pattern, Rule, SetField, Table
 from repro.net.topology import NodeId, Port, Topology
-from repro.synthesis.plan import UpdatePlan
+from repro.synthesis.plan import SearchStats, UpdatePlan
 
 
 # ----------------------------------------------------------------------
@@ -300,27 +300,17 @@ def command_to_dict(command: Command) -> Dict[str, Any]:
     raise ParseError(f"unserializable command {command!r}")
 
 
+#: ``SearchStats`` fields in declaration order (the wire key order), each
+#: with its default, whose type every decoded value is cast to.
+_STATS_FIELDS = tuple((f.name, f.default) for f in fields(SearchStats))
+
+
 def plan_to_dict(plan: UpdatePlan) -> Dict[str, Any]:
+    stats = plan.stats
     return {
         "granularity": plan.granularity,
         "commands": [command_to_dict(c) for c in plan.commands],
-        "stats": {
-            "model_checks": plan.stats.model_checks,
-            "counterexamples": plan.stats.counterexamples,
-            "pruned_visited": plan.stats.pruned_visited,
-            "pruned_wrong": plan.stats.pruned_wrong,
-            "loops_rejected": plan.stats.loops_rejected,
-            "backtracks": plan.stats.backtracks,
-            "sat_terminated": plan.stats.sat_terminated,
-            "waits_before_removal": plan.stats.waits_before_removal,
-            "waits_after_removal": plan.stats.waits_after_removal,
-            "wait_removal_seconds": plan.stats.wait_removal_seconds,
-            "synthesis_seconds": plan.stats.synthesis_seconds,
-            "warm_units": plan.stats.warm_units,
-            "warm_hits": plan.stats.warm_hits,
-            "labeling_seconds": plan.stats.labeling_seconds,
-            "sat_seconds": plan.stats.sat_seconds,
-        },
+        "stats": {name: getattr(stats, name) for name, _ in _STATS_FIELDS},
     }
 
 
@@ -352,25 +342,12 @@ def plan_from_dict(
     data: Mapping[str, Any],
     classes: Optional[Mapping[str, TrafficClass]] = None,
 ) -> UpdatePlan:
-    """Inverse of :func:`plan_to_dict` (used by the service plan cache)."""
+    """Inverse of :func:`plan_to_dict` (how a thin client rehydrates results)."""
     plan = UpdatePlan(
         [command_from_dict(c, classes) for c in data.get("commands", [])],
         granularity=str(data.get("granularity", "switch")),
     )
     stats = data.get("stats", {})
-    plan.stats.model_checks = int(stats.get("model_checks", 0))
-    plan.stats.counterexamples = int(stats.get("counterexamples", 0))
-    plan.stats.pruned_visited = int(stats.get("pruned_visited", 0))
-    plan.stats.pruned_wrong = int(stats.get("pruned_wrong", 0))
-    plan.stats.loops_rejected = int(stats.get("loops_rejected", 0))
-    plan.stats.backtracks = int(stats.get("backtracks", 0))
-    plan.stats.sat_terminated = bool(stats.get("sat_terminated", False))
-    plan.stats.waits_before_removal = int(stats.get("waits_before_removal", 0))
-    plan.stats.waits_after_removal = int(stats.get("waits_after_removal", 0))
-    plan.stats.wait_removal_seconds = float(stats.get("wait_removal_seconds", 0.0))
-    plan.stats.synthesis_seconds = float(stats.get("synthesis_seconds", 0.0))
-    plan.stats.warm_units = int(stats.get("warm_units", 0))
-    plan.stats.warm_hits = int(stats.get("warm_hits", 0))
-    plan.stats.labeling_seconds = float(stats.get("labeling_seconds", 0.0))
-    plan.stats.sat_seconds = float(stats.get("sat_seconds", 0.0))
+    for name, default in _STATS_FIELDS:
+        setattr(plan.stats, name, type(default)(stats.get(name, default)))
     return plan

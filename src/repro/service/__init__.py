@@ -5,8 +5,8 @@ into a long-lived scheduler serving many update-synthesis requests:
 
 * :mod:`repro.service.fingerprint` — canonical, order-insensitive content
   hashing of synthesis problems;
-* :mod:`repro.service.cache` — in-memory LRU + optional on-disk plan cache
-  keyed by fingerprint;
+* :mod:`repro.service.cache` — the in-memory LRU plan cache keyed by
+  fingerprint;
 * :mod:`repro.service.jobs` — job/result dataclasses and the job lifecycle;
 * :mod:`repro.service.engine` — the :class:`SynthesisService` scheduler
   core (continuous submission, cache-first, in-process execution,
@@ -16,32 +16,36 @@ into a long-lived scheduler serving many update-synthesis requests:
 * :mod:`repro.service.server` — :class:`ReproServer`, the ``repro-api/1``
   HTTP front-end (:mod:`repro.api` defines the wire documents);
 * :mod:`repro.service.client` — :class:`ReproClient`, the thin client
-  mirroring the :class:`SynthesisService` surface over HTTP.
+  ``repro batch --server`` drives over HTTP.
 
 Quickstart (in-process batch)::
 
     from repro.service import SynthesisService, SynthesisOptions
 
-    service = SynthesisService(cache_dir=".plan-cache")
-    jobs = service.submit_many(problems, options=SynthesisOptions(timeout=30.0))
+    service = SynthesisService()
+    options = SynthesisOptions(timeout=30.0)
+    jobs = [service.submit(problem, options=options) for problem in problems]
     for result in service.as_completed(job.job_id for job in jobs):
         print(result.job_id, result.status.value, result.cached)
     print(service.metrics_dict())
 
 Quickstart (server + thin client)::
 
+    from repro.api import SynthesisRequest
     from repro.service import ReproClient, ReproServer
 
     with ReproServer(port=0) as server:
         client = ReproClient(server.url)
-        view = client.submit(problem, timeout=30.0)
+        [view] = client.submit_requests(
+            [SynthesisRequest(problem, options={"timeout": 30.0})]
+        )
         result = client.result(view.job_id)
 
 The ``python -m repro synthesize`` / ``batch`` / ``serve`` subcommands are
 thin CLI wrappers around this package.
 """
 
-from repro.service.cache import CacheStats, PlanCache, disk_cache_summary
+from repro.service.cache import CacheStats, PlanCache
 from repro.service.client import ReproClient
 from repro.service.engine import SynthesisService
 from repro.service.fingerprint import problem_fingerprint
@@ -65,6 +69,5 @@ __all__ = [
     "SynthesisJob",
     "SynthesisOptions",
     "SynthesisService",
-    "disk_cache_summary",
     "problem_fingerprint",
 ]

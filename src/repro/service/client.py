@@ -1,15 +1,16 @@
-"""Thin client: the :class:`SynthesisService` surface over HTTP.
+"""Thin client: the part of the :class:`SynthesisService` surface that
+``repro batch --server`` drives, over HTTP.
 
-:class:`ReproClient` mirrors the in-process scheduler API —
-``submit`` / ``submit_many`` / ``result`` / ``as_completed`` / ``poll`` /
-``cancel`` / ``drain`` plus the introspection calls — against a
-running ``repro serve`` instance, speaking ``repro-api/1``
-(:mod:`repro.api`) over stdlib :mod:`urllib`.  Results come back as the
-same :class:`~repro.service.jobs.JobResult` objects the local service
-produces (plans rehydrated through
+:class:`ReproClient` offers ``submit_requests`` / ``submit_delta`` /
+``result`` / ``as_completed`` / ``metrics_dict`` against a running
+``repro serve`` instance, speaking ``repro-api/1`` (:mod:`repro.api`) over
+stdlib :mod:`urllib`.  The other endpoints (job listing, cancellation,
+cache stats, health) are plain GET/DELETE requests; see ``docs/API.md``.
+Results come back as the same :class:`~repro.service.jobs.JobResult`
+objects the local service produces (plans rehydrated through
 :func:`~repro.net.serialize.plan_from_dict` with the submitted problem's
-traffic classes), so callers — the ``batch --server`` CLI in particular —
-are byte-compatible with the in-process path.
+traffic classes), so ``batch --server`` output is byte-compatible with the
+in-process path.
 
 Server-side error envelopes are re-raised as the exception family they
 encode (``parse`` → :class:`~repro.errors.ParseError`, ``not_found`` →
@@ -28,7 +29,7 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 from urllib.parse import quote
 
 from repro.api import (
@@ -77,14 +78,12 @@ class ReproClient:
         self.request_timeout = request_timeout
         self.max_retries = max(0, max_retries)
         self.retry_backoff = max(0.0, retry_backoff)
-        # per submitted job: the traffic classes needed to rehydrate plans,
-        # and the submission order backing drain().  _base_problems
-        # keeps each submitted problem by its server-side fingerprint so
-        # submit_delta can fall back to a cold submission when the server
-        # no longer retains the base.
+        # per submitted job: the traffic classes needed to rehydrate plans.
+        # _base_problems keeps each submitted problem by its server-side
+        # fingerprint so submit_delta can fall back to a cold submission
+        # when the server no longer retains the base.
         self._classes: Dict[str, Dict[str, TrafficClass]] = {}
         self._base_problems: Dict[str, Problem] = {}
-        self._order: List[str] = []
 
     # ------------------------------------------------------------------
     # transport
@@ -156,43 +155,13 @@ class ReproClient:
     # ------------------------------------------------------------------
     # submission
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        problem: Problem,
-        *,
-        options: Optional[SynthesisOptions] = None,
-        options_data: Optional[Dict[str, Any]] = None,
-        job_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> JobView:
-        """Submit one problem; returns the server's job view.
-
-        ``options`` sends a fully-specified option set; ``options_data``
-        sends a *sparse* options document (only the listed fields — the
-        rest fall back to the server's defaults).  They are mutually
-        exclusive.
-        """
-        opts = self._resolve_options(options, options_data, timeout)
-        request = SynthesisRequest(problem=problem, options=opts, job_id=job_id)
-        document = self._request("POST", "/v1/jobs", body=request.to_dict())
-        views = [JobView.from_dict(entry) for entry in document.get("jobs", [])]
-        if len(views) != 1:
-            raise ReproError(f"expected one job view, got {len(views)}")
-        view = views[0]
-        self._remember(view.job_id, problem, fingerprint=view.fingerprint)
-        return view
-
     def submit_delta(
         self,
         base: str,
         patch: ProblemPatch,
         *,
-        options: Optional[SynthesisOptions] = None,
-        options_data: Optional[Dict[str, Any]] = None,
+        options: Union[SynthesisOptions, Mapping[str, Any], None] = None,
         job_id: Optional[str] = None,
-        timeout: Optional[float] = None,
-        base_problem: Optional[Problem] = None,
-        fallback: bool = True,
     ) -> JobView:
         """Submit a delta: a patch against an already-submitted base.
 
@@ -200,41 +169,26 @@ class ReproClient:
         of its :class:`~repro.api.JobView` or result).  The server resolves
         the patch against its retained copy and warm-starts the search
         from the base plan's order — the streaming path: only the edit
-        crosses the wire.
+        crosses the wire.  ``options`` is full, sparse or absent, as in a
+        :class:`~repro.api.SynthesisDelta`.
 
         If the server answers 404 (the base was never submitted there, or
-        was evicted) and ``fallback`` is true, the client applies the
-        patch locally and re-submits the full problem cold — using
-        ``base_problem`` if given, else the problem this client remembers
-        submitting under that fingerprint.  With no base problem at hand
-        the 404 surfaces as ``KeyError``.
+        was evicted), the client applies the patch to the problem it
+        remembers submitting under that fingerprint and re-submits it
+        cold.  A base this client never submitted re-raises the 404 as
+        ``KeyError``.
         """
-        opts = self._resolve_options(options, options_data, timeout)
-        delta = SynthesisDelta(base=base, patch=patch, options=opts, job_id=job_id)
-        known_base = (
-            base_problem
-            if base_problem is not None
-            else self._base_problems.get(base)
-        )
+        delta = SynthesisDelta(base=base, patch=patch, options=options, job_id=job_id)
         try:
-            document = self._request("POST", "/v1/jobs", body=delta.to_dict())
+            return self.submit_requests([delta])[0]
         except KeyError:
-            if not fallback or known_base is None:
+            known_base = self._base_problems.get(base)
+            if known_base is None:
                 raise
-            return self.submit(
-                patch.apply_to(known_base),
-                options=options,
-                options_data=options_data,
-                job_id=job_id,
-                timeout=timeout,
+            request = SynthesisRequest(
+                patch.apply_to(known_base), options=options, job_id=job_id
             )
-        views = [JobView.from_dict(entry) for entry in document.get("jobs", [])]
-        if len(views) != 1:
-            raise ReproError(f"expected one job view, got {len(views)}")
-        view = views[0]
-        resolved = patch.apply_to(known_base) if known_base is not None else None
-        self._remember(view.job_id, resolved, fingerprint=view.fingerprint, base=base)
-        return view
+            return self.submit_requests([request])[0]
 
     def submit_requests(
         self, requests: Sequence[Any]
@@ -271,40 +225,6 @@ class ReproClient:
                 )
         return views
 
-    def submit_many(
-        self, problems: List[Problem], **kwargs: Any
-    ) -> List[JobView]:
-        """Submit a batch in one ``POST /v1/jobs`` round trip."""
-        options = kwargs.pop("options", None)
-        options_data = kwargs.pop("options_data", None)
-        timeout = kwargs.pop("timeout", None)
-        if kwargs:
-            raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-        opts = self._resolve_options(options, options_data, timeout)
-        return self.submit_requests(
-            [SynthesisRequest(problem=problem, options=opts) for problem in problems]
-        )
-
-    def _resolve_options(self, options, options_data, timeout):
-        """The options payload for a submission — sparse unless the caller
-        specified a full option set, and absent when it chose none (the
-        server's own ``default_options`` then apply).
-
-        A bare ``timeout=`` rides as a sparse ``{"timeout": ...}`` so the
-        server's other defaults (checker, granularity...) still apply.
-        """
-        if options is not None and options_data is not None:
-            raise TypeError("pass either options or options_data, not both")
-        opts = options if options is not None else options_data
-        if timeout is not None:
-            if isinstance(opts, SynthesisOptions):
-                opts = opts.with_timeout(timeout)
-            elif opts is None:
-                opts = {"timeout": timeout}
-            else:
-                opts = dict(opts, timeout=timeout)
-        return opts
-
     def _remember(
         self,
         job_id: str,
@@ -313,11 +233,11 @@ class ReproClient:
         fingerprint: str = "",
         base: Optional[str] = None,
     ) -> None:
-        """Track a submission: classes for plan rehydration, order for
-        ``drain``, and the problem under its fingerprint for delta
-        fallback.  A delta whose base problem the client never saw has
-        ``problem=None`` — its plan rehydrates with name-only classes
-        inherited from the base's record when available."""
+        """Track a submission: classes for plan rehydration, and the
+        problem under its fingerprint for delta fallback.  A delta whose
+        base problem the client never saw has ``problem=None`` — its plan
+        rehydrates with name-only classes inherited from the base's record
+        when available."""
         if problem is not None:
             self._classes[job_id] = {tc.name: tc for tc in problem.classes}
             if fingerprint:
@@ -326,7 +246,6 @@ class ReproClient:
             self._classes[job_id] = {
                 tc.name: tc for tc in self._base_problems[base].classes
             }
-        self._order.append(job_id)
 
     # ------------------------------------------------------------------
     # retrieval
@@ -348,10 +267,6 @@ class ReproClient:
             document, self._classes.get(job_id)
         )
         return response.to_result()
-
-    def try_result(self, job_id: str) -> Optional[JobResult]:
-        """The settled result, or ``None`` while the job is open."""
-        return self._fetch(job_id)
 
     def result(self, job_id: str, *, timeout: Optional[float] = None) -> JobResult:
         """Block (long-polling the server) until ``job_id`` settles.
@@ -387,40 +302,8 @@ class ReproClient:
                     still_open.append(job_id)
             remaining = still_open
 
-    def poll(self) -> Dict[str, JobStatus]:
-        """Status snapshot of every job the server remembers."""
-        document = self._request("GET", "/v1/jobs")
-        views = [JobView.from_dict(entry) for entry in document.get("jobs", [])]
-        return {view.job_id: JobStatus(view.status) for view in views}
-
-    def cancel(self, job_id: str) -> bool:
-        """Withdraw a still-queued job; ``False`` once running or settled."""
-        document = self._request("DELETE", f"/v1/jobs/{quote(job_id, safe='')}")
-        return bool(document.get("cancelled", False))
-
-    def drain(self, *, timeout: Optional[float] = None) -> List[JobResult]:
-        """Settle every job this client submitted; submission order.
-
-        ``timeout`` is an overall deadline across all jobs (mirroring
-        :meth:`SynthesisService.drain`), not a per-job budget.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results = []
-        for job_id in self._order:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            results.append(self.result(job_id, timeout=remaining))
-        return results
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def metrics_dict(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/metrics")
-
-    def cache_stats(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/cache/stats")
-
-    def healthz(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/healthz")

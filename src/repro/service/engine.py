@@ -27,8 +27,9 @@ batch idiom fully deterministic: every job is pending when the scheduler
 starts, so duplicates coalesce the same way on every run, and a dropped
 batch-style service leaks no thread.  :meth:`as_completed` yields the
 listed jobs' results as they settle, :meth:`result` waits on one job,
-:meth:`poll` snapshots every job's status, :meth:`cancel` withdraws a
-still-queued job, and :meth:`drain` blocks until the service is idle.
+:meth:`jobs_snapshot` lists every job with its result, :meth:`cancel`
+withdraws a still-queued job, and :meth:`drain` blocks until the service
+is idle.
 
 Execution passes objects end to end: the job's
 :class:`~repro.net.serialize.Problem` goes to the synthesizer and its
@@ -120,9 +121,6 @@ def _execute_problem(job: SynthesisJob, handover: Handover) -> JobResult:
             checker=options.checker,
             granularity=options.granularity,
             remove_waits=options.remove_waits,
-            use_counterexamples=options.use_counterexamples,
-            use_early_termination=options.use_early_termination,
-            use_reachability_heuristic=options.use_reachability_heuristic,
         )
         plan = synth.synthesize(
             job.problem.init,
@@ -158,7 +156,7 @@ class SynthesisService:
         workers: accepted only as ``0`` (in-process execution, the one
             path); any other value raises ``ValueError``.
         cache: a :class:`PlanCache` to share between services, or ``None`` to
-            create one (``cache_dir``/``cache_capacity`` configure it).
+            create one.
         default_options: :class:`SynthesisOptions` applied to ``submit``
             calls that don't bring their own.
 
@@ -173,14 +171,12 @@ class SynthesisService:
         *,
         workers: int = 0,
         cache: Optional[PlanCache] = None,
-        cache_dir: Optional[str] = None,
-        cache_capacity: int = 1024,
         default_options: Optional[SynthesisOptions] = None,
         metrics: Optional[ServiceMetrics] = None,
     ):
         if workers != 0:
             raise ValueError(f"workers={workers!r}: jobs run in process only")
-        self.cache = cache if cache is not None else PlanCache(cache_capacity, cache_dir)
+        self.cache = cache if cache is not None else PlanCache()
         self.default_options = default_options or SynthesisOptions()
         self.metrics = metrics or ServiceMetrics()
         self._ids = itertools.count(1)
@@ -305,13 +301,18 @@ class SynthesisService:
         """
         return self._enqueue(
             SynthesisJob(
-                job_id=job_id or f"job-{next(self._ids)}",
+                job_id=job_id or self._next_id(),
                 problem=problem,
                 options=self._options(options, timeout),
                 warm_order=tuple(warm_order) if warm_order is not None else None,
             ),
             watch,
         )
+
+    def _next_id(self) -> str:
+        # ``auto-`` keeps assigned ids apart from ``repro batch``'s default
+        # line ids (``job-<lineno>``), which share one server's namespace
+        return f"auto-{next(self._ids)}"
 
     def _options(
         self, options: Optional[SynthesisOptions], timeout: Optional[float]
@@ -353,11 +354,6 @@ class SynthesisService:
                 self._cv.notify_all()
             self._evict_locked()
         return job
-
-    def submit_many(
-        self, problems: Iterable[Problem], **kwargs: Any
-    ) -> List[SynthesisJob]:
-        return [self.submit(problem, **kwargs) for problem in problems]
 
     def submit_delta(
         self,
@@ -401,14 +397,12 @@ class SynthesisService:
         problem = patch.apply_to(base_problem)
         warm_order: Optional[Tuple[Any, ...]] = None
         # not a job's cache lookup: leave the hit/miss counters alone
-        base_plan = self.cache.peek(
-            base, {tc.name: tc for tc in base_problem.classes}
-        )
+        base_plan = self.cache.peek(base)
         if base_plan is not None:
             warm_order = tuple(base_plan.unit_order())
         return self._enqueue(
             SynthesisJob(
-                job_id=job_id or f"job-{next(self._ids)}",
+                job_id=job_id or self._next_id(),
                 problem=problem,
                 options=self._options(options or base_options, timeout),
                 warm_order=warm_order,
@@ -516,15 +510,6 @@ class SynthesisService:
                     self._watchers.pop(job_id, None)
                 else:
                     self._watchers[job_id] = count
-
-    def poll(self) -> Dict[str, JobStatus]:
-        """Snapshot of every remembered job's status, in submission order."""
-        with self._cv:
-            return {
-                job_id: self._jobs[job_id].status
-                for job_id in self._order
-                if job_id in self._jobs
-            }
 
     def jobs_snapshot(self) -> List[Tuple[SynthesisJob, Optional[JobResult]]]:
         """Every remembered job with its settled result (or ``None``)."""
@@ -678,7 +663,7 @@ class SynthesisService:
             try:
                 groups = self._plan_batch(batch)
             except BaseException as err:  # noqa: BLE001 — must not die
-                # e.g. a corrupt disk-cache entry: the popped batch must
+                # e.g. a cache lookup that raised: the popped batch must
                 # still settle or its waiters would hang forever
                 crashed: Dict[_GroupKey, List[SynthesisJob]] = {}
                 for job in batch:
@@ -697,11 +682,11 @@ class SynthesisService:
     ) -> Dict[_GroupKey, List[SynthesisJob]]:
         """Sort drained jobs into cache hits and fingerprint groups.
 
-        Cache lookups (disk I/O for an on-disk tier, plus plan
-        rehydration) run *outside* the scheduler lock so handler threads
-        are never stalled behind them; hits publish and miss groups
-        register as *active* — so later submissions attach instead of
-        re-executing — under one short critical section.  The group key
+        Cache lookups (a plan copy per hit) run *outside* the scheduler
+        lock so handler threads are never stalled behind them; hits
+        publish and miss groups register as *active* — so later
+        submissions attach instead of re-executing — under one short
+        critical section.  The group key
         includes the timeout (the fingerprint deliberately does not): a
         non-definitive verdict like "timeout" only holds for jobs that ran
         under the same budget.
@@ -709,8 +694,7 @@ class SynthesisService:
         hits: List[Tuple[SynthesisJob, Any]] = []
         groups: Dict[_GroupKey, List[SynthesisJob]] = {}
         for job in batch:
-            classes = {tc.name: tc for tc in job.problem.classes}
-            plan = self.cache.get(job.fingerprint, classes)
+            plan = self.cache.get(job.fingerprint)
             if plan is not None:
                 hits.append((job, plan))
                 continue
@@ -772,7 +756,7 @@ class SynthesisService:
             # retire the group: submissions from here on queue for the
             # next micro-batch (and hit the cache)
             group = self._active.pop(key, group)
-        # cache.put (disk I/O) stays outside the lock, like the cache
+        # cache.put (a plan copy) stays outside the lock, like the cache
         # lookups in _plan_batch
         if lead.plan is not None:
             self.cache.put(lead.fingerprint, lead.plan)
@@ -800,9 +784,9 @@ class SynthesisService:
     def _settle_crashed(
         self, groups: Dict[_GroupKey, List[SynthesisJob]], err: BaseException
     ) -> None:
-        """Planning or executing a micro-batch raised (say, a corrupt
-        disk-cache entry or a failed cache write): settle every open job of
-        ``groups`` as ``error``, so no waiter hangs."""
+        """Planning or executing a micro-batch raised (say, a cache lookup
+        or write failed): settle every open job of ``groups`` as ``error``,
+        so no waiter hangs."""
         message = f"scheduler error: {type(err).__name__}: {err}"
         with self._cv:
             for key, group in groups.items():

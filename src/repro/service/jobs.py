@@ -53,9 +53,6 @@ class SynthesisOptions:
     checker: str = "incremental"
     granularity: str = "switch"
     remove_waits: bool = True
-    use_counterexamples: bool = True
-    use_early_termination: bool = True
-    use_reachability_heuristic: bool = True
     timeout: Optional[float] = None
 
     def with_timeout(self, timeout: Optional[float]) -> "SynthesisOptions":
@@ -67,9 +64,6 @@ class SynthesisOptions:
             "checker": self.checker,
             "granularity": self.granularity,
             "remove_waits": self.remove_waits,
-            "use_counterexamples": self.use_counterexamples,
-            "use_early_termination": self.use_early_termination,
-            "use_reachability_heuristic": self.use_reachability_heuristic,
         }
 
 

@@ -108,7 +108,6 @@ class TestOptionsRoundTrip:
             checker="batch",
             granularity="rule",
             remove_waits=False,
-            use_counterexamples=False,
             timeout=12.5,
         )
         assert options_from_dict(options_to_dict(options)) == options
@@ -131,6 +130,9 @@ class TestOptionsRoundTrip:
             {"memoize": "yes"},
             {"use_plan_cache": False},
             {"preflight": True},
+            {"use_counterexamples": False},
+            {"use_early_termination": False},
+            {"use_reachability_heuristic": False},
             {"surprise": 1},
             {"timeout": float("nan")},
             {"timeout": float("inf")},

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import SynthesisRequest
 from repro.errors import ReproError
 from repro.net.delta import ProblemPatch
 from repro.net.serialize import plan_to_dict, problem_to_dict
@@ -162,26 +163,32 @@ class TestEngineAndClientFallbacks:
         finally:
             service.close()
 
-    def test_client_falls_back_to_cold_when_server_lacks_base(self):
+    def test_client_falls_back_to_cold_when_server_lacks_base(self, monkeypatch):
+        from repro.service import engine as engine_module
+
         trace = generate_churn(quick=True)[0]
-        base, step = trace.records[0], trace.records[1]
+        base, step, other = trace.records
+        monkeypatch.setattr(engine_module, "BASE_RETENTION", 1)
         with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
-            # the server never saw the base; the client holds the problem
-            view = client.submit_delta(
-                "deadbeef" * 8, step.patch, base_problem=base.problem
-            )
+            [base_view] = client.submit_requests([SynthesisRequest(base.problem)])
+            # a second problem evicts the base from the server's retention;
+            # the client still holds it
+            client.submit_requests([SynthesisRequest(other.problem)])
+            view = client.submit_delta(base_view.fingerprint, step.patch)
             result = client.result(view.job_id, timeout=60)
             assert result.status.value == "done"
+            assert srv.service.job(view.job_id).base is None  # submitted cold
             assert problem_to_dict(step.problem) == problem_to_dict(
                 step.patch.apply_to(base.problem)
             )
 
     def test_wire_delta_without_fallback_surfaces_404(self):
+        # a base this client never submitted leaves nothing to fall back on
         with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
             with pytest.raises(KeyError):
-                client.submit_delta("deadbeef" * 8, ProblemPatch(), fallback=False)
+                client.submit_delta("deadbeef" * 8, ProblemPatch())
 
     def post(self, server, body: bytes):
         request = urllib.request.Request(
@@ -196,7 +203,9 @@ class TestEngineAndClientFallbacks:
         trace = generate_churn(quick=True)[0]
         with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
-            view = client.submit(trace.records[0].problem)
+            [view] = client.submit_requests(
+                [SynthesisRequest(trace.records[0].problem)]
+            )
             client.result(view.job_id, timeout=60)
             body = json.dumps(
                 {"base": view.fingerprint, "patch": {"linkz": []}}
@@ -212,7 +221,9 @@ class TestEngineAndClientFallbacks:
         trace = generate_churn(quick=True)[0]
         with ReproServer(port=0) as srv:
             client = ReproClient(srv.url)
-            view = client.submit(trace.records[0].problem)
+            [view] = client.submit_requests(
+                [SynthesisRequest(trace.records[0].problem)]
+            )
             client.result(view.job_id, timeout=60)
             body = json.dumps(
                 {

@@ -237,7 +237,7 @@ class TestColdFallbacks:
 
 
 class _MissingPlanCache(PlanCache):
-    def get(self, key, classes=None):
+    def get(self, key):
         return None
 
 

@@ -109,11 +109,29 @@ def gated_server(monkeypatch):
             gate.set()  # never leave the scheduler thread blocked
 
 
+def submit(client, problem, **kwargs):
+    """Submit one request (``options``/``job_id`` as in
+    :class:`SynthesisRequest`); returns its job view."""
+    [view] = client.submit_requests([SynthesisRequest(problem, **kwargs)])
+    return view
+
+
+def job_statuses(client):
+    """``GET /v1/jobs``: every job the server remembers, by id."""
+    document = client._request("GET", "/v1/jobs")
+    return {entry["id"]: JobStatus(entry["status"]) for entry in document["jobs"]}
+
+
+def cancel(client, job_id):
+    """``DELETE /v1/jobs/{id}``: whether the queued job was withdrawn."""
+    return client._request("DELETE", f"/v1/jobs/{job_id}")["cancelled"]
+
+
 def wait_for_status(client, job_id, status, attempts=200):
     import time
 
     for _ in range(attempts):
-        if client.poll().get(job_id) is status:
+        if job_statuses(client).get(job_id) is status:
             return True
         time.sleep(0.01)
     return False
@@ -136,12 +154,16 @@ class TestRoundTrip:
         local_results = {res.job_id: res for res in local.as_completed(ids)}
 
         client = ReproClient(server.url)
-        for record in records:
-            client.submit(
-                record.problem,
-                job_id=record.scenario_id,
-                options=SynthesisOptions(granularity=record.granularity),
-            )
+        client.submit_requests(
+            [
+                SynthesisRequest(
+                    record.problem,
+                    options=SynthesisOptions(granularity=record.granularity),
+                    job_id=record.scenario_id,
+                )
+                for record in records
+            ]
+        )
         remote_results = {res.job_id: res for res in client.as_completed(ids)}
 
         assert set(remote_results) == set(local_results)
@@ -158,20 +180,22 @@ class TestRoundTrip:
         plan-cache hit (cached=true) with the identical plan."""
         problem = fig1_problem()
         first = ReproClient(server.url)
-        cold = first.result(first.submit(problem).job_id, timeout=60)
+        cold = first.result(submit(first, problem).job_id, timeout=60)
         assert cold.status is JobStatus.DONE and not cold.cached
 
         second = ReproClient(server.url)
-        warm = second.result(second.submit(problem).job_id, timeout=60)
+        warm = second.result(submit(second, problem).job_id, timeout=60)
         assert warm.status is JobStatus.DONE
         assert warm.cached
         assert plan_to_dict(warm.plan) == plan_to_dict(cold.plan)
 
     def test_submit_many_single_post(self, server):
         client = ReproClient(server.url)
-        views = client.submit_many([fig1_problem(), fig1_problem()])
+        views = client.submit_requests(
+            [SynthesisRequest(fig1_problem()), SynthesisRequest(fig1_problem())]
+        )
         assert len(views) == 2
-        results = client.drain()
+        results = list(client.as_completed(view.job_id for view in views))
         assert [r.status for r in results] == [JobStatus.DONE] * 2
         # identical problems: one execution, the sibling coalesced or cached
         real = [
@@ -186,14 +210,14 @@ class TestConcurrency:
         busy coalesce onto a single execution."""
         server, gate = gated_server
         blocker = ReproClient(server.url)
-        blocker.submit(blocker_problem(), job_id="blocker")
+        submit(blocker, blocker_problem(), job_id="blocker")
         assert wait_for_status(blocker, "blocker", JobStatus.RUNNING)
 
         results = {}
 
         def submit_and_wait(name):
             client = ReproClient(server.url)
-            view = client.submit(fig1_problem(), job_id=name)
+            view = submit(client, fig1_problem(), job_id=name)
             results[name] = client.result(view.job_id, timeout=120)
 
         threads = [
@@ -229,10 +253,10 @@ class TestConcurrency:
     def test_cancel_queued_job(self, gated_server):
         server, gate = gated_server
         client = ReproClient(server.url)
-        client.submit(blocker_problem(), job_id="busy")
+        submit(client, blocker_problem(), job_id="busy")
         assert wait_for_status(client, "busy", JobStatus.RUNNING)
-        client.submit(fig1_problem(), job_id="victim")
-        assert client.cancel("victim") is True
+        submit(client, fig1_problem(), job_id="victim")
+        assert cancel(client, "victim") is True
         result = client.result("victim", timeout=60)
         assert result.status is JobStatus.CANCELLED
         gate.set()
@@ -240,7 +264,7 @@ class TestConcurrency:
         busy = client.result("busy", timeout=120)
         assert busy.status is JobStatus.DONE
         # cancelling a settled job is a no-op answer, not an error
-        assert client.cancel("victim") is False
+        assert cancel(client, "victim") is False
 
 
 class TestProtocolErrors:
@@ -317,7 +341,7 @@ class TestProtocolErrors:
     def test_unknown_job_is_404_envelope(self, server):
         client = ReproClient(server.url)
         with pytest.raises(KeyError):
-            client.try_result("never-submitted")
+            client.result("never-submitted")
 
     def test_server_default_options_apply_to_bare_requests(self):
         # repro serve --timeout 0 must reach clients that send no options
@@ -325,7 +349,7 @@ class TestProtocolErrors:
             port=0, default_options=SynthesisOptions(timeout=0.0)
         ) as srv:
             client = ReproClient(srv.url)  # sends no options
-            view = client.submit(blocker_problem())
+            view = submit(client, blocker_problem())
             result = client.result(view.job_id, timeout=60)
             assert result.status is JobStatus.TIMEOUT
 
@@ -335,21 +359,19 @@ class TestProtocolErrors:
             port=0, default_options=SynthesisOptions(timeout=0.0)
         ) as srv:
             client = ReproClient(srv.url)
-            view = client.submit(
-                blocker_problem(), options_data={"checker": "batch"}
-            )
+            view = submit(client, blocker_problem(), options={"checker": "batch"})
             result = client.result(view.job_id, timeout=60)
             assert result.status is JobStatus.TIMEOUT
 
     def test_timeout_kwarg_rides_sparse(self):
-        # client.submit(problem, timeout=...) must not clobber the
-        # server's other defaults with client-side SynthesisOptions()
+        # a sparse {"timeout": ...} must not clobber the server's other
+        # defaults
         with ReproServer(
             port=0,
             default_options=SynthesisOptions(checker="batch"),
         ) as srv:
             client = ReproClient(srv.url)
-            view = client.submit(fig1_problem(), timeout=60.0)
+            view = submit(client, fig1_problem(), options={"timeout": 60.0})
             result = client.result(view.job_id, timeout=60)
             assert result.status is JobStatus.DONE
             assert result.backend == "batch"  # server default survived
@@ -376,7 +398,7 @@ class TestProtocolErrors:
     def test_duplicate_open_id_is_409_with_accepted_ids(self, gated_server):
         server, gate = gated_server
         client = ReproClient(server.url)
-        client.submit(blocker_problem(), job_id="dup")
+        submit(client, blocker_problem(), job_id="dup")
         from repro.net.serialize import problem_to_dict
 
         request = {"problem": problem_to_dict(fig1_problem()), "id": "dup"}
@@ -422,7 +444,7 @@ class TestProtocolErrors:
         """Regression: negative, non-numeric, NaN/inf, and absurdly large
         wait= used to clamp silently (NaN clamped to the *maximum* wait)."""
         client = ReproClient(server.url)
-        view = client.submit(fig1_problem())
+        view = submit(client, fig1_problem())
         client.result(view.job_id, timeout=60)
         for path in ("/v1/jobs", f"/v1/jobs/{view.job_id}"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -437,7 +459,7 @@ class TestProtocolErrors:
         # merely-large finite values clamp to MAX_WAIT_SECONDS, they are
         # not an error (looping clients rely on the clamp)
         client = ReproClient(server.url)
-        view = client.submit(fig1_problem())
+        view = submit(client, fig1_problem())
         client.result(view.job_id, timeout=60)
         reply = urllib.request.urlopen(
             f"{server.url}/v1/jobs/{view.job_id}?wait={value}"
@@ -460,14 +482,19 @@ class TestProtocolErrors:
 
     def test_healthz_metrics_cache_stats(self, server):
         client = ReproClient(server.url)
-        health = client.healthz()
+        health = client._request("GET", "/v1/healthz")
         assert health["ok"] is True and health["api"] == API_VERSION
         metrics = client.metrics_dict()
         assert "workers" not in metrics
         for gauge in ("queue_depth", "in_flight", "uptime_seconds"):
             assert gauge in metrics["gauges"]
-        stats = client.cache_stats()
-        assert "entries" in stats and "hits" in stats
+        client.result(submit(client, fig1_problem()).job_id, timeout=60)
+        client.result(submit(client, fig1_problem()).job_id, timeout=60)
+        stats = client._request("GET", "/v1/cache/stats")
+        assert stats["api"] == API_VERSION
+        assert stats["entries"] == 1 and stats["puts"] == 1
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert "disk_hits" not in stats
 
 
 class TestClientRetry:
@@ -492,7 +519,7 @@ class TestClientRetry:
     def test_get_retries_transient_transport_errors(self, server, monkeypatch):
         client = ReproClient(server.url, max_retries=2, retry_backoff=0.0)
         calls = self.flaky_urlopen(monkeypatch, failures=2)
-        assert client.healthz()["ok"] is True
+        assert client._request("GET", "/v1/healthz")["ok"] is True
         assert calls["n"] == 3
 
     def test_retries_exhausted_surface_the_transport_error(
@@ -503,7 +530,7 @@ class TestClientRetry:
         client = ReproClient(server.url, max_retries=2, retry_backoff=0.0)
         calls = self.flaky_urlopen(monkeypatch, failures=10)
         with pytest.raises(ReproError, match="unreachable"):
-            client.healthz()
+            client._request("GET", "/v1/healthz")
         assert calls["n"] == 3  # first attempt + max_retries
 
     def test_post_never_retries(self, server, monkeypatch):
@@ -512,14 +539,14 @@ class TestClientRetry:
         client = ReproClient(server.url, max_retries=5, retry_backoff=0.0)
         calls = self.flaky_urlopen(monkeypatch, failures=10)
         with pytest.raises(ReproError, match="unreachable"):
-            client.submit(fig1_problem())
+            submit(client, fig1_problem())
         assert calls["n"] == 1  # a resubmitted job would be a duplicate
 
     def test_http_error_responses_are_not_retried(self, server, monkeypatch):
         client = ReproClient(server.url, max_retries=5, retry_backoff=0.0)
         calls = self.flaky_urlopen(monkeypatch, failures=0)
         with pytest.raises(KeyError):
-            client.try_result("never-submitted")  # 404: the server spoke
+            client.result("never-submitted")  # 404: the server spoke
         assert calls["n"] == 1
 
     def test_retries_disabled_by_default_zero(self, server, monkeypatch):
@@ -528,7 +555,7 @@ class TestClientRetry:
         client = ReproClient(server.url, max_retries=0)
         calls = self.flaky_urlopen(monkeypatch, failures=1)
         with pytest.raises(ReproError, match="unreachable"):
-            client.healthz()
+            client._request("GET", "/v1/healthz")
         assert calls["n"] == 1
 
 

@@ -24,7 +24,6 @@ from repro.service import (
     PlanCache,
     SynthesisOptions,
     SynthesisService,
-    disk_cache_summary,
     problem_fingerprint,
 )
 from repro.synthesis.plan import UpdatePlan
@@ -34,6 +33,11 @@ TC = TrafficClass.make("h1_to_h3", src="H1", dst="H3")
 RED = ["H1", "T1", "A1", "C1", "A3", "T3", "H3"]
 GREEN = ["H1", "T1", "A1", "C2", "A3", "T3", "H3"]
 SPEC = "dst=H3 => F at(H3)"
+
+
+def job_statuses(service):
+    """Every remembered job's status, by id."""
+    return {job.job_id: job.status for job, _ in service.jobs_snapshot()}
 
 
 def fig1_problem(spec_text=SPEC):
@@ -290,70 +294,6 @@ class TestPlanCache:
         assert first is not second
         assert first.commands == second.commands
 
-    def test_disk_tier_survives_new_instance(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        cache = PlanCache(capacity=4, directory=directory)
-        cache.put("deadbeef", UpdatePlan([Wait()]))
-        cache.persist_stats()
-
-        fresh = PlanCache(capacity=4, directory=directory)
-        plan = fresh.get("deadbeef")
-        assert plan is not None
-        assert fresh.stats.disk_hits == 1
-
-        summary = disk_cache_summary(directory)
-        assert summary["entries"] == 1
-        assert summary["total_bytes"] > 0
-        assert summary["counters"]["puts"] == 1
-
-    def test_persist_stats_accumulates(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        for _ in range(2):
-            cache = PlanCache(directory=directory)
-            cache.put("k", UpdatePlan([]))
-            cache.persist_stats()
-        assert disk_cache_summary(directory)["counters"]["puts"] == 2
-
-    def test_persist_stats_closes_lock_handle_when_flock_fails(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression: a lock file opened successfully must be closed when
-        flock itself refuses — the lockless fallback used to leak the fd.
-        The fallback also warns (once per process), instead of silently
-        risking lost increments."""
-        import builtins
-        import fcntl
-
-        from repro.service import cache as cache_module
-
-        def refuse_flock(handle, flags):
-            raise OSError("locks not supported here")
-
-        opened = []
-        real_open = builtins.open
-
-        def tracking_open(path, *args, **kwargs):
-            handle = real_open(path, *args, **kwargs)
-            if str(path).endswith(".lock"):
-                opened.append(handle)
-            return handle
-
-        monkeypatch.setattr(fcntl, "flock", refuse_flock)
-        monkeypatch.setattr(builtins, "open", tracking_open)
-        monkeypatch.setattr(cache_module, "_warned_lockless", False)
-        cache = PlanCache(directory=str(tmp_path / "cache"))
-        cache.put("k", UpdatePlan([]))
-        with pytest.warns(RuntimeWarning, match="lockless"):
-            cache.persist_stats()
-        assert len(opened) == 1 and opened[0].closed
-        # the stats still merged, and the warning fires only once
-        assert disk_cache_summary(str(tmp_path / "cache"))["counters"]["puts"] == 1
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            cache.persist_stats()
-
 
 # ----------------------------------------------------------------------
 # the service engine
@@ -505,7 +445,7 @@ class TestContinuousScheduler:
         late_result = service.result("late", timeout=60)
         assert late_result.status is JobStatus.DONE
         assert late.status is JobStatus.DONE
-        assert all(status.terminal for status in service.poll().values())
+        assert all(status.terminal for status in job_statuses(service).values())
 
     def test_result_poll_and_drain(self):
         service = SynthesisService()
@@ -513,16 +453,26 @@ class TestContinuousScheduler:
         service.submit(
             scenario_problem(double_diamond(8, seed=1)), job_id="b"
         )
-        assert service.poll() == {
+        assert job_statuses(service) == {
             "a": JobStatus.QUEUED, "b": JobStatus.QUEUED,
         }
         assert service.result("a", timeout=60).status is JobStatus.DONE
         results = service.drain(timeout=60)
         assert [r.job_id for r in results] == ["a", "b"]
         assert results[1].status is JobStatus.INFEASIBLE
-        assert all(status.terminal for status in service.poll().values())
+        assert all(status.terminal for status in job_statuses(service).values())
         with pytest.raises(KeyError):
             service.result("nonexistent")
+
+    def test_assigned_ids_stay_clear_of_batch_line_ids(self):
+        # `repro batch` names an id-less line `job-<lineno>`; an id the
+        # service assigns must never block that name on a shared server
+        service = SynthesisService()
+        first = service.submit(fig1_problem())
+        second = service.submit(fig1_problem(), job_id="job-1")
+        assert first.status is JobStatus.QUEUED  # still open
+        assert first.job_id != "job-1" and second.job_id == "job-1"
+        service.close()
 
     def test_cancel_queued_job_before_scheduler_starts(self):
         service = SynthesisService()
@@ -590,7 +540,7 @@ class TestContinuousScheduler:
         service.wait_idle(timeout=60)
         service.submit(fig1_problem(), job_id="last")
         service.result("last", timeout=60)
-        known = service.poll()
+        known = job_statuses(service)
         assert len(known) <= 3  # retention bound (+ the in-flight margin)
         assert "last" in known
         assert "forgotten-0" not in known
@@ -603,7 +553,7 @@ class TestContinuousScheduler:
         jobs as errors, not kill the scheduler with waiters blocked."""
         service = SynthesisService()
 
-        def broken_get(fingerprint, classes=None):
+        def broken_get(fingerprint):
             raise TypeError("corrupt cache entry")
 
         monkeypatch.setattr(service.cache, "get", broken_get)
@@ -635,7 +585,7 @@ class TestContinuousScheduler:
         service.submit(fig1_problem(), job_id="b")  # same fingerprint
         service.start()
         assert entered.wait(timeout=60)
-        statuses = service.poll()
+        statuses = job_statuses(service)
         assert statuses["a"] is JobStatus.RUNNING
         assert statuses["b"] is JobStatus.RUNNING
         gate.set()
@@ -692,7 +642,7 @@ class TestContinuousScheduler:
         first = next(stream)  # all four settled; three not yet yielded
         for index in range(4):  # pressure: more settled jobs than retained
             service.result(service.submit(fig1_problem()).job_id, timeout=60)
-        known = service.poll()
+        known = job_statuses(service)
         assert all(job_id in known for job_id in ids[1:])
         assert [first.job_id] + [r.job_id for r in stream] == ids
         service.close()
@@ -791,27 +741,14 @@ class TestBatchCli:
         assert stats["throughput_jobs_per_s"] > 0
 
     def test_batch_includes_plans_and_warm_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
+        # each invocation starts with an empty cache: the plan is computed,
+        # not served (warm answers within one service are covered by
+        # TestServiceSerial::test_cache_hit_on_identical_problem_different_identity)
         path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        assert main(["batch", path, "--cache-dir", cache_dir]) == 0
+        assert main(["batch", path]) == 0
         first = json.loads(capsys.readouterr().out.splitlines()[0])
         assert first["cached"] is False
         assert first["plan"]["commands"]
-
-        assert main(["batch", path, "--cache-dir", cache_dir]) == 0
-        second = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert second["cached"] is True
-        assert second["plan"] == first["plan"]
-
-    def test_cache_stats_subcommand(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        path = self.write_jsonl(tmp_path, self.batch_docs()[:1])
-        main(["batch", path, "--cache-dir", cache_dir, "--no-plans"])
-        capsys.readouterr()
-        assert main(["cache-stats", cache_dir]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["entries"] == 1
-        assert summary["counters"]["puts"] == 1
 
     def test_batch_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
